@@ -13,8 +13,6 @@ from delaynet import (
     dirac,
     exponential,
     mixture,
-    signed_mass,
-    total_variation,
     uniform,
 )
 
@@ -27,8 +25,8 @@ def main():
     mixed = mixture(point, tail)
     for name, k in [("point mass at 0.5", point), ("exponential tail", tail),
                     ("uniform block, negative weight", box), ("mixture", mixed)]:
-        print(f"  {name:32s} total variation={total_variation(k):.4f} "
-              f"signed mass={signed_mass(k):+.4f}")
+        print(f"  {name:32s} total variation={k.total_variation():.4f} "
+              f"signed mass={k.signed_mass():+.4f}")
 
     print("\n== quadrature oracle checks ==")
     # Point mass: the plan must reproduce the shifted value exactly.
@@ -54,7 +52,7 @@ def main():
     # The plan never exceeds the measure's total variation, truncation or not.
     for k in (point, tail, box, mixed):
         p = build_quadrature(k, tail_tol=1e-8, node_spacing=1e-2)
-        assert np.abs(p.weights).sum() <= total_variation(k) + 1e-12
+        assert np.abs(p.weights).sum() <= k.total_variation() + 1e-12
     print("  |weights| sums stay within each kernel's total variation")
 
 

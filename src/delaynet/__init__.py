@@ -16,8 +16,6 @@ from .kernels import (
     exponential,
     make_kernel,
     mixture,
-    signed_mass,
-    total_variation,
     uniform,
 )
 from .history import (
@@ -49,7 +47,6 @@ from .integrator import (
     BLOWUP_THRESHOLD,
     BlowUpError,
     IntegratorConfig,
-    convolve,
     integrate,
 )
 from .certificates import (
@@ -115,7 +112,6 @@ __all__ = [
     "compute_M",
     "compute_V",
     "compute_eta",
-    "convolve",
     "delta_from_cert",
     "dirac",
     "estimate_envelope_constants",
@@ -136,12 +132,10 @@ __all__ = [
     "run_scenario",
     "scenario_from_dict",
     "scenario_schema",
-    "signed_mass",
     "sup_history_deviation",
     "sync_report",
     "tanh_hopfield_node",
     "time_varying_linear_output",
-    "total_variation",
     "uniform",
     "write_envelope_csv",
     "write_sync_csv",

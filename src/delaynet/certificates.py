@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NetworkModel, NodeDynamics
-from .kernels import total_variation
+from .history import spd_weight
 
 __all__ = [
     "QuadCertificate",
@@ -48,28 +48,18 @@ class QuadCertificate:
     vector of diagonal entries."""
 
     def __init__(self, P, Delta, epsilon: float):
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("P must be a square matrix")
-        if not np.allclose(P, P.T, atol=1e-12, rtol=0.0):
-            raise ValueError("P must be symmetric to 1e-12")
-        eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
-        if np.min(eigs) <= 0.0:
-            raise ValueError("P must be positive definite")
+        self.P, self.lambda_min, self.norm_P = spd_weight(P)
         D = np.asarray(Delta, dtype=float)
         if D.ndim == 1:
             D = np.diag(D)
-        if D.shape != P.shape:
+        if D.shape != self.P.shape:
             raise ValueError("Delta must match the shape of P")
         if np.any(D != np.diag(np.diag(D))):
             raise ValueError("Delta must be diagonal")
         if not epsilon > 0:
             raise ValueError("epsilon must be positive")
-        self.P = 0.5 * (P + P.T)
         self.Delta = D
         self.epsilon = float(epsilon)
-        self.lambda_min = float(np.min(eigs))
-        self.norm_P = float(np.max(np.abs(eigs)))
 
     @property
     def n(self) -> int:
@@ -195,12 +185,7 @@ def compute_eta(delta: float, alpha: float, beta: float, gamma: float,
         raise ValueError("m must be >= 1")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    P = np.asarray(P, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
-    lam_min = float(np.min(eigs))
-    if lam_min <= 0:
-        raise ValueError("P must be positive definite")
-    norm_P = float(np.max(np.abs(eigs)))
+    _, lam_min, norm_P = spd_weight(P)
     eta = (2.0 * delta + 2.0 * alpha * beta * norm_P * K) / lam_min \
         + 2.0 * m * gamma * norm_P / math.sqrt(lam_min)
     if not eta > 0:
@@ -225,7 +210,7 @@ class ProofConstants:
     def derive(cls, cert: QuadCertificate, model: NetworkModel, x0,
                horizon: float, grid: int = 201) -> "ProofConstants":
         alpha, beta, gamma = estimate_envelope_constants(model, x0, horizon, grid)
-        K = sum(total_variation(model.kernels[i][j])
+        K = sum(model.kernels[i][j].total_variation()
                 for i in range(model.m) for j in range(model.m))
         delta = delta_from_cert(cert)
         eta = compute_eta(delta, alpha, beta, gamma, model.m, cert.P, K)

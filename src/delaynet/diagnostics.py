@@ -10,9 +10,9 @@ and the claim M(t) <= M(0) e^{eta t}.  Realistic eta values reach the
 hundreds, where e^{eta t} overflows doubles; every comparison here is done
 on logarithms, and the exported bound columns may legitimately hold inf.
 
-M is evaluated on the sample grid.  With linear interpolation that loses
-nothing: the P-distance along a segment is convex, so the interpolant's
-supremum sits at sample points.
+M is evaluated on the sample grid, which loses nothing: trajectories
+interpolate linearly between samples, and the P-distance along a segment is
+convex, so its supremum over the segment sits at a sample point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import Trajectory, sup_history_deviation
+from .history import Trajectory, spd_weight, sup_history_deviation
 
 __all__ = [
     "EnvelopeReport",
@@ -37,17 +37,6 @@ __all__ = [
 ]
 
 
-def _validated_weight(P) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("P must be a square matrix")
-    if not np.allclose(P, P.T, atol=1e-12, rtol=0.0):
-        raise ValueError("P must be symmetric (to 1e-12)")
-    if np.min(np.linalg.eigvalsh(P)) <= 0.0:
-        raise ValueError("P must be positive definite")
-    return 0.5 * (P + P.T)
-
-
 def _block_quad(diffs: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Sum of per-node quadratic forms, one value per row of ``diffs``."""
     blocks = diffs.reshape(diffs.shape[0], -1, P.shape[0])
@@ -56,7 +45,7 @@ def _block_quad(diffs: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def p_norm(x, P) -> float:
     """Block norm sqrt(sum_i x_i' P x_i) over the stacked node states."""
-    P = _validated_weight(P)
+    P, _, _ = spd_weight(P)
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0 or x.size % P.shape[0] != 0:
         raise ValueError("state length must be a positive multiple of the size of P")
@@ -65,14 +54,14 @@ def p_norm(x, P) -> float:
 
 def compute_V(traj: Trajectory, t: float, P) -> float:
     """Half the squared P-distance between x(t) and x(0)."""
-    P = _validated_weight(P)
+    P, _, _ = spd_weight(P)
     diff = traj.eval(t) - traj.states[0]
     return float(0.5 * _block_quad(diff[None, :], P)[0])
 
 
 def compute_M(traj: Trajectory, t: float, P) -> float:
     """Running sup of V up to t (history included), floored at 1/2."""
-    P = _validated_weight(P)
+    P, _, _ = spd_weight(P)
     if t > traj.last_time:
         raise ValueError(f"t={t} is past the last sample {traj.last_time}")
     x0 = traj.states[0]
@@ -132,7 +121,7 @@ def check_envelope(traj: Trajectory, eta: float, P, rel_tol: float = 1e-6) -> En
         raise ValueError("eta must be nonnegative")
     if rel_tol < 0:
         raise ValueError("rel_tol must be nonnegative")
-    P = _validated_weight(P)
+    P, lam_min, _ = spd_weight(P)
     times = traj.times.copy()
     x0 = traj.states[0]
     V = 0.5 * _block_quad(traj.states - x0, P)
@@ -146,7 +135,6 @@ def check_envelope(traj: Trajectory, eta: float, P, rel_tol: float = 1e-6) -> En
     rel_violation = np.expm1(np.log(M) - log_env)
     max_rel = float(np.max(rel_violation))
 
-    lam_min = float(np.min(np.linalg.eigvalsh(P)))
     norm_x0_P = p_norm(x0, P)
     # log of (|x(0)|_P + sqrt(2 M0 e^{eta t})) - log sqrt(lam_min)
     half_logs = 0.5 * (math.log(2.0 * M0) + eta * times)

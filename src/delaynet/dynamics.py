@@ -27,6 +27,7 @@ __all__ = [
     "CouplingSchedule",
     "DelaySchedule",
     "NetworkModel",
+    "NonFiniteDerivative",
     "rhs",
     "make_example",
     "make_node",
@@ -42,6 +43,15 @@ __all__ = [
 ]
 
 _FLAG_TOL = 1e-12
+
+
+class NonFiniteDerivative(ValueError):
+    """The network derivative at node ``node`` and time ``t`` is not finite."""
+
+    def __init__(self, t: float, node: int):
+        super().__init__(f"non-finite derivative at node index {node}, t={t}")
+        self.t = t
+        self.node = node
 
 
 @dataclass(frozen=True)
@@ -259,6 +269,8 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     ``past`` maps a time <= t to the stacked state vector; a vectorized
     ``eval_many`` attribute is used when present.  All delayed lookups from
     the same source node, delay value, and quadrature plan are shared.
+    Raises ``NonFiniteDerivative`` naming the first node whose derivative is
+    not finite.
     """
     m, n = model.m, model.node.dim
     x_now = np.asarray(past(t), dtype=float).ravel()
@@ -304,7 +316,7 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
                 coupled = coupled + A[i, j] * conv[k]
         acc = model.node.eval(t, X[i]) + coupled
         if not np.all(np.isfinite(acc)):
-            raise ValueError(f"non-finite derivative at node index {i}, t={t}")
+            raise NonFiniteDerivative(t, i)
         out[i] = acc
     return out.ravel()
 

@@ -12,7 +12,6 @@ between appends are fine.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 __all__ = [
     "HistoryFunction",
     "Trajectory",
+    "spd_weight",
     "sup_history_deviation",
     "write_trajectory_csv",
 ]
@@ -103,16 +103,12 @@ class Trajectory:
 
     Sample times are strictly increasing starting at 0; the first sample is
     pinned to ``initial(0)`` so evaluation is continuous across t = 0.
-    Evaluation interpolates between samples (linear by default, local cubic
-    optional), is exact at stored sample times, and refuses times past the
-    last sample.  Storage is dense and append-only: distributed kernels may
-    look arbitrarily far back.
+    Evaluation interpolates linearly between samples, is exact at stored
+    sample times, and refuses times past the last sample.  Storage is dense
+    and append-only: distributed kernels may look arbitrarily far back.
     """
 
-    def __init__(self, initial: HistoryFunction, node_count: int, node_dim: int,
-                 interpolation: str = "linear"):
-        if interpolation not in ("linear", "cubic"):
-            raise ValueError(f"unknown interpolation {interpolation!r}")
+    def __init__(self, initial: HistoryFunction, node_count: int, node_dim: int):
         dim = node_count * node_dim
         if initial.dim != dim:
             raise ValueError(
@@ -120,7 +116,6 @@ class Trajectory:
         self.initial = initial
         self.node_count = node_count
         self.node_dim = node_dim
-        self.interpolation = interpolation
         self._times = np.empty(1024)
         self._states = np.empty((1024, dim))
         self._n = 1
@@ -166,25 +161,10 @@ class Trajectory:
 
     def eval(self, t: float) -> np.ndarray:
         """State at time t <= last sample; exact at samples, initial for t <= 0."""
-        if t <= 0.0:
-            return self.initial.eval(t)
-        last = self.last_time
-        if t > last:
-            raise ValueError(
-                f"cannot extrapolate: t={t} is past the last sample {last}")
-        times = self.times
-        idx = int(np.searchsorted(times, t))
-        if idx < self._n and times[idx] == t:
-            return self._states[idx].copy()
-        lo = idx - 1
-        if self.interpolation == "linear":
-            t0, t1 = times[lo], times[idx]
-            w = (t - t0) / (t1 - t0)
-            return (1.0 - w) * self._states[lo] + w * self._states[idx]
-        return self._cubic(np.asarray([t]), np.asarray([lo]))[0]
+        return self.eval_many([t])[0]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized ``eval`` over an array of times (all <= last sample)."""
+        """States at an array of times (all <= last sample), one row each."""
         ts = np.asarray(ts, dtype=float).ravel()
         out = np.empty((ts.size, self.dim))
         past = ts <= 0.0
@@ -193,45 +173,22 @@ class Trajectory:
         fwd = ~past
         if fwd.any():
             tf = ts[fwd]
-            if np.any(tf > self.last_time):
-                raise ValueError("cannot extrapolate past the last sample")
+            last = self.last_time
+            if np.any(tf > last):
+                raise ValueError(
+                    f"cannot extrapolate: t={np.max(tf)} is past the last sample {last}")
             times = self.times
             idx = np.searchsorted(times, tf)
             exact = times[np.minimum(idx, self._n - 1)] == tf
             lo = idx - 1
-            vals = np.empty((tf.size, self.dim))
-            if self.interpolation == "linear":
-                t0 = times[lo]
-                t1 = times[idx]
-                w = ((tf - t0) / (t1 - t0))[:, None]
-                vals = (1.0 - w) * self._states[lo] + w * self._states[idx]
-            else:
-                vals = self._cubic(tf, lo)
+            t0 = times[lo]
+            t1 = times[idx]
+            w = ((tf - t0) / (t1 - t0))[:, None]
+            vals = (1.0 - w) * self._states[lo] + w * self._states[idx]
             if exact.any():
                 vals[exact] = self._states[idx[exact]]
             out[fwd] = vals
         return out
-
-    def _cubic(self, ts: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        # Local 4-point Lagrange cubic on samples lo-1 .. lo+2, clamped at the
-        # ends; degenerates to the available stencil for short records.
-        n = self._n
-        if n < 4:
-            t0 = self.times[lo]
-            t1 = self.times[lo + 1]
-            w = ((ts - t0) / (t1 - t0))[:, None]
-            return (1.0 - w) * self._states[lo] + w * self._states[lo + 1]
-        base = np.clip(lo - 1, 0, n - 4)
-        result = np.zeros((ts.size, self.dim))
-        stencil_t = np.stack([self.times[base + k] for k in range(4)], axis=1)
-        for k in range(4):
-            lk = np.ones(ts.size)
-            for j in range(4):
-                if j == k:
-                    continue
-                lk *= (ts - stencil_t[:, j]) / (stencil_t[:, k] - stencil_t[:, j])
-            result += lk[:, None] * self._states[base + k]
-        return result
 
 
 def sup_history_deviation(traj_or_history, x0: np.ndarray, P: np.ndarray) -> float:
@@ -243,7 +200,7 @@ def sup_history_deviation(traj_or_history, x0: np.ndarray, P: np.ndarray) -> flo
     size.
     """
     history = traj_or_history.initial if isinstance(traj_or_history, Trajectory) else traj_or_history
-    P = _check_spd(P)
+    P, _, _ = spd_weight(P)
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != history.dim or x0.size % P.shape[0] != 0:
         raise ValueError("x0 must match the history dimension and be a multiple of P's size")
@@ -259,15 +216,22 @@ def sup_history_deviation(traj_or_history, x0: np.ndarray, P: np.ndarray) -> flo
     return sup
 
 
-def _check_spd(P: np.ndarray) -> np.ndarray:
+def spd_weight(P) -> tuple[np.ndarray, float, float]:
+    """Validate a weight matrix; return (sym P, lambda_min, |P|_2).
+
+    P must be square, symmetric to 1e-12 and positive definite.
+    """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("P must be a square matrix")
     if not np.allclose(P, P.T, atol=1e-12, rtol=0.0):
-        raise ValueError("P must be symmetric (to 1e-12)")
-    if np.min(np.linalg.eigvalsh(P)) <= 0.0:
+        raise ValueError("P must be symmetric to 1e-12")
+    P = 0.5 * (P + P.T)
+    eigs = np.linalg.eigvalsh(P)
+    lam_min = float(np.min(eigs))
+    if lam_min <= 0.0:
         raise ValueError("P must be positive definite")
-    return P
+    return P, lam_min, float(np.max(np.abs(eigs)))
 
 
 def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:

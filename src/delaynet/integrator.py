@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NetworkModel, rhs
+from .dynamics import NetworkModel, NonFiniteDerivative, rhs
 from .history import HistoryFunction, Trajectory
-from .kernels import QuadraturePlan
 
-__all__ = ["IntegratorConfig", "integrate", "convolve", "BlowUpError"]
+__all__ = ["IntegratorConfig", "integrate", "BlowUpError"]
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -55,12 +54,15 @@ class IntegratorConfig:
             raise ValueError("step h must be positive")
         if not self.horizon >= self.h:
             raise ValueError("horizon must be at least one step")
+        if abs(self.steps * self.h - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError(
+                f"horizon {self.horizon!r} is not a whole number of steps of {self.h!r}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.horizon / self.h)))
+        return round(self.horizon / self.h)
 
 
 class _StagePast:
@@ -69,7 +71,9 @@ class _StagePast:
     Lookup rules, in order: the stage time itself returns the stage vector;
     times at or before the last committed sample go to the trajectory; times
     in between are extrapolated linearly from the committed state and
-    counted.  Times past the stage are a contract violation.
+    counted.  Times past the stage are a contract violation.  ``eval_many``
+    holds these rules; a scalar call other than at the stage time delegates
+    to it.
     """
 
     def __init__(self, traj: Trajectory, t_base: float, x_base: np.ndarray,
@@ -85,12 +89,7 @@ class _StagePast:
     def __call__(self, t: float) -> np.ndarray:
         if t == self.t_stage:
             return self.x_stage
-        if t <= self.t_base:
-            return self.traj.eval(t)
-        if t > self.t_stage:
-            raise AssertionError(f"stage lookup at t={t} past the stage time {self.t_stage}")
-        self.extrapolations += 1
-        return self.x_base + (t - self.t_base) * self.slope
+        return self.eval_many([t])[0]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
@@ -110,16 +109,14 @@ class _StagePast:
         return out
 
 
-def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig,
-              interpolation: str = "linear") -> Trajectory:
+def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:
     """March the model from its initial history to the horizon.
 
     Returns the trajectory sampled at every step (output striding is left to
     the writers).  Raises ``BlowUpError`` with the partial trajectory
     attached when the state escapes.
     """
-    traj = Trajectory(initial, node_count=model.m, node_dim=model.node.dim,
-                      interpolation=interpolation)
+    traj = Trajectory(initial, node_count=model.m, node_dim=model.node.dim)
     traj.stage_extrapolation_count = 0
     h = config.h
     x = traj.states[0].copy()
@@ -146,10 +143,8 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
                 stages.append(p4)
                 traj.stage_extrapolation_count += sum(p.extrapolations for p in stages)
                 x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except ValueError as exc:
-            if "non-finite" in str(exc):
-                raise BlowUpError(t, traj, str(exc)) from exc
-            raise
+        except NonFiniteDerivative as exc:
+            raise BlowUpError(t, traj, str(exc)) from exc
         t_next = (k + 1) * h
         _guard_state(t_next, x_next, traj)
         traj.append(t_next, x_next)
@@ -163,27 +158,3 @@ def _guard_state(t: float, x: np.ndarray, traj: Trajectory) -> None:
     peak = float(np.max(np.abs(x)))
     if peak > BLOWUP_THRESHOLD:
         raise BlowUpError(t, traj, f"state magnitude {peak:.3e} exceeds {BLOWUP_THRESHOLD:.0e}")
-
-
-def convolve(plan: QuadraturePlan, g_at, traj: Trajectory, t: float, tau: float) -> np.ndarray:
-    """Weighted sum of the output map over kernel-shifted past states.
-
-    ``g_at`` is either a plain callable (t, state) -> vector or anything with
-    an ``eval_rows(t, rows)`` method.  Lookup failures name the offending
-    node of the plan.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    ts = t - tau - plan.locations
-    last = traj.last_time
-    if np.any(ts > last):
-        k = int(np.argmin(plan.locations))
-        raise ValueError(
-            f"convolution node {k} at s={plan.locations[k]} needs the state at "
-            f"t={ts[k]:.9g}, past the last sample {last:.9g}")
-    vals = traj.eval_many(ts)
-    if hasattr(g_at, "eval_rows"):
-        gvals = g_at.eval_rows(t, vals)
-    else:
-        gvals = np.stack([np.asarray(g_at(t, row), dtype=float) for row in vals])
-    return plan.apply(gvals)

@@ -28,8 +28,6 @@ __all__ = [
     "uniform",
     "mixture",
     "make_kernel",
-    "total_variation",
-    "signed_mass",
     "build_quadrature",
 ]
 
@@ -124,6 +122,7 @@ class DelayKernel:
             raise ValueError("kernel needs at least one atom or a density part")
 
     def total_variation(self) -> float:
+        """Sum of absolute atom weights plus absolute density weight."""
         tv = sum(abs(w) for _, w in self.atoms)
         if self.density is not None:
             tv += abs(self.density.weight)
@@ -189,15 +188,6 @@ def make_kernel(spec: dict) -> DelayKernel:
             raise ValueError("mixture kernel spec needs nonempty 'components'")
         return mixture(*(make_kernel(c) for c in components))
     raise ValueError(f"unknown kernel type {kind!r}")
-
-
-def total_variation(kernel: DelayKernel) -> float:
-    """Sum of absolute atom weights plus absolute density weight."""
-    return kernel.total_variation()
-
-
-def signed_mass(kernel: DelayKernel) -> float:
-    return kernel.signed_mass()
 
 
 @dataclass(frozen=True)

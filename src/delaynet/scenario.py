@@ -1,7 +1,7 @@
 """Scenario files: load, validate, build, run.
 
-A scenario is a JSON document matching the published schema (shipped both at
-the repository root and inside the package under ``schemas/scenario.json``).
+A scenario is a JSON document matching the published schema, packaged at
+``src/delaynet/schemas/scenario.json``.
 Loading validates twice: against the schema first, then structurally, so that
 dimension mismatches between sections are reported with the offending key
 before any computation starts.  Running integrates the network and writes the

@@ -8,6 +8,7 @@ from delaynet.dynamics import (
     DelaySchedule,
     NetworkModel,
     NodeDynamics,
+    NonFiniteDerivative,
     OutputFunction,
     check_assumptions,
     chua_node,
@@ -171,8 +172,10 @@ def test_rhs_reports_non_finite_with_node_index():
     model = NetworkModel(m=2, node=node, output=identity_output(1),
                          coupling=CouplingSchedule.constant(np.zeros((2, 2))),
                          delays=DelaySchedule.zero(), kernels=dirac())
-    with pytest.raises(ValueError, match="node index 0"):
+    with pytest.raises(NonFiniteDerivative, match="node index 0") as exc:
         rhs(model, 1.5, lambda s: np.zeros(2))
+    assert exc.value.t == 1.5
+    assert exc.value.node == 0
 
 
 def test_factory_validation_errors():

@@ -13,10 +13,9 @@ from delaynet.history import (
 )
 
 
-def make_traj(samples, interpolation="linear", node_count=1, node_dim=1):
+def make_traj(samples, node_count=1, node_dim=1):
     hist = HistoryFunction.constant(np.asarray(samples[0][1], dtype=float))
-    traj = Trajectory(hist, node_count=node_count, node_dim=node_dim,
-                      interpolation=interpolation)
+    traj = Trajectory(hist, node_count=node_count, node_dim=node_dim)
     for t, x in samples[1:]:
         traj.append(t, np.asarray(x, dtype=float))
     return traj
@@ -91,24 +90,7 @@ def test_eval_many_matches_scalar_eval_and_handles_past():
     ts = rng.uniform(-1.0, traj.last_time, size=64)
     batch = traj.eval_many(ts)
     for t, row in zip(ts, batch):
-        np.testing.assert_allclose(row, traj.eval(t), rtol=0, atol=1e-14)
-
-
-def test_cubic_interpolation_recovers_smooth_signal_better():
-    ts = np.linspace(0.0, 2.0, 21)
-
-    def build(interp):
-        traj = make_traj([(0.0, [np.sin(0.0)])], interpolation=interp)
-        for t in ts[1:]:
-            traj.append(t, np.array([np.sin(t)]))
-        return traj
-
-    probe = np.linspace(0.05, 1.95, 97)
-    lin = build("linear")
-    cub = build("cubic")
-    err_lin = max(abs(lin.eval(t)[0] - np.sin(t)) for t in probe)
-    err_cub = max(abs(cub.eval(t)[0] - np.sin(t)) for t in probe)
-    assert err_cub < err_lin / 10.0
+        np.testing.assert_array_equal(row, traj.eval(t))
 
 
 def test_sup_deviation_zero_for_history_at_reference():

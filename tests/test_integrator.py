@@ -15,7 +15,7 @@ from delaynet.dynamics import (
     rhs,
 )
 from delaynet.history import HistoryFunction, Trajectory
-from delaynet.integrator import BlowUpError, IntegratorConfig, convolve, integrate
+from delaynet.integrator import BlowUpError, IntegratorConfig, integrate
 from delaynet.kernels import build_quadrature, dirac, exponential, mixture
 
 
@@ -45,6 +45,12 @@ def test_config_validation():
         IntegratorConfig(h=0.5, horizon=0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.1, horizon=1.0, output_stride=0)
+    # the run must end exactly at the horizon: 1.0 is 2.5 steps of 0.4 and
+    # 1.67 steps of 0.6, which used to end at 0.8 and at 1.2
+    for h in (0.4, 0.6):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            IntegratorConfig(h=h, horizon=1.0)
+    assert IntegratorConfig(h=0.1, horizon=0.3).steps == 3
 
 
 def test_ode_reduction_matches_exponential_decay():
@@ -143,11 +149,16 @@ def test_tiny_delay_run_stays_close_to_undelayed_limit():
     assert abs(val - math.exp(-1.0)) < 1e-4
 
 
+def convolution(plan, traj, t, tau):
+    """The lookup-and-weigh composition ``rhs`` applies for an identity output."""
+    return plan.apply(traj.eval_many(t - tau - plan.locations))
+
+
 def test_convolve_dirac_plan_is_exact_lookup():
     traj = Trajectory(HistoryFunction.constant([2.0]), node_count=1, node_dim=1)
     traj.append(1.0, np.array([4.0]))
     plan = build_quadrature(dirac(0.0), 1e-12, 1e-2)
-    out = convolve(plan, lambda t, u: u, traj, t=1.0, tau=0.5)
+    out = convolution(plan, traj, t=1.0, tau=0.5)
     # linear interpolation between 2 (at t=0) and 4 (at t=1) gives 3 at t=0.5
     assert out == pytest.approx([3.0])
 
@@ -157,7 +168,7 @@ def test_convolve_two_atom_average_of_constant_history():
     plan = build_quadrature(ker, 1e-12, 1e-2)
     traj = Trajectory(HistoryFunction.constant([7.0]), node_count=1, node_dim=1)
     traj.append(0.5, np.array([7.0]))
-    out = convolve(plan, lambda t, u: u, traj, t=0.5, tau=0.0)
+    out = convolution(plan, traj, t=0.5, tau=0.0)
     assert out == pytest.approx([7.0])
 
 
@@ -169,7 +180,7 @@ def test_convolve_exponential_plan_matches_riemann_oracle():
     for t in grid:
         traj.append(t, np.array([np.sin(t)]))
     plan = build_quadrature(exponential(1.0), tail_tol=1e-10, node_spacing=1e-3)
-    got = convolve(plan, lambda t, u: u, traj, t=5.0, tau=0.0)[0]
+    got = convolution(plan, traj, t=5.0, tau=0.0)[0]
     n = 10**7
     h = 30.0 / n
     s = (np.arange(n) + 0.5) * h
@@ -182,4 +193,4 @@ def test_convolve_reports_lookup_past_trajectory():
     traj.append(1.0, np.array([1.0]))
     plan = build_quadrature(dirac(0.0), 1e-12, 1e-2)
     with pytest.raises(ValueError, match="past the last sample"):
-        convolve(plan, lambda t, u: u, traj, t=2.0, tau=0.0)
+        convolution(plan, traj, t=2.0, tau=0.0)

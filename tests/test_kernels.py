@@ -12,8 +12,6 @@ from delaynet.kernels import (
     exponential,
     make_kernel,
     mixture,
-    signed_mass,
-    total_variation,
     uniform,
 )
 
@@ -22,26 +20,26 @@ def test_dirac_at_origin_is_unit_mass_single_atom():
     ker = dirac(0.0, weight=1.0)
     assert ker.atoms == ((0.0, 1.0),)
     assert ker.density is None
-    assert total_variation(ker) == 1.0
-    assert signed_mass(ker) == 1.0
+    assert ker.total_variation() == 1.0
+    assert ker.signed_mass() == 1.0
 
 
 def test_exponential_unit_kernel_total_variation():
     # |weight| * integral of rate*e^{-rate s} over [0, inf) = |weight|
-    assert total_variation(exponential(rate=1.0, weight=1.0)) == 1.0
-    assert total_variation(exponential(rate=3.7, weight=-2.5)) == 2.5
+    assert exponential(rate=1.0, weight=1.0).total_variation() == 1.0
+    assert exponential(rate=3.7, weight=-2.5).total_variation() == 2.5
 
 
 def test_uniform_kernel_total_variation_and_mass():
     ker = uniform(0.5, 1.5, weight=-0.75)
-    assert total_variation(ker) == 0.75
-    assert signed_mass(ker) == -0.75
+    assert ker.total_variation() == 0.75
+    assert ker.signed_mass() == -0.75
 
 
 def test_mixture_total_variation_adds_absolute_weights():
     ker = mixture(dirac(0.5, weight=-2.0), exponential(rate=1.5, weight=0.3))
-    assert total_variation(ker) == pytest.approx(2.3, abs=0.0)
-    assert signed_mass(ker) == pytest.approx(-1.7, abs=0.0)
+    assert ker.total_variation() == pytest.approx(2.3, abs=0.0)
+    assert ker.signed_mass() == pytest.approx(-1.7, abs=0.0)
 
 
 def test_kernel_rejects_bad_parameters():
@@ -64,12 +62,12 @@ def test_make_kernel_from_dict_specs():
     ker = make_kernel({"type": "exponential", "rate": 2.0, "weight": 0.5})
     assert ker.density is not None and ker.density.rate == 2.0
     ker = make_kernel({"type": "uniform", "a": 0.1, "b": 0.9})
-    assert total_variation(ker) == 1.0
+    assert ker.total_variation() == 1.0
     mix = make_kernel({"type": "mixture", "components": [
         {"type": "dirac", "location": 0.0},
         {"type": "exponential", "rate": 1.0, "weight": -0.5},
     ]})
-    assert total_variation(mix) == 1.5
+    assert mix.total_variation() == 1.5
     with pytest.raises(ValueError):
         make_kernel({"type": "gaussian", "sigma": 1.0})
     with pytest.raises(ValueError):
@@ -111,7 +109,7 @@ def test_plan_weight_sum_bounded_by_total_variation():
         ker = mixture(*parts)
         tol = 10.0 ** rng.uniform(-12, -4)
         plan = build_quadrature(ker, tail_tol=tol, node_spacing=10.0 ** rng.uniform(-3, -1))
-        assert np.sum(np.abs(plan.weights)) <= total_variation(ker) + tol + 1e-12
+        assert np.sum(np.abs(plan.weights)) <= ker.total_variation() + tol + 1e-12
         assert np.all(plan.locations >= 0.0)
         assert np.all(np.diff(plan.locations) >= 0.0)
 
