@@ -22,7 +22,7 @@ from delaynet import (
 
 def main():
     print("== an expanding field is rejected with a witness ==")
-    expanding = NodeDynamics(dim=2, fn=lambda t, u: u, vectorized=True)
+    expanding = NodeDynamics(dim=2, fn=lambda t, u: u)
     cert = QuadCertificate(P=np.eye(2), Delta=np.zeros(2), epsilon=1.0)
     res = check_quad(expanding, cert, box=5.0, budget=1000, seed=0)
     print(f"  passed={res.passed} after {res.probes} probes")
@@ -30,7 +30,7 @@ def main():
     print(f"  witness: lhs={w['lhs']:.4f} > rhs={w['rhs']:.4f} at t={w['t']:.3f}")
 
     print("\n== a contracting field passes the same certificate ==")
-    contracting = NodeDynamics(dim=2, fn=lambda t, u: -u, vectorized=True)
+    contracting = NodeDynamics(dim=2, fn=lambda t, u: -u)
     res = check_quad(contracting, cert, box=5.0, budget=100_000, seed=0)
     print(f"  passed={res.passed} after {res.probes} probes")
 

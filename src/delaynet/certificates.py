@@ -171,8 +171,9 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
         A = model.coupling.matrix(float(t))
         beta = max(beta, float(np.max(np.abs(A))))
         g0 = model.output.eval_rows(float(t), X0)
+        f0 = model.node.eval(float(t), X0)
         for i in range(m):
-            expr = model.node.eval(float(t), X0[i]) + (A[i] * masses[i]) @ g0
+            expr = f0[i] + (A[i] * masses[i]) @ g0
             gamma = max(gamma, float(np.linalg.norm(expr)))
     return alpha, beta, gamma
 

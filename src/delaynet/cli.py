@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import ProofConstants, check_quad, format_certificate_report
-from .scenario import ScenarioError, load_scenario, run_scenario
+from .certificates import format_certificate_report
+from .scenario import ScenarioError, certify, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -107,14 +107,7 @@ def _cmd_check_quad(scenario, args) -> int:
         print("error: certificate: the scenario has no certificate section",
               file=sys.stderr)
         return EXIT_VALIDATION
-    p = scenario.cert_params
-    probe_seed = p["seed"] if args.seed is None else int(args.seed)
-    result = check_quad(scenario.model.node, scenario.certificate, p["box"],
-                        t_range=p["t_range"], budget=p["budget"],
-                        seed=probe_seed)
-    constants = ProofConstants.derive(scenario.certificate, scenario.model,
-                                      scenario.history.eval(0.0),
-                                      scenario.config.horizon)
+    result, constants, _ = certify(scenario, args.seed)
     report = format_certificate_report(result, scenario.certificate, constants)
     if args.out:
         try:

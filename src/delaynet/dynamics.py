@@ -58,16 +58,17 @@ class NonFiniteDerivative(ValueError):
 class NodeDynamics:
     """Isolated node vector field f(t, u) with an optional Lipschitz hint.
 
-    ``vectorized`` evaluators must accept ``u`` of shape (..., dim) and keep
-    the leading axes.  The hint, when given, is a constant L with
-    |f(t,u1) - f(t,u2)| <= L |u1 - u2| on the region of interest; it is used
-    by assumption checks and certificate construction, not by integration.
+    ``fn(t, u)`` is batch-shaped: ``u`` has shape (..., dim), each row is one
+    node state, and the result has the shape of ``u``.  The network right
+    hand side calls it once on the (m, dim) block of all nodes.  The hint,
+    when given, is a constant L with |f(t,u1) - f(t,u2)| <= L |u1 - u2| on
+    the region of interest; it is used by assumption checks and certificate
+    construction, not by integration.
     """
 
     dim: int
     fn: Callable[[float, np.ndarray], np.ndarray]
     lipschitz_hint: float | None = None
-    vectorized: bool = False
     name: str = "custom"
 
     def __post_init__(self):
@@ -77,32 +78,35 @@ class NodeDynamics:
             raise ValueError("lipschitz_hint must be nonnegative")
 
     def eval(self, t: float, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(t, u), dtype=float)
+        """f(t, .) on a (..., dim) block of node states."""
+        return _apply_batch(self.fn, t, u, "node field f")
 
 
 @dataclass(frozen=True)
 class OutputFunction:
     """Coupling output g(t, u) together with its declared Lipschitz bound.
 
-    ``kappa(t)`` bounds |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u at
-    time t.  The bound is declared, not derived; ``check_assumptions`` tries
-    to falsify it.
+    ``fn(t, u)`` is batch-shaped like the node field: ``u`` has shape
+    (..., dim) and the result has the same shape.  ``kappa(t)`` bounds
+    |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u at time t.  The bound is
+    declared, not derived; ``check_assumptions`` tries to falsify it.
     """
 
     dim: int
     fn: Callable[[float, np.ndarray], np.ndarray]
     kappa: Callable[[float], float]
-    vectorized: bool = False
     name: str = "custom"
 
-    def eval(self, t: float, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(t, u), dtype=float)
-
     def eval_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
-        """Apply g(t, .) to each row of a (k, dim) block."""
-        if self.vectorized:
-            return np.asarray(self.fn(t, rows), dtype=float)
-        return np.stack([np.asarray(self.fn(t, row), dtype=float) for row in rows])
+        """g(t, .) on a (..., dim) block, every row in one call."""
+        return _apply_batch(self.fn, t, rows, "output g")
+
+
+def _apply_batch(fn, t: float, u: np.ndarray, what: str) -> np.ndarray:
+    out = np.asarray(fn(t, u), dtype=float)
+    if out.shape != np.shape(u):
+        raise ValueError(f"{what} returned shape {out.shape}, expected {np.shape(u)}")
+    return out
 
 
 class CouplingSchedule:
@@ -266,11 +270,12 @@ def _eval_many(past, ts: np.ndarray) -> np.ndarray:
 def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     """Full network derivative at time t given an evaluator for the past.
 
-    ``past`` maps a time <= t to the stacked state vector; a vectorized
+    ``past`` maps a time <= t to the stacked state vector; a batch
     ``eval_many`` attribute is used when present.  All delayed lookups from
-    the same source node, delay value, and quadrature plan are shared.
-    Raises ``NonFiniteDerivative`` naming the first node whose derivative is
-    not finite.
+    the same source node, delay value, and quadrature plan are shared, and
+    f is evaluated once on the (m, n) block of node states.  Raises
+    ``NonFiniteDerivative`` naming the first node whose derivative is not
+    finite.
     """
     m, n = model.m, model.node.dim
     x_now = np.asarray(past(t), dtype=float).ravel()
@@ -305,19 +310,15 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
             block = values[stops[idx]:stops[idx + 1], j * n:(j + 1) * n]
             conv[key] = plan.apply(model.output.eval_rows(t, block))
 
-    out = np.empty((m, n))
-    for i in range(m):
-        # couplings are summed on their own so that symmetric contributions
-        # cancel exactly before the node term is added
-        coupled = np.zeros(n)
-        for j in range(m):
-            k = pair_key.get((i, j))
-            if k is not None:
-                coupled = coupled + A[i, j] * conv[k]
-        acc = model.node.eval(t, X[i]) + coupled
-        if not np.all(np.isfinite(acc)):
-            raise NonFiniteDerivative(t, i)
-        out[i] = acc
+    # each row's couplings are summed on their own, in j order, so that
+    # symmetric contributions cancel exactly before the node term is added
+    coupled = np.zeros((m, n))
+    for (i, j), key in pair_key.items():
+        coupled[i] += A[i, j] * conv[key]
+    out = model.node.eval(t, X) + coupled
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NonFiniteDerivative(t, int(np.argmin(finite.all(axis=1))))
     return out.ravel()
 
 
@@ -331,7 +332,7 @@ def linear_node(B) -> NodeDynamics:
         raise ValueError("linear node matrix must be square")
     L = float(np.linalg.norm(B, 2))
     return NodeDynamics(dim=B.shape[0], fn=lambda t, u: u @ B.T,
-                        lipschitz_hint=L, vectorized=True, name="linear")
+                        lipschitz_hint=L, name="linear")
 
 
 def chua_node(alpha: float = 9.0, beta: float = 100.0 / 7.0,
@@ -356,7 +357,7 @@ def chua_node(alpha: float = 9.0, beta: float = 100.0 / 7.0,
                       [1.0, -1.0, 1.0],
                       [0.0, -beta, 0.0]])
         L = max(L, float(np.linalg.norm(J, 2)))
-    return NodeDynamics(dim=3, fn=fn, lipschitz_hint=L, vectorized=True, name="chua")
+    return NodeDynamics(dim=3, fn=fn, lipschitz_hint=L, name="chua")
 
 
 def tanh_hopfield_node(W, bias=None) -> NodeDynamics:
@@ -369,7 +370,7 @@ def tanh_hopfield_node(W, bias=None) -> NodeDynamics:
         raise ValueError("bias length must match the weight matrix")
     L = 1.0 + float(np.linalg.norm(W, 2))
     return NodeDynamics(dim=W.shape[0], fn=lambda t, u: -u + np.tanh(u) @ W.T + b,
-                        lipschitz_hint=L, vectorized=True, name="tanh_hopfield")
+                        lipschitz_hint=L, name="tanh_hopfield")
 
 
 def make_node(spec: dict) -> NodeDynamics:
@@ -400,12 +401,11 @@ def linear_output(Gamma) -> OutputFunction:
         raise ValueError("output matrix must be square")
     kap = float(np.linalg.norm(G, 2))
     return OutputFunction(dim=G.shape[0], fn=lambda t, u: u @ G.T,
-                          kappa=lambda t: kap, vectorized=True, name="linear")
+                          kappa=lambda t: kap, name="linear")
 
 
 def identity_output(dim: int) -> OutputFunction:
-    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=lambda t: 1.0,
-                          vectorized=True, name="identity")
+    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=lambda t: 1.0, name="identity")
 
 
 def time_varying_linear_output(dim: int, Gamma_fn: Callable[[float], np.ndarray]) -> OutputFunction:
@@ -417,8 +417,7 @@ def time_varying_linear_output(dim: int, Gamma_fn: Callable[[float], np.ndarray]
     def kappa(t):
         return float(np.linalg.norm(np.asarray(Gamma_fn(t), dtype=float), 2))
 
-    return OutputFunction(dim=dim, fn=fn, kappa=kappa, vectorized=True,
-                          name="time_varying_linear")
+    return OutputFunction(dim=dim, fn=fn, kappa=kappa, name="time_varying_linear")
 
 
 def named_topology(name: str, m: int) -> np.ndarray:
@@ -666,7 +665,7 @@ def _check_output_bound(output: OutputFunction, horizon, budget, rng) -> Assumpt
         if kap < 0:
             return AssumptionCheck(name, False, budget, witness={"t": float(t), "kappa": kap},
                                    detail=f"declared bound is negative at t={t:.6g}")
-        gap = float(np.linalg.norm(output.eval(t, a) - output.eval(t, b)))
+        gap = float(np.linalg.norm(output.eval_rows(t, a) - output.eval_rows(t, b)))
         allowed = kap * float(np.linalg.norm(a - b)) * (1.0 + 1e-9) + 1e-12
         if gap > allowed:
             return AssumptionCheck(

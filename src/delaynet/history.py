@@ -32,14 +32,14 @@ class HistoryFunction:
 
     ``constant(x)`` is the history identically equal to ``x``.  ``segment``
     attaches a callable on ``[start, 0]``; before ``start`` the history is the
-    constant ``tail``.  The segment should meet the tail at ``start`` if a
-    continuous history is wanted; this is not enforced.
+    constant ``tail``.  The segment is batch-shaped: it maps a 1-D array of k
+    times to a (k, dim) array of states.  It should meet the tail at
+    ``start`` if a continuous history is wanted; this is not enforced.
     """
 
     def __init__(self, tail: np.ndarray,
-                 segment: Callable[[float], np.ndarray] | None = None,
-                 segment_start: float = 0.0,
-                 vectorized: bool = False):
+                 segment: Callable[[np.ndarray], np.ndarray] | None = None,
+                 segment_start: float = 0.0):
         tail = np.asarray(tail, dtype=float).ravel()
         if tail.size == 0 or not np.all(np.isfinite(tail)):
             raise ValueError("history tail must be a nonempty finite vector")
@@ -48,7 +48,6 @@ class HistoryFunction:
         self.tail = tail
         self.segment = segment
         self.segment_start = float(segment_start) if segment is not None else 0.0
-        self.vectorized = vectorized
         self.dim = tail.size
 
     @classmethod
@@ -56,46 +55,35 @@ class HistoryFunction:
         return cls(tail=np.asarray(x, dtype=float))
 
     @classmethod
-    def with_segment(cls, fn: Callable[[float], np.ndarray], start: float,
-                     tail=None, vectorized: bool = False) -> "HistoryFunction":
-        """Analytic segment on [start, 0]; tail defaults to fn(start)."""
+    def with_segment(cls, fn: Callable[[np.ndarray], np.ndarray], start: float,
+                     tail=None) -> "HistoryFunction":
+        """Analytic segment on [start, 0]; tail defaults to the segment at start."""
         if tail is None:
-            tail = fn(float(start))
-        return cls(tail=np.asarray(tail, dtype=float), segment=fn,
-                   segment_start=start, vectorized=vectorized)
+            tail = np.asarray(fn(np.array([float(start)])), dtype=float)[0]
+        return cls(tail=np.asarray(tail, dtype=float), segment=fn, segment_start=start)
 
     def eval(self, t: float) -> np.ndarray:
-        if t > 0.0:
-            raise ValueError(f"history is only defined for t <= 0, got t={t}")
-        if self.segment is not None and t >= self.segment_start:
-            return np.asarray(self.segment(float(t)), dtype=float).ravel()
-        return self.tail
+        return self.eval_many([t])[0]
 
     __call__ = eval
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+        """States at an array of times (all <= 0), one row each."""
+        ts = np.asarray(ts, dtype=float).ravel()
         if np.any(ts > 0.0):
-            raise ValueError("history is only defined for t <= 0")
-        if self.segment is None:
-            return np.broadcast_to(self.tail, (ts.size, self.dim)).copy()
-        if self.vectorized:
-            on_seg = ts >= self.segment_start
-            out = np.empty((ts.size, self.dim))
-            out[~on_seg] = self.tail
-            if on_seg.any():
-                out[on_seg] = np.asarray(self.segment(ts[on_seg]), dtype=float).reshape(-1, self.dim)
-            return out
-        return np.stack([self.eval(t) for t in ts])
-
-    def bound(self) -> float:
-        """Finite sup of the norm over (-inf, 0]."""
-        sup = float(np.linalg.norm(self.tail))
+            raise ValueError(f"history is only defined for t <= 0, got t={np.max(ts)}")
+        out = np.empty((ts.size, self.dim))
+        out[:] = self.tail
         if self.segment is not None:
-            ts = np.linspace(self.segment_start, 0.0, _SEGMENT_SUP_SAMPLES)
-            vals = self.eval_many(ts)
-            sup = max(sup, float(np.max(np.linalg.norm(vals, axis=1))))
-        return sup
+            on_seg = ts >= self.segment_start
+            if on_seg.any():
+                expected = (int(np.count_nonzero(on_seg)), self.dim)
+                vals = np.asarray(self.segment(ts[on_seg]), dtype=float)
+                if vals.shape != expected:
+                    raise ValueError(
+                        f"history segment returned shape {vals.shape}, expected {expected}")
+                out[on_seg] = vals
+        return out
 
 
 class Trajectory:

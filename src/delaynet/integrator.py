@@ -27,6 +27,14 @@ __all__ = ["IntegratorConfig", "integrate", "BlowUpError"]
 
 BLOWUP_THRESHOLD = 1e12
 
+# explicit methods, one (c, a, b) row per stage: the stage runs at t + c*h
+# from the state x + (a*h) * (previous stage's k), and the step is
+# x + (h / divisor) * sum of b*k over the stages
+_TABLEAUS = {
+    "euler": (((0.0, 0.0, 1.0),), 1.0),
+    "rk4": (((0.0, 0.0, 1.0), (0.5, 0.5, 2.0), (0.5, 0.5, 2.0), (1.0, 1.0, 1.0)), 6.0),
+}
+
 
 class BlowUpError(RuntimeError):
     """State escaped the admissible range before the horizon."""
@@ -40,15 +48,14 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method, step, horizon, and the stride used when writing output files."""
+    """Method, step and horizon of a fixed-step run."""
 
     method: str = "rk4"
     h: float = 1e-3
     horizon: float = 1.0
-    output_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4"):
+        if self.method not in _TABLEAUS:
             raise ValueError(f"unknown method {self.method!r}; use 'euler' or 'rk4'")
         if not self.h > 0:
             raise ValueError("step h must be positive")
@@ -57,8 +64,6 @@ class IntegratorConfig:
         if abs(self.steps * self.h - self.horizon) > 1e-9 * self.horizon:
             raise ValueError(
                 f"horizon {self.horizon!r} is not a whole number of steps of {self.h!r}")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
 
     @property
     def steps(self) -> int:
@@ -118,33 +123,29 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     """
     traj = Trajectory(initial, node_count=model.m, node_dim=model.node.dim)
     traj.stage_extrapolation_count = 0
+    stages, divisor = _TABLEAUS[config.method]
     h = config.h
     x = traj.states[0].copy()
     _guard_state(0.0, x, traj)
     for k in range(config.steps):
         t = k * h
+        ks: list[np.ndarray] = []
+        extrapolations = 0
         try:
-            if config.method == "euler":
-                k1 = rhs(model, t, _StagePast(traj, t, x, t, x, None))
-                x_next = x + h * k1
-            else:
-                stages = []
-                p1 = _StagePast(traj, t, x, t, x, None)
-                k1 = rhs(model, t, p1)
-                stages.append(p1)
-                p2 = _StagePast(traj, t, x, t + h / 2.0, x + (h / 2.0) * k1, k1)
-                k2 = rhs(model, t + h / 2.0, p2)
-                stages.append(p2)
-                p3 = _StagePast(traj, t, x, t + h / 2.0, x + (h / 2.0) * k2, k1)
-                k3 = rhs(model, t + h / 2.0, p3)
-                stages.append(p3)
-                p4 = _StagePast(traj, t, x, t + h, x + h * k3, k1)
-                k4 = rhs(model, t + h, p4)
-                stages.append(p4)
-                traj.stage_extrapolation_count += sum(p.extrapolations for p in stages)
-                x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            for c, a, _ in stages:
+                if ks:
+                    past = _StagePast(traj, t, x, t + c * h, x + (a * h) * ks[-1], ks[0])
+                else:
+                    past = _StagePast(traj, t, x, t, x, None)
+                ks.append(rhs(model, past.t_stage, past))
+                extrapolations += past.extrapolations
         except NonFiniteDerivative as exc:
             raise BlowUpError(t, traj, str(exc)) from exc
+        traj.stage_extrapolation_count += extrapolations
+        incr = stages[0][2] * ks[0]
+        for (_, _, b), k_stage in zip(stages[1:], ks[1:]):
+            incr = incr + b * k_stage
+        x_next = x + (h / divisor) * incr
         t_next = (k + 1) * h
         _guard_state(t_next, x_next, traj)
         traj.append(t_next, x_next)

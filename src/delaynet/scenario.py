@@ -13,7 +13,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -52,6 +52,7 @@ __all__ = [
     "load_scenario",
     "scenario_from_dict",
     "run_scenario",
+    "certify",
     "scenario_schema",
 ]
 
@@ -90,7 +91,6 @@ class Scenario:
     sync_window: float | None
     output_dir: str
     output_stride: int
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def load_scenario(path) -> Scenario:
@@ -192,7 +192,6 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
             method=isec.get("method", "rk4"),
             h=float(isec["step"]),
             horizon=float(isec["horizon"]),
-            output_stride=int(isec.get("output_stride", 1)),
         )
     except ValueError as err:
         errs.append(f"integrator: {err}")
@@ -220,8 +219,7 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
                         if "sync_threshold" in dsec else None),
         sync_window=(float(dsec["sync_window"]) if "sync_window" in dsec else None),
         output_dir=osec.get("directory", "out"),
-        output_stride=int(osec.get("stride", config.output_stride)),
-        raw=doc,
+        output_stride=int(osec.get("stride", 1)),
     )
 
 
@@ -320,6 +318,22 @@ def _build_certificate(spec: dict, node, horizon: float, errs: list):
     return cert, params
 
 
+def certify(scenario: Scenario, seed: int | None = None):
+    """Probe the scenario's certificate and derive its proof constants.
+
+    ``seed``, when given, overrides the scenario's probe seed.  The constants
+    are taken at the initial state x(0) over the configured horizon.
+    Returns (check result, proof constants, probe seed used).
+    """
+    p = scenario.cert_params
+    probe_seed = p["seed"] if seed is None else int(seed)
+    result = check_quad(scenario.model.node, scenario.certificate, p["box"],
+                        t_range=p["t_range"], budget=p["budget"], seed=probe_seed)
+    constants = ProofConstants.derive(scenario.certificate, scenario.model,
+                                      scenario.history.eval(0.0), scenario.config.horizon)
+    return result, constants, probe_seed
+
+
 def run_scenario(scenario: Scenario, out_dir=None, seed: int | None = None):
     """Integrate, diagnose, and write artifacts; returns (summary, exit code).
 
@@ -349,13 +363,7 @@ def run_scenario(scenario: Scenario, out_dir=None, seed: int | None = None):
     cert_info = env_info = sync_info = None
 
     if scenario.certificate is not None:
-        p = scenario.cert_params
-        probe_seed = p["seed"] if seed is None else int(seed)
-        result = check_quad(scenario.model.node, scenario.certificate,
-                            p["box"], t_range=p["t_range"],
-                            budget=p["budget"], seed=probe_seed)
-        constants = ProofConstants.derive(scenario.certificate, scenario.model,
-                                          traj.states[0], scenario.config.horizon)
+        result, constants, probe_seed = certify(scenario, seed)
         cpath = outdir / "certificate.txt"
         cpath.write_text(
             format_certificate_report(result, scenario.certificate, constants) + "\n",

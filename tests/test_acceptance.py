@@ -183,16 +183,14 @@ def test_criterion_05_reduction_equivalence():
 
 
 def test_criterion_06_quad_checker_soundness():
-    expanding = NodeDynamics(dim=2, fn=lambda t, u: u, vectorized=True,
-                             name="identity-field")
+    expanding = NodeDynamics(dim=2, fn=lambda t, u: u, name="identity-field")
     cert = QuadCertificate(np.eye(2), np.zeros(2), epsilon=1.0)
     res = check_quad(expanding, cert, box=5.0, budget=1000, seed=0)
     found = (not res.passed and res.witness is not None
              and res.witness["lhs"] > res.witness["rhs"]
              and res.probes <= 1000)
 
-    contracting = NodeDynamics(dim=2, fn=lambda t, u: -u, vectorized=True,
-                               name="negated-field")
+    contracting = NodeDynamics(dim=2, fn=lambda t, u: -u, name="negated-field")
     res2 = check_quad(contracting, cert, box=5.0, budget=100_000, seed=1)
     ok = found and res2.passed and res2.probes == 100_000
     _report(6, ok, f"expanding field falsified at probe {res.probes} with a "

@@ -29,11 +29,11 @@ from delaynet.kernels import dirac, exponential, mixture
 
 
 def contracting_node(dim=2):
-    return NodeDynamics(dim=dim, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    return NodeDynamics(dim=dim, fn=lambda t, u: -u, lipschitz_hint=1.0)
 
 
 def expanding_node(dim=2):
-    return NodeDynamics(dim=dim, fn=lambda t, u: u, lipschitz_hint=1.0, vectorized=True)
+    return NodeDynamics(dim=dim, fn=lambda t, u: u, lipschitz_hint=1.0)
 
 
 def test_certificate_validation():
@@ -69,8 +69,7 @@ def test_expansion_is_falsified_with_verifiable_witness():
 
 
 def test_lipschitz_rule_passes_for_tanh_and_chua():
-    tanh_node = NodeDynamics(dim=3, fn=lambda t, u: np.tanh(u),
-                             lipschitz_hint=1.0, vectorized=True)
+    tanh_node = NodeDynamics(dim=3, fn=lambda t, u: np.tanh(u), lipschitz_hint=1.0)
     cert = lipschitz_certificate(1.0, 3, epsilon=0.1)
     assert check_quad(tanh_node, cert, box=5.0, budget=5000, seed=3).passed
 
@@ -134,7 +133,7 @@ def test_envelope_constants_for_linear_coupling():
 
 def test_envelope_gamma_hand_computed_with_signed_mass():
     # one node: f(u) = -u + 1, coupling 2 x(t) through a kernel of signed mass 0.7
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u + 1.0, lipschitz_hint=1.0, vectorized=True)
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u + 1.0, lipschitz_hint=1.0)
     ker = mixture(dirac(0.0, 1.2), dirac(0.4, -0.5))
     model = NetworkModel(m=1, node=node, output=identity_output(1),
                          coupling=CouplingSchedule.constant(np.array([[2.0]])),

@@ -76,8 +76,9 @@ def test_M_floor_and_history_domination():
     assert compute_M(traj, 1.0, np.eye(2)) == 0.5
 
     # history at P-distance 2 from x(0)
-    hist = HistoryFunction.with_segment(lambda s: x0 + (s / 4.0) * np.array([2.0, 0.0]),
-                                        start=-4.0, tail=x0 - np.array([2.0, 0.0]))
+    hist = HistoryFunction.with_segment(
+        lambda s: x0 + (s[:, None] / 4.0) * np.array([2.0, 0.0]),
+        start=-4.0, tail=x0 - np.array([2.0, 0.0]))
     traj2 = Trajectory(hist, node_count=1, node_dim=2)
     traj2.append(1.0, x0 + np.array([0.5, 0.0]))
     assert compute_M(traj2, 1.0, np.eye(2)) == pytest.approx(2.0)
@@ -106,7 +107,7 @@ def test_M_nondecreasing_and_dominates_V_on_random_trajectory():
 
 
 def test_envelope_passes_for_contracting_node():
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
     model = make_example(1, node=node, A=np.zeros((1, 1)), Gamma=np.eye(1))
     traj = integrate(model, HistoryFunction.constant([1.0]),
                      IntegratorConfig(method="rk4", h=1e-2, horizon=5.0))

@@ -32,7 +32,7 @@ def random_zero_row_sum_matrix(rng, m):
 
 
 def test_uncoupled_linear_node_rhs():
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
     model = NetworkModel(m=1, node=node, output=identity_output(1),
                          coupling=CouplingSchedule.constant(np.zeros((1, 1))),
                          delays=DelaySchedule.zero(), kernels=dirac())
@@ -166,7 +166,7 @@ def test_batched_and_scalar_past_agree_with_distributed_kernels():
 
 def test_rhs_reports_non_finite_with_node_index():
     def bad(t, u):
-        return np.array([np.inf])
+        return np.full_like(u, np.inf)
 
     node = NodeDynamics(dim=1, fn=bad)
     model = NetworkModel(m=2, node=node, output=identity_output(1),
@@ -176,6 +176,42 @@ def test_rhs_reports_non_finite_with_node_index():
         rhs(model, 1.5, lambda s: np.zeros(2))
     assert exc.value.t == 1.5
     assert exc.value.node == 0
+
+    # f runs once on the block; the error names the first bad row, not row 0
+    def bad_at_two(t, u):
+        return np.where(u > 1.5, np.nan, -u)
+
+    node = NodeDynamics(dim=2, fn=bad_at_two)
+    model = NetworkModel(m=3, node=node, output=identity_output(2),
+                         coupling=CouplingSchedule.constant(np.zeros((3, 3))),
+                         delays=DelaySchedule.zero(), kernels=dirac())
+    with pytest.raises(NonFiniteDerivative, match="node index 2") as exc:
+        rhs(model, 0.5, lambda s: np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0]))
+    assert exc.value.node == 2
+
+
+def test_rhs_leaves_the_stage_vector_unchanged():
+    # f returns its input, the stage block itself; the coupling is added to
+    # a new array, so the caller's vector keeps its values
+    node = NodeDynamics(dim=2, fn=lambda t, u: u)
+    A = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    model = make_example(1, node=node, A=A, Gamma=np.eye(2))
+    x = np.array([1.0, 2.0, 3.0, 5.0])
+    kept = x.copy()
+    got = rhs(model, 0.0, lambda s: x)
+    np.testing.assert_array_equal(x, kept)
+    np.testing.assert_array_equal(got, [3.0, 5.0, 1.0, 2.0])
+
+
+def test_callables_of_the_wrong_shape_are_rejected():
+    # a per-node field that collapses the block names the expected shape
+    node = NodeDynamics(dim=2, fn=lambda t, u: np.array([-u[0], -u[1]]))
+    model = make_example(1, node=node, A=np.zeros((3, 3)), Gamma=np.eye(2))
+    with pytest.raises(ValueError, match=r"node field f returned shape \(2, 2\), expected \(3, 2\)"):
+        rhs(model, 0.0, lambda s: np.zeros(6))
+    output = OutputFunction(dim=2, fn=lambda t, u: u.sum(axis=-1), kappa=lambda t: 2.0)
+    with pytest.raises(ValueError, match=r"output g returned shape \(3,\), expected \(3, 2\)"):
+        output.eval_rows(0.0, np.zeros((3, 2)))
 
 
 def test_factory_validation_errors():
@@ -248,7 +284,7 @@ def test_make_node_from_specs():
 
 
 def test_assumption_checks_pass_for_well_posed_model():
-    node = NodeDynamics(dim=2, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    node = NodeDynamics(dim=2, fn=lambda t, u: -u, lipschitz_hint=1.0)
     A = np.array([[-1.0, 1.0], [1.0, -1.0]])
     model = make_example(1, node=node, A=A, Gamma=np.eye(2))
     report = check_assumptions(model, horizon=10.0, sample_budget=800, seed=1)
@@ -260,8 +296,8 @@ def test_assumption_check_finds_output_bound_violation():
     def square(t, u):
         return u * u
 
-    bad_output = OutputFunction(dim=1, fn=square, kappa=lambda t: 1.0, vectorized=True)
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    bad_output = OutputFunction(dim=1, fn=square, kappa=lambda t: 1.0)
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
     model = NetworkModel(m=2, node=node, output=bad_output,
                          coupling=CouplingSchedule.constant(np.array([[-1.0, 1.0], [1.0, -1.0]])),
                          delays=DelaySchedule.zero(), kernels=dirac())
@@ -275,7 +311,7 @@ def test_assumption_check_finds_output_bound_violation():
 
 
 def test_assumption_check_finds_negative_delay():
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
     model = NetworkModel(m=2, node=node, output=identity_output(1),
                          coupling=CouplingSchedule.constant(np.array([[-1.0, 1.0], [1.0, -1.0]])),
                          delays=DelaySchedule(lambda i, j, t: np.sin(t)),
@@ -287,7 +323,7 @@ def test_assumption_check_finds_negative_delay():
 
 
 def test_assumption_check_flags_row_sum_drift():
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
     drifting = CouplingSchedule(2, lambda t: np.array([[-1.0, 1.0 + 0.1 * t], [1.0, -1.0]]),
                                 zero_row_sums=True, nonneg_off_diagonal=True)
     model = NetworkModel(m=2, node=node, output=identity_output(1),

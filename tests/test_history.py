@@ -30,12 +30,23 @@ def test_constant_history_evaluates_everywhere_in_the_past():
 
 
 def test_segment_history_switches_to_tail_before_start():
-    seg = HistoryFunction.with_segment(lambda t: np.array([np.sin(t)]), start=-2.0)
+    seg = HistoryFunction.with_segment(lambda t: np.sin(t)[:, None], start=-2.0)
     assert seg.eval(-1.0) == pytest.approx([np.sin(-1.0)])
     assert seg.eval(-2.0) == pytest.approx([np.sin(-2.0)])
     # beyond the segment the tail is the segment value at the left endpoint
     assert seg.eval(-10.0) == pytest.approx([np.sin(-2.0)])
-    assert seg.bound() >= abs(np.sin(-2.0))
+    # one batch call mixes tail and segment times, one row each
+    np.testing.assert_array_equal(seg.eval_many([-10.0, -1.0, 0.0]),
+                                  np.sin([[-2.0], [-1.0], [0.0]]))
+
+
+def test_segment_of_the_wrong_shape_is_rejected():
+    # a per-time segment returns one state, not one row per time
+    seg = HistoryFunction.with_segment(lambda t: np.array([1.0, 2.0]), start=-1.0,
+                                       tail=[1.0, 2.0])
+    assert seg.eval(-5.0) == pytest.approx([1.0, 2.0])
+    with pytest.raises(ValueError, match=r"expected \(3, 2\)"):
+        seg.eval_many([-0.5, -0.25, 0.0])
 
 
 def test_linear_interpolation_between_samples():
@@ -74,7 +85,7 @@ def test_append_rejects_non_monotone_and_non_finite():
 
 
 def test_eval_continuous_across_time_zero():
-    seg = HistoryFunction.with_segment(lambda t: np.array([1.0 + t]), start=-1.0)
+    seg = HistoryFunction.with_segment(lambda t: (1.0 + t)[:, None], start=-1.0)
     traj = Trajectory(seg, node_count=1, node_dim=1)
     traj.append(0.25, np.array([1.25]))
     for h in (1e-3, 1e-6, 1e-9):
@@ -114,7 +125,7 @@ def test_sup_deviation_linear_segment_peaks_at_left_endpoint():
     # maximized at s = -1
     x0 = np.array([0.5, 2.0])
     seg = HistoryFunction.with_segment(
-        lambda s: x0 + np.array([s, 0.0]), start=-1.0)
+        lambda s: x0 + np.outer(s, [1.0, 0.0]), start=-1.0)
     got = sup_history_deviation(seg, x0, np.eye(2))
     assert got == pytest.approx(0.5, rel=1e-12)
 

@@ -29,7 +29,7 @@ def scalar_delay_model(a=-1.0, tau=1.0, kernel=None, **kw):
 
 
 def decaying_node_model():
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0, vectorized=True)
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
     return NetworkModel(m=1, node=node, output=identity_output(1),
                         coupling=CouplingSchedule.constant(np.zeros((1, 1))),
                         delays=DelaySchedule.zero(), kernels=dirac())
@@ -43,8 +43,6 @@ def test_config_validation():
         IntegratorConfig(h=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.5, horizon=0.1)
-    with pytest.raises(ValueError):
-        IntegratorConfig(h=0.1, horizon=1.0, output_stride=0)
     # the run must end exactly at the horizon: 1.0 is 2.5 steps of 0.4 and
     # 1.67 steps of 0.6, which used to end at 0.8 and at 1.2
     for h in (0.4, 0.6):
@@ -116,7 +114,7 @@ def test_step_halving_consistency_on_pure_delay():
 
 
 def test_blow_up_detected_with_partial_trajectory():
-    node = NodeDynamics(dim=1, fn=lambda t, u: u * u, vectorized=True)
+    node = NodeDynamics(dim=1, fn=lambda t, u: u * u)
     model = NetworkModel(m=1, node=node, output=identity_output(1),
                          coupling=CouplingSchedule.constant(np.zeros((1, 1))),
                          delays=DelaySchedule.zero(), kernels=dirac())
@@ -174,7 +172,7 @@ def test_convolve_two_atom_average_of_constant_history():
 
 def test_convolve_exponential_plan_matches_riemann_oracle():
     # trajectory carrying sin: exact on the initial segment, dense samples after 0
-    hist = HistoryFunction.with_segment(lambda s: np.array([np.sin(s)]), start=-30.0)
+    hist = HistoryFunction.with_segment(lambda s: np.sin(s)[:, None], start=-30.0)
     traj = Trajectory(hist, node_count=1, node_dim=1)
     grid = np.arange(1, 5001) * 1e-3
     for t in grid:
