@@ -64,8 +64,6 @@ from .diagnostics import (
     EnvelopeReport,
     SyncReport,
     check_envelope,
-    compute_M,
-    compute_V,
     p_norm,
     sync_report,
     write_envelope_csv,
@@ -109,8 +107,6 @@ __all__ = [
     "check_envelope",
     "check_quad",
     "chua_node",
-    "compute_M",
-    "compute_V",
     "compute_eta",
     "delta_from_cert",
     "dirac",

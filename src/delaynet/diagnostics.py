@@ -28,8 +28,6 @@ __all__ = [
     "EnvelopeReport",
     "SyncReport",
     "p_norm",
-    "compute_V",
-    "compute_M",
     "check_envelope",
     "sync_report",
     "write_envelope_csv",
@@ -50,29 +48,6 @@ def p_norm(x, P) -> float:
     if x.size == 0 or x.size % P.shape[0] != 0:
         raise ValueError("state length must be a positive multiple of the size of P")
     return float(np.sqrt(_block_quad(x[None, :], P)[0]))
-
-
-def compute_V(traj: Trajectory, t: float, P) -> float:
-    """Half the squared P-distance between x(t) and x(0)."""
-    P, _, _ = spd_weight(P)
-    diff = traj.eval(t) - traj.states[0]
-    return float(0.5 * _block_quad(diff[None, :], P)[0])
-
-
-def compute_M(traj: Trajectory, t: float, P) -> float:
-    """Running sup of V up to t (history included), floored at 1/2."""
-    P, _, _ = spd_weight(P)
-    if t > traj.last_time:
-        raise ValueError(f"t={t} is past the last sample {traj.last_time}")
-    x0 = traj.states[0]
-    best = max(0.5, sup_history_deviation(traj.initial, x0, P))
-    mask = traj.times <= t
-    if mask.any():
-        V = 0.5 * _block_quad(traj.states[mask] - x0, P)
-        best = max(best, float(np.max(V)))
-    if t > 0.0:
-        best = max(best, compute_V(traj, t, P))
-    return best
 
 
 @dataclass

@@ -7,9 +7,12 @@ an output map applied to delayed states, and one delay measure per node pair:
     I_ij(t) = integral over s >= 0 of g(t, x_j(t - tau_ij(t) - s)) dK_ij(s).
 
 The integral is evaluated through the pair's quadrature plan, so the right
-hand side only ever queries the past at finitely many shifted times.  Model
-objects are immutable after construction; ``rhs`` is a pure function of
-(t, past) and may be shared across concurrent integrations.
+hand side only ever queries the past at finitely many shifted times.  A
+model's parameters are fixed at construction.  Its one piece of state is the
+tap table ``rhs`` compiled last, the coupling resolved into flat arrays for
+one support and set of delays; it is replaced whole, by one attribute
+assignment, when either changes.  ``rhs`` is a pure function of (t, past),
+and a model may be shared across concurrent integrations.
 """
 
 from __future__ import annotations
@@ -167,14 +170,28 @@ def _structural_flags(A: np.ndarray) -> tuple[bool, bool]:
 
 
 class DelaySchedule:
-    """Per-pair discrete delay tau_ij(t) >= 0 ahead of the kernel shift."""
+    """Per-pair discrete delay tau_ij(t) >= 0 ahead of the kernel shift.
+
+    ``fn(i, j, t)`` gives one delay.  The constant schedules also carry a
+    builder of their m x m delay matrix, which ``matrix`` calls once per m
+    and returns at every t; a schedule made from ``fn`` alone is tabulated
+    from it at each call.
+    """
 
     def __init__(self, fn: Callable[[int, int, float], float]):
         self._fn = fn
+        self._table: Callable[[int], np.ndarray] | None = None
+        self._stored: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def _constant(cls, fn, table: Callable[[int], np.ndarray]) -> "DelaySchedule":
+        schedule = cls(fn)
+        schedule._table = table
+        return schedule
 
     @classmethod
     def zero(cls) -> "DelaySchedule":
-        return cls(lambda i, j, t: 0.0)
+        return cls._constant(lambda i, j, t: 0.0, lambda m: np.zeros((m, m)))
 
     @classmethod
     def constant(cls, tau) -> "DelaySchedule":
@@ -184,13 +201,13 @@ class DelaySchedule:
             v = float(arr)
             if v < 0:
                 raise ValueError("delay must be nonnegative")
-            return cls(lambda i, j, t: v)
+            return cls._constant(lambda i, j, t: v, lambda m: np.full((m, m), v))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("delay matrix must be square")
         if np.min(arr) < 0:
             raise ValueError("delays must be nonnegative")
         arr = arr.copy()
-        return cls(lambda i, j, t: float(arr[i, j]))
+        return cls._constant(lambda i, j, t: float(arr[i, j]), lambda m: arr)
 
     @classmethod
     def offdiagonal(cls, tau: float) -> "DelaySchedule":
@@ -198,10 +215,29 @@ class DelaySchedule:
         tau = float(tau)
         if tau < 0:
             raise ValueError("delay must be nonnegative")
-        return cls(lambda i, j, t: 0.0 if i == j else tau)
+
+        def table(m):
+            D = np.full((m, m), tau)
+            np.fill_diagonal(D, 0.0)
+            return D
+
+        return cls._constant(lambda i, j, t: 0.0 if i == j else tau, table)
 
     def value(self, i: int, j: int, t: float) -> float:
         return float(self._fn(i, j, t))
+
+    def matrix(self, t: float, m: int) -> np.ndarray:
+        """The m x m matrix of delays at time t, read-only when constant."""
+        if self._table is None:
+            return np.array([[self.value(i, j, t) for j in range(m)] for i in range(m)])
+        D = self._stored.get(m)
+        if D is None:
+            D = self._table(m)
+            if D.shape != (m, m):
+                raise ValueError(f"delay matrix is {D.shape[0]}x{D.shape[1]}, model has m={m}")
+            D.flags.writeable = False
+            self._stored[m] = D
+        return D
 
 
 class NetworkModel:
@@ -234,6 +270,8 @@ class NetworkModel:
             for row in self.kernels)
         self.tail_tol = float(tail_tol)
         self.node_spacing = float(node_spacing)
+        delays.matrix(0.0, m)  # a constant delay matrix must be m x m
+        self._taps: _TapTable | None = None
 
     @property
     def n(self) -> int:
@@ -260,20 +298,69 @@ def _kernel_grid(kernels, m: int):
     return grid
 
 
-def _eval_many(past, ts: np.ndarray) -> np.ndarray:
-    fn = getattr(past, "eval_many", None)
-    if fn is not None:
-        return np.asarray(fn(ts), dtype=float)
-    return np.stack([np.asarray(past(float(t)), dtype=float).ravel() for t in ts])
+class _TapTable:
+    """The coupling resolved for one support and its delays, as flat arrays.
+
+    A tap is one distinct (source j, delay, plan) lookup; pairs that share
+    one share its quadrature nodes.  Per node: its delay, location and
+    source (``plan`` holds the locations and weights, ``starts`` the first
+    node of each tap).  ``slot[k, i]`` is the tap of row i's k-th coupling in
+    j order, and ``coef_at`` where that coupling's a_ij goes in the flat
+    (degree, m) coefficient array.  Slots past a row's last coupling point
+    at the zero row appended after the taps, with coefficient 0.0.  A pair
+    whose plan has no nodes contributes nothing and gets no slot.
+    """
+
+    def __init__(self, model: "NetworkModel", key, support: np.ndarray, taus: np.ndarray):
+        m = model.m
+        taps: dict[tuple[int, float, int], int] = {}
+        sources, delays, plans = [], [], []
+        pairs, rows, pair_tap = [], [], []
+        for a, tau in zip(support.tolist(), taus.tolist()):
+            i, j = divmod(a, m)
+            plan = model.plans[i][j]
+            if not len(plan):
+                continue
+            lookup = (j, tau, id(plan))
+            if lookup not in taps:
+                taps[lookup] = len(plans)
+                sources.append(j)
+                delays.append(tau)
+                plans.append(plan)
+            pairs.append(a)
+            rows.append(i)
+            pair_tap.append(taps[lookup])
+        sizes = np.array([len(p) for p in plans], dtype=np.intp)
+        self.key = key
+        self.node_tau = np.repeat(np.array(delays, dtype=float), sizes)
+        self.plan = QuadraturePlan(
+            locations=np.concatenate([p.locations for p in plans] or [np.zeros(0)]),
+            weights=np.concatenate([p.weights for p in plans] or [np.zeros(0)]),
+            truncation_horizon=max((p.truncation_horizon for p in plans), default=0.0),
+            tail_mass_bound=max((p.tail_mass_bound for p in plans), default=0.0))
+        self.starts = np.cumsum(sizes) - sizes
+        # row q*m + j of the lookups viewed as (nodes*m, n) is node q's source block
+        self.gather = np.arange(int(sizes.sum())) * m + np.repeat(
+            np.array(sources, dtype=np.intp), sizes)
+        self.pad = np.zeros((1, model.n))
+        # the k-th coupling of row i goes to slot k; rows are sorted
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.arange(rows.size) - np.searchsorted(rows, rows)
+        self.degree = int(cols.max()) + 1 if rows.size else 0
+        self.pairs = np.array(pairs, dtype=np.intp)
+        self.coef_at = cols * m + rows
+        self.slot = np.full((self.degree, m), len(plans), dtype=np.intp)
+        self.slot[cols, rows] = pair_tap
 
 
 def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     """Full network derivative at time t given an evaluator for the past.
 
-    ``past`` maps a time <= t to the stacked state vector; a batch
-    ``eval_many`` attribute is used when present.  All delayed lookups from
-    the same source node, delay value, and quadrature plan are shared, and
-    f is evaluated once on the (m, n) block of node states.  Raises
+    ``past(t)`` is the stacked state vector at t and ``past.eval_many(ts)``
+    the states at an array of times, one row each.  The coupling is compiled
+    into a tap table, kept on the model until its support or delays change;
+    each call then makes one batch lookup, one g call and one segment sum,
+    and f is evaluated once on the (m, n) block of node states.  Raises
     ``NonFiniteDerivative`` naming the first node whose derivative is not
     finite.
     """
@@ -283,38 +370,31 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
         raise ValueError(f"past evaluator returned shape {x_now.shape}, expected ({model.dim},)")
     X = x_now.reshape(m, n)
     A = model.coupling.matrix(t)
-
-    # collect the distinct (source node, delay, plan) lookups and batch them
-    keys: dict[tuple[int, float, int], tuple[int, QuadraturePlan, float]] = {}
-    pair_key: dict[tuple[int, int], tuple[int, float, int]] = {}
-    for i in range(m):
-        for j in range(m):
-            if A[i, j] == 0.0:
-                continue
-            tau = model.delays.value(i, j, t)
-            if tau < 0:
-                raise ValueError(f"negative delay {tau} for pair ({i}, {j}) at t={t}")
-            plan = model.plans[i][j]
-            key = (j, tau, id(plan))
-            keys.setdefault(key, (j, plan, tau))
-            pair_key[(i, j)] = key
-    conv: dict[tuple[int, float, int], np.ndarray] = {}
-    if keys:
-        offsets = []
-        stops = [0]
-        for (j, plan, tau) in keys.values():
-            offsets.append(t - tau - plan.locations)
-            stops.append(stops[-1] + len(plan))
-        values = _eval_many(past, np.concatenate(offsets))
-        for idx, (key, (j, plan, tau)) in enumerate(keys.items()):
-            block = values[stops[idx]:stops[idx + 1], j * n:(j + 1) * n]
-            conv[key] = plan.apply(model.output.eval_rows(t, block))
+    support = np.flatnonzero(A)
+    taus = model.delays.matrix(t, m).take(support)
+    key = (support.tobytes(), taus.tobytes())
+    table = model._taps
+    if table is None or table.key != key:
+        # delays equal to the last table's were checked when it was built
+        negative = taus < 0
+        if negative.any():
+            k = int(np.argmax(negative))
+            i, j = divmod(int(support[k]), m)
+            raise ValueError(f"negative delay {float(taus[k])} for pair ({i}, {j}) at t={t}")
+        table = model._taps = _TapTable(model, key, support, taus)
 
     # each row's couplings are summed on their own, in j order, so that
     # symmetric contributions cancel exactly before the node term is added
     coupled = np.zeros((m, n))
-    for (i, j), key in pair_key.items():
-        coupled[i] += A[i, j] * conv[key]
+    if table.degree:
+        values = past.eval_many((t - table.node_tau) - table.plan.locations)
+        rows = model.output.eval_rows(t, values.reshape(-1, n).take(table.gather, axis=0))
+        conv = np.concatenate((table.plan.apply(rows, table.starts), table.pad))
+        coef = np.zeros(table.degree * m)
+        coef.put(table.coef_at, A.take(table.pairs))
+        coef = coef.reshape(table.degree, m, 1)
+        for k in range(table.degree):
+            coupled = coupled + coef[k] * conv.take(table.slot[k], axis=0)
     out = model.node.eval(t, X) + coupled
     finite = np.isfinite(out)
     if not finite.all():
@@ -679,13 +759,15 @@ def _check_output_bound(output: OutputFunction, horizon, budget, rng) -> Assumpt
 def _check_delays(model: NetworkModel, horizon, budget, rng) -> AssumptionCheck:
     name = "delay-nonnegative"
     ts = np.concatenate([np.linspace(0.0, horizon, 50), rng.uniform(0.0, horizon, size=budget)])
+    samples = int(ts.size) * model.m * model.m
     for t in ts:
-        for i in range(model.m):
-            for j in range(model.m):
-                tau = model.delays.value(i, j, float(t))
-                if tau < 0:
-                    return AssumptionCheck(
-                        name, False, int(ts.size) * model.m * model.m,
-                        witness={"t": float(t), "pair": [i, j], "tau": tau},
-                        detail=f"tau[{i},{j}]({t:.6g}) = {tau:.6g} < 0")
-    return AssumptionCheck(name, True, int(ts.size) * model.m * model.m)
+        D = model.delays.matrix(float(t), model.m)
+        negative = D < 0
+        if negative.any():
+            i, j = divmod(int(np.argmax(negative)), model.m)
+            tau = float(D[i, j])
+            return AssumptionCheck(
+                name, False, samples,
+                witness={"t": float(t), "pair": [i, j], "tau": tau},
+                detail=f"tau[{i},{j}]({t:.6g}) = {tau:.6g} < 0")
+    return AssumptionCheck(name, True, samples)

@@ -217,9 +217,22 @@ class QuadraturePlan:
     def __len__(self) -> int:
         return self.locations.size
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Weighted sum of per-node values; ``values`` has nodes on axis 0."""
-        return np.tensordot(self.weights, np.asarray(values, dtype=float), axes=(0, 0))
+    def apply(self, values: np.ndarray, starts=None) -> np.ndarray:
+        """Weighted sums of per-node values; ``values`` has nodes on axis 0.
+
+        The nodes form consecutive segments that begin at the strictly
+        increasing indices ``starts``, the first 0 and all below
+        ``len(self)``, and the result holds one weighted sum per segment on
+        axis 0.  Without ``starts`` the whole plan is one segment and that
+        axis is dropped.
+        """
+        values = np.asarray(values, dtype=float)
+        terms = self.weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+        if starts is not None:
+            return np.add.reduceat(terms, starts, axis=0)
+        if not len(self):
+            return np.zeros(values.shape[1:])
+        return np.add.reduceat(terms, [0], axis=0)[0]
 
 
 def build_quadrature(kernel: DelayKernel, tail_tol: float, node_spacing: float) -> QuadraturePlan:

@@ -8,8 +8,6 @@ import pytest
 
 from delaynet.diagnostics import (
     check_envelope,
-    compute_M,
-    compute_V,
     p_norm,
     sync_report,
     write_envelope_csv,
@@ -62,18 +60,24 @@ def test_p_norm_equivalence_bounds():
         assert sq <= lam_max * nx * (1.0 + 1e-9)
 
 
+def envelope_columns(traj, P):
+    """V and M at every sample, as check_envelope reports them."""
+    report = check_envelope(traj, eta=0.0, P=P)
+    return report.V, report.M
+
+
 def test_V_examples():
     traj = manual_traj([[1.0, 2.0], [1.0, 2.0], [4.0, 2.0]])
-    P = np.eye(2)
-    assert compute_V(traj, 0.0, P) == 0.0
-    assert compute_V(traj, 0.5, P) == 0.0
-    assert compute_V(traj, 1.0, P) == pytest.approx(0.5 * 9.0)
+    V, _ = envelope_columns(traj, np.eye(2))
+    assert V[0] == 0.0
+    assert V[1] == 0.0
+    assert V[2] == pytest.approx(0.5 * 9.0)
 
 
 def test_M_floor_and_history_domination():
     x0 = np.array([1.0, -1.0])
     traj = manual_traj([x0, x0, x0])
-    assert compute_M(traj, 1.0, np.eye(2)) == 0.5
+    assert envelope_columns(traj, np.eye(2))[1][-1] == 0.5
 
     # history at P-distance 2 from x(0)
     hist = HistoryFunction.with_segment(
@@ -81,17 +85,14 @@ def test_M_floor_and_history_domination():
         start=-4.0, tail=x0 - np.array([2.0, 0.0]))
     traj2 = Trajectory(hist, node_count=1, node_dim=2)
     traj2.append(1.0, x0 + np.array([0.5, 0.0]))
-    assert compute_M(traj2, 1.0, np.eye(2)) == pytest.approx(2.0)
+    assert envelope_columns(traj2, np.eye(2))[1][-1] == pytest.approx(2.0)
 
 
 def test_M_tracks_running_sup_of_V():
     traj = manual_traj([[0.0], [1.0], [3.0], [2.0], [5.0]], dt=1.0)
-    P = np.eye(1)
-    vals = [compute_M(traj, t, P) for t in (0.0, 1.0, 2.0, 3.0, 4.0)]
+    vals = list(envelope_columns(traj, np.eye(1))[1])
     assert vals == [0.5, 0.5, pytest.approx(4.5), pytest.approx(4.5), pytest.approx(12.5)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        compute_M(traj, 4.5, P)
 
 
 def test_M_nondecreasing_and_dominates_V_on_random_trajectory():
@@ -99,11 +100,11 @@ def test_M_nondecreasing_and_dominates_V_on_random_trajectory():
     traj = manual_traj([rng.standard_normal(4) for _ in range(40)], dt=0.25,
                        node_count=2, node_dim=2)
     P = np.array([[1.5, 0.2], [0.2, 1.0]])
-    Ms = [compute_M(traj, t, P) for t in traj.times]
+    V, Ms = envelope_columns(traj, P)
     assert all(m >= 0.5 for m in Ms)
     assert all(a <= b + 1e-15 for a, b in zip(Ms, Ms[1:]))
-    for t, m in zip(traj.times, Ms):
-        assert compute_V(traj, t, P) <= m + 1e-15
+    for v, m in zip(V, Ms):
+        assert v <= m + 1e-15
 
 
 def test_envelope_passes_for_contracting_node():

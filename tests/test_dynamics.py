@@ -1,5 +1,8 @@
 """Network right-hand side assembly, example reductions, assumption probes."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,44 @@ from delaynet.dynamics import (
     rhs,
     tanh_hopfield_node,
 )
-from delaynet.kernels import dirac, mixture, uniform
+from delaynet.kernels import dirac, exponential, mixture, uniform
+
+
+class Past:
+    """A past given pointwise by ``fn``, with the batch lookup ``rhs`` makes.
+
+    ``points`` counts the times looked up in batches.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+
+    def __call__(self, t):
+        return self.fn(t)
+
+    def eval_many(self, ts):
+        self.points += len(ts)
+        return np.array([self.fn(s) for s in ts])
+
+
+def pairwise_rhs(model, t, past):
+    """Oracle: the network derivative summed pair by pair, node by node."""
+    m, n = model.m, model.n
+    X = past(t).reshape(m, n)
+    A = model.coupling.matrix(t)
+    out = np.empty((m, n))
+    for i in range(m):
+        out[i] = model.node.fn(t, X[i])
+        for j in range(m):
+            if A[i, j] == 0.0:
+                continue
+            tau = model.delays.value(i, j, t)
+            plan = model.plans[i][j]
+            for loc, w in zip(plan.locations, plan.weights):
+                lagged = past.fn(t - tau - loc).reshape(m, n)[j]
+                out[i] += A[i, j] * w * model.output.fn(t, lagged)
+    return out.ravel()
 
 
 def random_zero_row_sum_matrix(rng, m):
@@ -36,7 +76,7 @@ def test_uncoupled_linear_node_rhs():
     model = NetworkModel(m=1, node=node, output=identity_output(1),
                          coupling=CouplingSchedule.constant(np.zeros((1, 1))),
                          delays=DelaySchedule.zero(), kernels=dirac())
-    out = rhs(model, 0.7, lambda t: np.array([1.0]))
+    out = rhs(model, 0.7, Past(lambda t: np.array([1.0])))
     assert out == pytest.approx([-1.0], abs=0.0)
 
 
@@ -50,7 +90,7 @@ def test_example_1_matches_hand_coded_reduction():
     for _ in range(100):
         t = rng.uniform(0.0, 10.0)
         x = rng.standard_normal(m * n)
-        got = rhs(model, t, lambda s: x)
+        got = rhs(model, t, Past(lambda s: x))
         X = x.reshape(m, n)
         want = np.stack([B @ X[i] + sum(A[i, j] * (Gamma @ X[j]) for j in range(m))
                          for i in range(m)]).ravel()
@@ -74,7 +114,7 @@ def test_example_2_time_varying_coupling_and_output():
     for _ in range(100):
         t = rng.uniform(0.0, 20.0)
         x = rng.standard_normal(m * n)
-        got = rhs(model, t, lambda s: x)
+        got = rhs(model, t, Past(lambda s: x))
         X = x.reshape(m, n)
         At, Gt = A(t), Gamma(t)
         want = np.stack([B @ X[i] + sum(At[i, j] * (Gt @ X[j]) for j in range(m))
@@ -96,7 +136,7 @@ def test_example_3_matches_difference_coupling_both_conventions():
             t = rng.uniform(1.0, 5.0)
             p0 = rng.standard_normal(m * n)
             p1 = rng.standard_normal(m * n)
-            past = lambda s, p0=p0, p1=p1: p0 + s * p1
+            past = Past(lambda s, p0=p0, p1=p1: p0 + s * p1)
             got = rhs(model, t, past)
             now = past(t).reshape(m, n)
             lagged = past(t - tau).reshape(m, n)
@@ -114,7 +154,7 @@ def test_example_3_zero_strength_decouples():
                          topology="ring", c=0.0, m=4)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(12)
-    got = rhs(model, 2.0, lambda s: x)
+    got = rhs(model, 2.0, Past(lambda s: x))
     want = np.concatenate([node.eval(2.0, x[3 * i:3 * i + 3]) for i in range(4)])
     np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -129,8 +169,8 @@ def test_coupling_term_is_linear_in_matrix_entries():
     m2 = make_example(1, node=node, A=2.0 * A, Gamma=Gamma)
     x = rng.standard_normal(m * n)
     f_only = np.concatenate([node.eval(0.0, x[n * i:n * i + n]) for i in range(m)])
-    c1 = rhs(m1, 0.0, lambda s: x) - f_only
-    c2 = rhs(m2, 0.0, lambda s: x) - f_only
+    c1 = rhs(m1, 0.0, Past(lambda s: x)) - f_only
+    c2 = rhs(m2, 0.0, Past(lambda s: x)) - f_only
     np.testing.assert_allclose(c2, 2.0 * c1, atol=1e-12)
 
 
@@ -147,21 +187,184 @@ def test_batched_and_scalar_past_agree_with_distributed_kernels():
 
     p0 = rng.standard_normal(m * n)
     p1 = rng.standard_normal(m * n)
-
-    def value(s):
-        return p0 + np.sin(s) * p1
-
-    class BatchedPast:
-        def __call__(self, s):
-            return value(s)
-
-        def eval_many(self, ts):
-            ts = np.asarray(ts, dtype=float)
-            return p0[None, :] + np.sin(ts)[:, None] * p1[None, :]
-
+    past = Past(lambda s: p0 + np.sin(s) * p1)
     t = 3.0
-    np.testing.assert_allclose(rhs(model, t, BatchedPast()), rhs(model, t, value),
+    np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
                                rtol=0, atol=1e-12)
+
+
+def smooth_past(rng, dim):
+    p0 = rng.standard_normal(dim)
+    p1 = rng.standard_normal(dim)
+    omega = rng.uniform(0.5, 2.0, size=dim)
+    return Past(lambda s: p0 + np.sin(omega * s) * p1)
+
+
+def test_rhs_matches_pairwise_oracle_on_sparse_rows_and_a_kernel_grid():
+    # row 2 has no coupling at all; rows differ in degree; the diagonal, the
+    # upper and the lower triangle use different plans, some with many nodes
+    rng = np.random.default_rng(61)
+    m, n = 4, 2
+    A = np.array([[-1.0, 0.5, 0.0, 0.5],
+                  [0.3, -0.3, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [0.2, 0.7, 0.1, -1.0]])
+    diag = dirac(0.0)
+    upper = mixture(dirac(0.1, weight=0.5), uniform(0.0, 0.4, weight=0.5))
+    lower = mixture(dirac(0.0, weight=-0.5), dirac(0.3, weight=1.5))
+    grid = [[diag if i == j else upper if i < j else lower for j in range(m)]
+            for i in range(m)]
+    grid[3][2] = exponential(1.0, weight=0.0)  # a plan without nodes adds nothing
+    delays = rng.uniform(0.0, 0.6, size=(m, m))
+    model = NetworkModel(m=m, node=linear_node(rng.standard_normal((n, n))),
+                         output=linear_output(rng.standard_normal((n, n))),
+                         coupling=CouplingSchedule.constant(A),
+                         delays=DelaySchedule.constant(delays), kernels=grid,
+                         node_spacing=1e-2)
+    past = smooth_past(rng, m * n)
+    for t in (0.5, 2.0, 3.25):
+        np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
+                                   rtol=0, atol=1e-12)
+    # the uncoupled row is its node term alone
+    x = past(3.25).reshape(m, n)
+    np.testing.assert_array_equal(rhs(model, 3.25, past).reshape(m, n)[2],
+                                  model.node.eval(3.25, x)[2])
+
+
+def test_shared_lookups_are_made_once():
+    # all-to-all with one delay and one kernel: m pairs read each source,
+    # but each source is looked up once per quadrature node
+    rng = np.random.default_rng(62)
+    m, n = 5, 3
+    A = 2.0 * named_topology("all-to-all", m)
+    ker = mixture(dirac(0.0, weight=0.5), uniform(0.1, 0.3, weight=0.5))
+    model = NetworkModel(m=m, node=chua_node(), output=linear_output(np.eye(n)),
+                         coupling=CouplingSchedule.constant(A),
+                         delays=DelaySchedule.constant(0.2), kernels=ker, node_spacing=1e-2)
+    past = smooth_past(rng, m * n)
+    got = rhs(model, 1.0, past)
+    assert past.points == m * len(model.plans[0][0])
+    np.testing.assert_allclose(got, pairwise_rhs(model, 1.0, past), rtol=0, atol=1e-12)
+
+
+def test_rhs_follows_a_coupling_whose_support_changes():
+    # a ring before t = 1 and all-to-all after: each support gets its own
+    # lookups, and returning to the first one gives the first result again
+    rng = np.random.default_rng(63)
+    m, n = 4, 3
+    ring = 1.5 * named_topology("ring", m)
+    full = 1.5 * named_topology("all-to-all", m)
+    coupling = CouplingSchedule(m, lambda t: ring if t < 1.0 else full)
+    model = NetworkModel(m=m, node=chua_node(), output=identity_output(n),
+                         coupling=coupling, delays=DelaySchedule.offdiagonal(0.3),
+                         kernels=dirac())
+    past = smooth_past(rng, m * n)
+    first = rhs(model, 0.5, past)
+    np.testing.assert_allclose(first, pairwise_rhs(model, 0.5, past), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rhs(model, 1.5, past), pairwise_rhs(model, 1.5, past),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rhs(model, 0.5, past), first)
+
+
+def test_rhs_with_a_callable_delay_schedule_matches_oracle():
+    rng = np.random.default_rng(64)
+    m, n = 3, 2
+    delays = DelaySchedule(lambda i, j, t: 0.1 * (1 + i + 2 * j) * (1.0 + np.sin(t)) ** 2)
+    model = NetworkModel(m=m, node=linear_node(rng.standard_normal((n, n))),
+                         output=linear_output(rng.standard_normal((n, n))),
+                         coupling=CouplingSchedule.constant(random_zero_row_sum_matrix(rng, m)),
+                         delays=delays, kernels=mixture(dirac(0.0, 0.5), dirac(0.2, 0.5)))
+    past = smooth_past(rng, m * n)
+    for t in (0.3, 1.7, 4.0):
+        np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
+                                   rtol=0, atol=1e-12)
+
+
+def test_single_node_network_matches_oracle():
+    rng = np.random.default_rng(65)
+    model = NetworkModel(m=1, node=linear_node([[-0.5, 1.0], [-1.0, -0.5]]),
+                         output=linear_output([[1.0, 0.2], [0.0, 0.5]]),
+                         coupling=CouplingSchedule.constant([[0.8]]),
+                         delays=DelaySchedule.constant(0.25),
+                         kernels=mixture(dirac(0.0, 0.3), uniform(0.0, 0.5, weight=0.7)),
+                         node_spacing=1e-2)
+    past = smooth_past(rng, 2)
+    np.testing.assert_allclose(rhs(model, 2.0, past), pairwise_rhs(model, 2.0, past),
+                               rtol=0, atol=1e-12)
+
+
+def test_negative_delay_names_its_pair():
+    # a negative delay where the coupling is zero is never read
+    delays = DelaySchedule(lambda i, j, t: -0.5 if (i, j) in ((1, 2), (0, 2)) else 0.1)
+    A = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+    model = NetworkModel(m=3, node=linear_node(-np.eye(1)), output=identity_output(1),
+                         coupling=CouplingSchedule.constant(A), delays=delays,
+                         kernels=dirac())
+    with pytest.raises(ValueError, match=r"negative delay -0.5 for pair \(1, 2\) at t=0.75"):
+        rhs(model, 0.75, Past(lambda s: np.zeros(3)))
+
+
+def test_rows_without_a_coupling_never_read_a_tap():
+    # node 2 alone reads an infinite past; the other rows are padded in the
+    # slot table and must stay finite, so the error names node 2
+    A = np.zeros((3, 3))
+    A[2, 2] = 1.0
+    model = NetworkModel(m=3, node=linear_node(-np.eye(1)), output=identity_output(1),
+                         coupling=CouplingSchedule.constant(A),
+                         delays=DelaySchedule.constant(0.5), kernels=dirac())
+    past = Past(lambda s: np.array([0.0, 0.0, np.inf if s < 1.0 else 0.0]))
+    with pytest.raises(NonFiniteDerivative) as exc:
+        rhs(model, 1.0, past)
+    assert exc.value.node == 2
+
+
+def test_threads_sharing_a_model_get_the_single_thread_results():
+    # the support flips every 0.1 in t, so threads keep replacing the model's
+    # tap table; each call reads the table once, so none mixes two of them
+    rng = np.random.default_rng(66)
+    m, n = 4, 3
+    ring = 1.5 * named_topology("ring", m)
+    full = 1.5 * named_topology("all-to-all", m)
+    coupling = CouplingSchedule(m, lambda t: ring if int(t * 10.0) % 2 else full)
+    model = NetworkModel(m=m, node=chua_node(), output=identity_output(n),
+                         coupling=coupling, delays=DelaySchedule.offdiagonal(0.3),
+                         kernels=dirac())
+    past = smooth_past(rng, m * n)
+    ts = np.linspace(0.5, 2.5, 41)
+    want = [rhs(model, t, past) for t in ts]
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            order = ts if k % 2 else ts[::-1]
+            got = {float(t): rhs(model, t, past) for _ in range(5) for t in order}
+            results[k] = [got[float(t)] for t in ts]
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    for k in range(4):
+        for got, expected in zip(results[k], want):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_delay_matrix_of_another_size_is_rejected():
+    node = linear_node(-np.eye(1))
+    with pytest.raises(ValueError, match="delay matrix is 2x2, model has m=3"):
+        NetworkModel(m=3, node=node, output=identity_output(1),
+                     coupling=CouplingSchedule.constant(np.zeros((3, 3))),
+                     delays=DelaySchedule.constant(np.zeros((2, 2))), kernels=dirac())
 
 
 def test_rhs_reports_non_finite_with_node_index():
@@ -173,7 +376,7 @@ def test_rhs_reports_non_finite_with_node_index():
                          coupling=CouplingSchedule.constant(np.zeros((2, 2))),
                          delays=DelaySchedule.zero(), kernels=dirac())
     with pytest.raises(NonFiniteDerivative, match="node index 0") as exc:
-        rhs(model, 1.5, lambda s: np.zeros(2))
+        rhs(model, 1.5, Past(lambda s: np.zeros(2)))
     assert exc.value.t == 1.5
     assert exc.value.node == 0
 
@@ -186,7 +389,7 @@ def test_rhs_reports_non_finite_with_node_index():
                          coupling=CouplingSchedule.constant(np.zeros((3, 3))),
                          delays=DelaySchedule.zero(), kernels=dirac())
     with pytest.raises(NonFiniteDerivative, match="node index 2") as exc:
-        rhs(model, 0.5, lambda s: np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0]))
+        rhs(model, 0.5, Past(lambda s: np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0])))
     assert exc.value.node == 2
 
 
@@ -198,7 +401,7 @@ def test_rhs_leaves_the_stage_vector_unchanged():
     model = make_example(1, node=node, A=A, Gamma=np.eye(2))
     x = np.array([1.0, 2.0, 3.0, 5.0])
     kept = x.copy()
-    got = rhs(model, 0.0, lambda s: x)
+    got = rhs(model, 0.0, Past(lambda s: x))
     np.testing.assert_array_equal(x, kept)
     np.testing.assert_array_equal(got, [3.0, 5.0, 1.0, 2.0])
 
@@ -208,7 +411,7 @@ def test_callables_of_the_wrong_shape_are_rejected():
     node = NodeDynamics(dim=2, fn=lambda t, u: np.array([-u[0], -u[1]]))
     model = make_example(1, node=node, A=np.zeros((3, 3)), Gamma=np.eye(2))
     with pytest.raises(ValueError, match=r"node field f returned shape \(2, 2\), expected \(3, 2\)"):
-        rhs(model, 0.0, lambda s: np.zeros(6))
+        rhs(model, 0.0, Past(lambda s: np.zeros(6)))
     output = OutputFunction(dim=2, fn=lambda t, u: u.sum(axis=-1), kappa=lambda t: 2.0)
     with pytest.raises(ValueError, match=r"output g returned shape \(3,\), expected \(3, 2\)"):
         output.eval_rows(0.0, np.zeros((3, 2)))

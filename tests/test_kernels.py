@@ -7,6 +7,7 @@ import pytest
 
 from delaynet.kernels import (
     DelayKernel,
+    QuadraturePlan,
     build_quadrature,
     dirac,
     exponential,
@@ -156,6 +157,21 @@ def test_plan_apply_handles_vector_valued_integrands():
     out = plan.apply(vals)
     assert out.shape == (2,)
     np.testing.assert_allclose(out, [1.0 - 6.0, 10.0 - 10.0])
+
+
+def test_plan_apply_sums_each_segment():
+    # segments [0, 2), [2, 3) and [3, 5)
+    plan = QuadraturePlan(locations=np.arange(5.0), weights=[1.0, -2.0, 0.5, 3.0, 0.25],
+                          truncation_horizon=4.0, tail_mass_bound=0.0)
+    vals = np.array([[1.0, 2.0], [3.0, -1.0], [4.0, 8.0], [-1.0, 0.5], [8.0, 4.0]])
+    out = plan.apply(vals, [0, 2, 3])
+    np.testing.assert_array_equal(out, [[1.0 - 6.0, 2.0 + 2.0], [2.0, 4.0],
+                                        [-3.0 + 2.0, 1.5 + 1.0]])
+    # one segment is the whole plan, with the segment axis dropped
+    np.testing.assert_array_equal(plan.apply(vals), plan.apply(vals, [0])[0])
+    empty = QuadraturePlan(locations=np.zeros(0), weights=np.zeros(0),
+                           truncation_horizon=0.0, tail_mass_bound=0.0)
+    np.testing.assert_array_equal(empty.apply(np.zeros((0, 2))), [0.0, 0.0])
 
 
 def test_signed_density_weights_integrate_signed():
