@@ -6,9 +6,15 @@ A certificate (P, Delta, epsilon) asserts, for the node field f,
 
 for all t and all pairs.  The checker is a randomized falsifier: it can
 exhibit a concrete counterexample but a pass only means no violation was
-found.  From a certificate and a model the proof constants (delta, alpha,
-beta, gamma, K, lambda_min, |P|) and the growth exponent eta are derived;
-the trajectory envelope V, M and the eta-exponential bound live in the
+found.  It tests probes in fixed-size chunks, calling f once per chunk with
+a column of per-row times, and reports the lowest-indexed probe where
+lhs <= rhs does not hold, so a non-finite side is a violation.  The probes,
+and hence the verdict and witness, are those of a probe-by-probe draw from
+the same random stream.
+
+From a certificate and a model the proof constants (delta, alpha, beta,
+gamma, K, lambda_min, |P|) and the growth exponent eta are derived; the
+trajectory envelope V, M and the eta-exponential bound live in the
 diagnostics module.
 
 delta is taken as lambda_max(sym(P Delta)) - epsilon, clamped below at
@@ -32,6 +38,7 @@ __all__ = [
     "QuadCheckResult",
     "ProofConstants",
     "check_quad",
+    "probe_domain",
     "delta_from_cert",
     "estimate_envelope_constants",
     "compute_eta",
@@ -40,6 +47,7 @@ __all__ = [
 ]
 
 _DELTA_FLOOR = 1e-12
+_PROBE_CHUNK = 1024
 
 
 class QuadCertificate:
@@ -88,47 +96,81 @@ class QuadCheckResult:
                 f"lhs={w['lhs']:.6g} > rhs={w['rhs']:.6g}")
 
 
-def _as_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
+def probe_domain(box, t_range, n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(lo, hi, t0, t1) of a probe box and time range, validated.
+
+    ``box`` is a positive radius r (the cube [-r, r]^n) or a pair (lo, hi)
+    of bound vectors.  Raises ``ValueError`` naming ``box`` or ``t_range``
+    when a coordinate has hi <= lo, an extent is not finite, or t0 > t1.
+    """
     if np.isscalar(box):
         r = float(box)
         if not r > 0:
-            raise ValueError("box radius must be positive")
-        return -r * np.ones(n), r * np.ones(n)
-    lo, hi = box
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
-    if not np.all(hi > lo):
-        raise ValueError("box must have positive extent in every coordinate")
-    return lo, hi
+            raise ValueError("box: radius must be positive")
+        lo, hi = -r * np.ones(n), r * np.ones(n)
+    else:
+        lo, hi = box
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = hi - lo
+    for i, e in enumerate(extent):
+        if not math.isfinite(e):
+            raise ValueError(f"box: coordinate {i} has a non-finite extent "
+                             f"[{lo[i]:.6g}, {hi[i]:.6g}]")
+        if not e > 0:
+            raise ValueError(f"box: coordinate {i} has hi <= lo")
+    t0, t1 = float(t_range[0]), float(t_range[1])
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"t_range: [{t0:.6g}, {t1:.6g}] has a non-finite extent")
+    if t0 > t1:
+        raise ValueError(f"t_range: start {t0:.6g} is after end {t1:.6g}")
+    return lo, hi, t0, t1
 
 
 def check_quad(f: NodeDynamics, cert: QuadCertificate, box, t_range=(0.0, 10.0),
                budget: int = 1000, seed: int = 0) -> QuadCheckResult:
     """Probe the certificate inequality at random (t, u1, u2) triples.
 
+    Each probe is t = uniform(t0, t1), u1 = uniform(lo, hi), u2 =
+    uniform(lo, hi), drawn in that order from ``default_rng(seed)``.
+    Probes are tested in chunks of ``_PROBE_CHUNK``: one draw of (k, 1 + 2n)
+    uniforms per chunk of k probes gives exactly the doubles of the
+    probe-by-probe draws, and f is called once on the (2k, n) block of all
+    u1 and u2 rows with t as a (2k, 1) column, each row at its own time.
+    The verdict, probe count and witness therefore do not depend on the
+    chunk size, and a larger budget only appends probes.
+
     Returns the lowest-indexed violation with both sides evaluated, or a
-    pass with the probe count.  The comparison is exact (<=): the equality
-    case of the inequality is admissible.
+    pass with the probe count.  A probe passes only if lhs <= rhs, so the
+    equality case is admissible and a non-finite side is a violation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if cert.n != f.dim:
         raise ValueError("certificate dimension does not match the node dimension")
-    lo, hi = _as_box(box, f.dim)
-    t0, t1 = float(t_range[0]), float(t_range[1])
+    n = f.dim
+    lo, hi, t0, t1 = probe_domain(box, t_range, n)
+    low, span = np.tile(lo, 2), np.tile(hi - lo, 2)
     rng = np.random.default_rng(seed)
-    P, D, eps = cert.P, cert.Delta, cert.epsilon
-    for idx in range(budget):
-        t = rng.uniform(t0, t1)
-        u1 = rng.uniform(lo, hi)
-        u2 = rng.uniform(lo, hi)
-        d = u1 - u2
-        lhs = float(d @ (P @ (f.eval(t, u1) - f.eval(t, u2) - D @ d)))
-        rhs = float(-eps * (d @ d))
-        if lhs > rhs:
-            return QuadCheckResult(False, idx + 1, witness={
-                "index": idx, "t": float(t), "u1": u1.tolist(), "u2": u2.tolist(),
-                "lhs": lhs, "rhs": rhs})
+    P, Delta, eps = cert.P, np.diag(cert.Delta), cert.epsilon
+    for start in range(0, budget, _PROBE_CHUNK):
+        k = min(_PROBE_CHUNK, budget - start)
+        r = rng.random((k, 1 + 2 * n))
+        t = t0 + (t1 - t0) * r[:, :1]
+        u = low + span * r[:, 1:]
+        fu = f.eval(np.repeat(t, 2, axis=0), u.reshape(2 * k, n)).reshape(k, 2 * n)
+        d = u[:, :n] - u[:, n:]
+        with np.errstate(invalid="ignore", over="ignore"):
+            w = (fu[:, :n] - fu[:, n:] - Delta * d) @ P.T
+            lhs = np.einsum("ij,ij->i", d, w)
+            rhs = -eps * np.einsum("ij,ij->i", d, d)
+        bad = np.flatnonzero(~(lhs <= rhs))
+        if bad.size:
+            i = int(bad[0])
+            return QuadCheckResult(False, start + i + 1, witness={
+                "index": start + i, "t": float(t[i, 0]), "u1": u[i, :n].tolist(),
+                "u2": u[i, n:].tolist(), "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     return QuadCheckResult(True, budget)
 
 

@@ -28,6 +28,13 @@ EXIT_BLOWUP = 4
 EXIT_IO = 5
 
 
+def _seed(text: str) -> int:
+    """A probe seed: a nonnegative integer, as ``default_rng`` accepts."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delaynet",
@@ -38,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="integrate a scenario and write artifacts")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", help="output directory (overrides the scenario)")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", type=_seed, default=None,
                        help="override the certificate probe seed")
     run_p.add_argument("--quiet", action="store_true",
                        help="suppress the summary printout")
@@ -47,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="probe the certificate inequality, skip integration")
     cq_p.add_argument("scenario", help="path to a scenario JSON file")
     cq_p.add_argument("--out", help="also write certificate.txt into this directory")
-    cq_p.add_argument("--seed", type=int, default=None,
+    cq_p.add_argument("--seed", type=_seed, default=None,
                       help="override the certificate probe seed")
     cq_p.add_argument("--quiet", action="store_true",
                       help="suppress the report printout")

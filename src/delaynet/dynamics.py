@@ -63,14 +63,17 @@ class NodeDynamics:
 
     ``fn(t, u)`` is batch-shaped: ``u`` has shape (..., dim), each row is one
     node state, and the result has the shape of ``u``.  The network right
-    hand side calls it once on the (m, dim) block of all nodes.  The hint,
+    hand side calls it once on the (m, dim) block of all nodes at a float
+    ``t``.  ``check_quad`` calls it on a (k, dim) block with ``t`` a (k, 1)
+    column that gives each row its own time, so a field that depends on t
+    must broadcast t against u.  The hint,
     when given, is a constant L with |f(t,u1) - f(t,u2)| <= L |u1 - u2| on
     the region of interest; it is used by assumption checks and certificate
     construction, not by integration.
     """
 
     dim: int
-    fn: Callable[[float, np.ndarray], np.ndarray]
+    fn: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
     lipschitz_hint: float | None = None
     name: str = "custom"
 
@@ -80,8 +83,9 @@ class NodeDynamics:
         if self.lipschitz_hint is not None and not self.lipschitz_hint >= 0:
             raise ValueError("lipschitz_hint must be nonnegative")
 
-    def eval(self, t: float, u: np.ndarray) -> np.ndarray:
-        """f(t, .) on a (..., dim) block of node states."""
+    def eval(self, t, u: np.ndarray) -> np.ndarray:
+        """f(t, .) on a (..., dim) block of node states; ``t`` is a float or
+        a column of per-row times."""
         return _apply_batch(self.fn, t, u, "node field f")
 
 
@@ -105,7 +109,7 @@ class OutputFunction:
         return _apply_batch(self.fn, t, rows, "output g")
 
 
-def _apply_batch(fn, t: float, u: np.ndarray, what: str) -> np.ndarray:
+def _apply_batch(fn, t, u: np.ndarray, what: str) -> np.ndarray:
     out = np.asarray(fn(t, u), dtype=float)
     if out.shape != np.shape(u):
         raise ValueError(f"{what} returned shape {out.shape}, expected {np.shape(u)}")

@@ -26,6 +26,7 @@ from .certificates import (
     check_quad,
     format_certificate_report,
     lipschitz_certificate,
+    probe_domain,
 )
 from .diagnostics import (
     check_envelope,
@@ -309,10 +310,15 @@ def _build_certificate(spec: dict, node, horizon: float, errs: list):
             box = _DEFAULT_PROBE_BOX
         else:
             box = (lo, hi)
+    t_range = tuple(spec.get("t_range", (0.0, horizon)))
+    try:
+        probe_domain(box, t_range, node.dim)
+    except ValueError as err:
+        errs.append(f"certificate.{err}")
     params = {
         "box": box,
         "budget": int(spec.get("budget", _DEFAULT_PROBE_BUDGET)),
-        "t_range": tuple(spec.get("t_range", (0.0, horizon))),
+        "t_range": t_range,
         "seed": int(spec.get("seed", 0)),
     }
     return cert, params

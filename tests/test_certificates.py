@@ -1,11 +1,13 @@
 """Certificate falsification, the delta clamp, and the growth exponent."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from delaynet.certificates import (
+    _PROBE_CHUNK,
     ProofConstants,
     QuadCertificate,
     check_quad,
@@ -22,8 +24,10 @@ from delaynet.dynamics import (
     NodeDynamics,
     chua_node,
     identity_output,
+    linear_node,
     linear_output,
     make_example,
+    tanh_hopfield_node,
 )
 from delaynet.kernels import dirac, exponential, mixture
 
@@ -98,6 +102,162 @@ def test_quad_verdict_invariant_under_joint_scaling():
         assert rb.passed == rs.passed
         if not rb.passed:
             assert rb.witness["index"] == rs.witness["index"]
+
+
+def oracle_check_quad(fn, P, Delta, eps, lo, hi, t_range, budget, seed):
+    """The falsifier by its definition: one probe at a time, in draw order."""
+    rng = np.random.default_rng(seed)
+    D = np.diag(Delta)
+    for idx in range(budget):
+        t = rng.uniform(t_range[0], t_range[1])
+        u1 = rng.uniform(lo, hi)
+        u2 = rng.uniform(lo, hi)
+        d = u1 - u2
+        lhs = float(d @ (P @ (fn(t, u1) - fn(t, u2) - D @ d)))
+        rhs = float(-eps * (d @ d))
+        if not lhs <= rhs:
+            return False, idx + 1, {"index": idx, "t": t, "u1": u1.tolist(),
+                                    "u2": u2.tolist(), "lhs": lhs, "rhs": rhs}
+    return True, budget, None
+
+
+def assert_matches_oracle(result, expected):
+    passed, probes, witness = expected
+    assert (result.passed, result.probes) == (passed, probes)
+    if witness is None:
+        assert result.witness is None
+        return
+    got = result.witness
+    for key in ("index", "t", "u1", "u2"):
+        assert got[key] == witness[key], key
+    assert got["lhs"] == pytest.approx(witness["lhs"], rel=1e-12)
+    assert got["rhs"] == pytest.approx(witness["rhs"], rel=1e-12)
+
+
+ORACLE_SEEDS = (0, 7, 123)
+
+
+def _oracle_cases():
+    """(name, node, certificate, box) with passing and failing certificates;
+    the failing ones violate at the first probe, rarely, or in between."""
+    W = np.array([[2.0, -0.5, 0.0], [0.3, 1.5, 0.4], [0.0, 0.2, 2.5]])
+    B = np.array([[-1.0, 2.0], [0.0, -0.5]])
+    lam = float(np.max(np.linalg.eigvalsh(0.5 * (B + B.T))))
+    switch = NodeDynamics(dim=2, fn=lambda t, u: np.where(t > 9.995, u, -u))
+    cases = []
+    for name, node, fails in (
+            ("chua", chua_node(), QuadCertificate(np.eye(3), np.zeros(3), 0.1)),
+            ("tanh_hopfield", tanh_hopfield_node(W), QuadCertificate(np.eye(3), np.zeros(3), 0.1)),
+            ("linear", linear_node(B),
+             QuadCertificate(np.eye(2), (lam - 0.02) * np.ones(2), 0.01)),
+            ("contracting", contracting_node(), QuadCertificate(np.eye(2), np.zeros(2), 1.5)),
+            ("expanding", expanding_node(), QuadCertificate(np.eye(2), np.zeros(2), 0.5)),
+            ("rare-switch", switch, QuadCertificate(np.eye(2), np.zeros(2), 0.5))):
+        L = 1.0 if node.lipschitz_hint is None else node.lipschitz_hint
+        P = np.diag(np.arange(1.0, node.dim + 1.0))
+        holds = QuadCertificate(P, (L * node.dim + 0.2) * np.ones(node.dim), 0.2)
+        box = 4.0 if name != "linear" else (-np.ones(2), np.array([3.0, 0.5]))
+        cases.append((f"{name}-holds", node, holds, box))
+        cases.append((f"{name}-fails", node, fails, box))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name, node, cert, box", ORACLE_CASES,
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_chunked_falsifier_matches_the_probe_by_probe_oracle(name, node, cert, box):
+    C = _PROBE_CHUNK
+    lo, hi = (-box * np.ones(node.dim), box * np.ones(node.dim)) \
+        if np.isscalar(box) else box
+    for seed in ORACLE_SEEDS:
+        longest = 3 * C + 5
+        passed, probes, witness = oracle_check_quad(
+            node.fn, cert.P, np.diag(cert.Delta), cert.epsilon, lo, hi,
+            (0.0, 10.0), longest, seed)
+        for budget in (1, C - 1, C, C + 1, longest):
+            # a smaller budget is a prefix of the same probe sequence
+            if witness is not None and witness["index"] < budget:
+                expected = (False, probes, witness)
+            else:
+                expected = (True, budget, None)
+            result = check_quad(node, cert, box, t_range=(0.0, 10.0),
+                                budget=budget, seed=seed)
+            assert_matches_oracle(result, expected)
+
+
+def test_oracle_cases_fail_inside_and_across_chunks():
+    # the failing cases must exercise witnesses beyond the first chunk
+    indices = []
+    for name, node, cert, box in ORACLE_CASES:
+        if not name.endswith("-fails"):
+            continue
+        for seed in ORACLE_SEEDS:
+            r = check_quad(node, cert, box, t_range=(0.0, 10.0),
+                           budget=3 * _PROBE_CHUNK + 5, seed=seed)
+            assert not r.passed, name
+            indices.append(r.witness["index"])
+    assert min(indices) == 0
+    assert any(0 < i < _PROBE_CHUNK for i in indices)
+    assert any(i > _PROBE_CHUNK for i in indices)
+
+
+def test_each_probe_reaches_f_at_its_own_time():
+    node = NodeDynamics(dim=2, fn=lambda t, u: np.where(t > 5.0, u, -u))
+    cert = QuadCertificate(np.eye(2), np.zeros(2), 0.5)
+    for seed in range(5):
+        result = check_quad(node, cert, box=2.0, t_range=(0.0, 10.0),
+                            budget=2000, seed=seed)
+        expected = oracle_check_quad(node.fn, cert.P, np.zeros(2), 0.5,
+                                     -2.0 * np.ones(2), 2.0 * np.ones(2),
+                                     (0.0, 10.0), 2000, seed)
+        assert_matches_oracle(result, expected)
+        assert result.witness["t"] > 5.0
+
+
+def test_f_is_called_once_per_chunk():
+    calls = []
+
+    def fn(t, u):
+        calls.append(u.shape)
+        return -u
+
+    cert = QuadCertificate(np.eye(2), np.zeros(2), 1.0)
+    C = _PROBE_CHUNK
+    assert check_quad(NodeDynamics(dim=2, fn=fn), cert, box=1.0,
+                      budget=3 * C + 5, seed=0).passed
+    assert calls == [(2 * C, 2)] * 3 + [(10, 2)]
+
+
+def test_non_finite_field_fails_at_the_first_probe():
+    node = NodeDynamics(dim=2, fn=lambda t, u: np.full_like(u, np.nan))
+    cert = QuadCertificate(np.eye(2), np.zeros(2), 1.0)
+    result = check_quad(node, cert, box=1.0, budget=5000, seed=3)
+    assert not result.passed
+    assert result.probes == 1
+    assert result.witness["index"] == 0
+    assert math.isnan(result.witness["lhs"])
+
+
+@pytest.mark.parametrize("box, t_range, fragment", [
+    (([0.0, 1.0], [1.0, 1.0]), (0.0, 1.0), "box: coordinate 1 has hi <= lo"),
+    (([-1e308, 0.0], [1e308, 1.0]), (0.0, 1.0), "box: coordinate 0 has a non-finite extent"),
+    (([0.0, 0.0], [1.0, np.inf]), (0.0, 1.0), "box: coordinate 1 has a non-finite extent"),
+    (1.0, (10.0, 0.0), "t_range: start 10 is after end 0"),
+    (1.0, (-1e308, 1e308), "t_range: [-1e+308, 1e+308] has a non-finite extent"),
+], ids=["inverted-box", "overflowing-box", "infinite-box", "reversed-t-range",
+        "overflowing-t-range"])
+def test_invalid_probe_domain_is_rejected(box, t_range, fragment):
+    cert = QuadCertificate(np.eye(2), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        check_quad(contracting_node(), cert, box, t_range=t_range, budget=10)
+
+
+def test_a_single_time_probe_range_is_allowed():
+    cert = QuadCertificate(np.eye(2), np.zeros(2), 0.5)
+    result = check_quad(expanding_node(), cert, box=1.0, t_range=(3.0, 3.0), budget=10)
+    assert result.witness["t"] == 3.0
 
 
 def test_delta_from_cert_examples():

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from delaynet import __version__
 from delaynet.cli import main
+from delaynet.dynamics import NodeDynamics
 from delaynet.scenario import (
     ScenarioError,
     load_scenario,
@@ -207,6 +209,43 @@ def test_cli_seed_override_changes_the_probe_seed(tmp_path):
     summary_b, _ = run_scenario(scenario, out_dir=tmp_path / "b", seed=2)
     assert summary_a["certificate"]["seed"] == 1
     assert summary_b["certificate"]["seed"] == 2
+
+
+@pytest.mark.parametrize("probe, fragment", [
+    ({"box": [[1.0], [0.0]]}, "certificate.box: coordinate 0 has hi <= lo"),
+    ({"box": [[-1e308], [1e308]]}, "certificate.box: coordinate 0 has a non-finite extent"),
+    ({"t_range": [1.0, 0.0]}, "certificate.t_range: start 1 is after end 0"),
+], ids=["inverted-box", "overflowing-box", "reversed-t-range"])
+def test_invalid_probe_domain_exits_2_from_every_command(tmp_path, capsys, probe, fragment):
+    doc = minimal_doc(certificate=dict(
+        {"type": "explicit", "P": [[1.0]], "Delta": [0.0], "epsilon": 0.5}, **probe))
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert any(line.startswith(fragment) for line in exc.value.errors)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("validate", "run", "check-quad"):
+        assert main([command, str(path)]) == 2, command
+        assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "check-quad"])
+def test_cli_negative_seed_exits_2_with_a_message(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(FIXTURES / "failing_certificate.json"),
+              "--out", str(tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be a nonnegative integer, got '-1'" in capsys.readouterr().err
+
+
+def test_cli_check_quad_fails_on_a_non_finite_field(monkeypatch, capsys):
+    nan_node = NodeDynamics(dim=1, fn=lambda t, u: np.full_like(u, np.nan))
+    monkeypatch.setattr("delaynet.scenario.make_node", lambda spec: nan_node)
+    assert main(["check-quad", str(FIXTURES / "failing_certificate.json")]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out
+    assert "probes: 1\n" in out
+    assert "lhs=nan" in out
 
 
 def test_console_entry_point_is_installed():
