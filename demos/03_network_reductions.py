@@ -3,7 +3,8 @@
 The full right-hand side per node is f(t, x_i) plus a sum over sources j of
 a_ij(t) times the kernel-weighted history of g(t, x_j).  Undelayed constant
 coupling, time-varying coupling, and a shared off-diagonal delay are all
-special cases; ``make_example`` builds them directly.
+special cases; ``make_example`` builds them directly.  A time-varying matrix
+is a piecewise-linear table of its values at knot times.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from delaynet import (
     HistoryFunction,
     IntegratorConfig,
+    PiecewiseLinear,
     check_assumptions,
     chua_node,
     integrate,
@@ -27,11 +29,13 @@ def main():
     model1 = make_example(1, node=node, A=2.0 * A, Gamma=np.eye(2))
     print(f"  undelayed constant coupling: m={model1.m}, n={model1.n}")
 
+    knots = np.linspace(0.0, 5.0, 51)
     model2 = make_example(
-        2, node=node, m=4,
-        A=lambda t: (2.0 + np.sin(t)) * A,
-        Gamma=lambda t: (1.0 + 0.5 * np.cos(t)) * np.eye(2))
-    print(f"  time-varying coupling and output: m={model2.m}")
+        2, node=node,
+        A=PiecewiseLinear(knots, [(2.0 + np.sin(t)) * A for t in knots]),
+        Gamma=PiecewiseLinear(knots, [(1.0 + 0.5 * np.cos(t)) * np.eye(2) for t in knots]))
+    print(f"  time-varying coupling and output, tabulated at {knots.size} knots: "
+          f"m={model2.m}, kappa={model2.output.kappa:.3g}")
 
     model3 = make_example(3, node=chua_node(), Gamma=np.eye(3), tau=0.05,
                           topology="all-to-all", c=5.0, m=3)

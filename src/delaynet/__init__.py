@@ -20,6 +20,7 @@ from .kernels import (
 )
 from .history import (
     HistoryFunction,
+    PiecewiseLinear,
     Trajectory,
     sup_history_deviation,
     write_trajectory_csv,
@@ -41,7 +42,6 @@ from .dynamics import (
     make_node,
     named_topology,
     tanh_hopfield_node,
-    time_varying_linear_output,
 )
 from .integrator import (
     BLOWUP_THRESHOLD,
@@ -94,6 +94,7 @@ __all__ = [
     "NetworkModel",
     "NodeDynamics",
     "OutputFunction",
+    "PiecewiseLinear",
     "ProofConstants",
     "QuadCertificate",
     "QuadCheckResult",
@@ -131,7 +132,6 @@ __all__ = [
     "sup_history_deviation",
     "sync_report",
     "tanh_hopfield_node",
-    "time_varying_linear_output",
     "uniform",
     "write_envelope_csv",
     "write_sync_csv",

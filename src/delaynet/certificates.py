@@ -187,11 +187,15 @@ def delta_from_cert(cert: QuadCertificate) -> float:
 
 def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
                                 grid: int = 201) -> tuple[float, float, float]:
-    """Grid maxima of the three growth-bound ingredients on [0, horizon].
+    """The three growth-bound ingredients on [0, horizon].
 
-    alpha bounds the output's Lipschitz modulus kappa(t); beta bounds
-    |a_ij(t)|; gamma bounds, per node, the norm of the derivative expression
-    frozen at the initial state, using the signed kernel masses.
+    alpha is the output's uniform Lipschitz bound kappa and beta the largest
+    |a_ij| over the knots of A; both are exact for all t, since a table is
+    affine between knots and constant outside them.  gamma bounds, per node,
+    the norm of the derivative expression frozen at the initial state, using
+    the signed kernel masses.  f and g are callables of t, so gamma is a
+    maximum over ``grid`` even points of [0, horizon] together with the knots
+    of A inside it: a sample, exact only when f and g do not depend on t.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -204,14 +208,14 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
     X0 = x0.reshape(m, n)
     masses = np.array([[model.kernels[i][j].signed_mass() for j in range(m)]
                        for i in range(m)])
-    ts = np.linspace(0.0, horizon, grid)
-    alpha = 0.0
-    beta = 0.0
+    knots = model.coupling.knots
+    alpha = float(model.output.kappa)
+    beta = float(np.max(np.abs(knots.values)))
+    ts = np.concatenate([np.linspace(0.0, horizon, grid),
+                         knots.times[(knots.times >= 0.0) & (knots.times <= horizon)]])
     gamma = 0.0
     for t in ts:
-        alpha = max(alpha, float(model.output.kappa(float(t))))
         A = model.coupling.matrix(float(t))
-        beta = max(beta, float(np.max(np.abs(A))))
         g0 = model.output.eval_rows(float(t), X0)
         f0 = model.node.eval(float(t), X0)
         for i in range(m):

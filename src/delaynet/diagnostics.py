@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import Trajectory, spd_weight, sup_history_deviation
+from .history import Trajectory, _write_csv, spd_weight, sup_history_deviation
 
 __all__ = [
     "EnvelopeReport",
@@ -190,9 +190,3 @@ def write_sync_csv(report: SyncReport, path) -> None:
     _write_csv(path, "t,max_pairwise_distance",
                np.column_stack([report.times, report.distance]))
 
-
-def _write_csv(path, header: str, cols: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in cols:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

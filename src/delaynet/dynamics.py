@@ -7,10 +7,16 @@ an output map applied to delayed states, and one delay measure per node pair:
     I_ij(t) = integral over s >= 0 of g(t, x_j(t - tau_ij(t) - s)) dK_ij(s).
 
 The integral is evaluated through the pair's quadrature plan, so the right
-hand side only ever queries the past at finitely many shifted times.  A
-model's parameters are fixed at construction.  Its one piece of state is the
-tap table ``rhs`` compiled last, the coupling resolved into flat arrays for
-one support and set of delays; it is replaced whole, by one attribute
+hand side only ever queries the past at finitely many shifted times.
+
+A(t), tau(t) and a linear output's Gamma(t) are piecewise-linear tables
+(``history.PiecewiseLinear``), a constant being one knot.  A table is affine
+between knots, so the structural flags of A, the signs of the delays and the
+bound |Gamma(t)|_2 are decided exactly over the knots at construction.
+
+A model's parameters are fixed at construction.  Its one piece of state is
+the tap table ``rhs`` compiled last, the coupling resolved into flat arrays
+for one support and set of delays; it is replaced whole, by one attribute
 assignment, when either changes.  ``rhs`` is a pure function of (t, past),
 and a model may be shared across concurrent integrations.
 """
@@ -22,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .history import PiecewiseLinear
 from .kernels import DelayKernel, QuadraturePlan, build_quadrature, dirac
 
 __all__ = [
@@ -94,15 +101,20 @@ class OutputFunction:
     """Coupling output g(t, u) together with its declared Lipschitz bound.
 
     ``fn(t, u)`` is batch-shaped like the node field: ``u`` has shape
-    (..., dim) and the result has the same shape.  ``kappa(t)`` bounds
-    |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u at time t.  The bound is
-    declared, not derived; ``check_assumptions`` tries to falsify it.
+    (..., dim) and the result has the same shape.  ``kappa`` bounds
+    |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u and t, the one bound the
+    growth estimate uses.  It is declared, not derived;
+    ``check_assumptions`` tries to falsify it.
     """
 
     dim: int
     fn: Callable[[float, np.ndarray], np.ndarray]
-    kappa: Callable[[float], float]
+    kappa: float
     name: str = "custom"
+
+    def __post_init__(self):
+        if not self.kappa >= 0:
+            raise ValueError("kappa must be nonnegative")
 
     def eval_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
         """g(t, .) on a (..., dim) block, every row in one call."""
@@ -117,128 +129,120 @@ def _apply_batch(fn, t, u: np.ndarray, what: str) -> np.ndarray:
 
 
 class CouplingSchedule:
-    """Time-varying coupling matrix A(t) plus structural flags.
+    """Coupling matrix A(t), a table of m x m matrices, plus structural flags.
 
-    Flags record what the schedule promises (zero row sums, nonnegative
-    off-diagonal entries); constant matrices are validated against demanded
-    flags at construction, time-varying ones are spot checked by
-    ``check_assumptions``.
+    The flags are zero row sums and nonnegative off-diagonal entries.  Row
+    sums and entries are affine in t between knots, so a flag that holds at
+    every knot (to 1e-12) holds for all t.  Each flag defaults to whether it
+    holds; True demands it and raises, naming a knot, if it does not.
     """
 
-    def __init__(self, m: int, fn: Callable[[float], np.ndarray],
-                 zero_row_sums: bool = False, nonneg_off_diagonal: bool = False):
-        if m < 1:
-            raise ValueError("node count must be >= 1")
-        self.m = m
-        self._fn = fn
-        self.zero_row_sums = zero_row_sums
-        self.nonneg_off_diagonal = nonneg_off_diagonal
+    def __init__(self, knots: PiecewiseLinear, zero_row_sums: bool | None = None,
+                 nonneg_off_diagonal: bool | None = None):
+        A = knots.values
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise ValueError("coupling matrix must be square")
+        self.m = A.shape[1]
+        self.knots = knots
+        self.zero_row_sums = _flag(zero_row_sums, np.abs(A.sum(axis=2)) > _FLAG_TOL,
+                                   knots.times, "zero row sums", "row")
+        self.nonneg_off_diagonal = _flag(nonneg_off_diagonal,
+                                         A - A * np.eye(self.m) < -_FLAG_TOL,
+                                         knots.times, "nonnegative off-diagonal", "entry")
 
     @classmethod
     def constant(cls, A, zero_row_sums: bool | None = None,
                  nonneg_off_diagonal: bool | None = None) -> "CouplingSchedule":
-        """Wrap a constant matrix; flags default to what the matrix satisfies.
+        return cls(PiecewiseLinear.constant(A), zero_row_sums, nonneg_off_diagonal)
 
-        Passing True for a flag demands it and raises if the matrix violates
-        it by more than 1e-12.
-        """
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("coupling matrix must be square")
-        sums_ok, offdiag_ok = _structural_flags(A)
-        if zero_row_sums is None:
-            zero_row_sums = sums_ok
-        elif zero_row_sums and not sums_ok:
-            raise ValueError(
-                f"zero row sums demanded but max |row sum| = {np.max(np.abs(A.sum(axis=1)))}")
-        if nonneg_off_diagonal is None:
-            nonneg_off_diagonal = offdiag_ok
-        elif nonneg_off_diagonal and not offdiag_ok:
-            raise ValueError("nonnegative off-diagonal demanded but a negative entry exists")
-        A = A.copy()
-        return cls(A.shape[0], lambda t, _A=A: _A,
-                   zero_row_sums=zero_row_sums, nonneg_off_diagonal=nonneg_off_diagonal)
+    @classmethod
+    def table(cls, times, matrices, zero_row_sums: bool | None = None,
+              nonneg_off_diagonal: bool | None = None) -> "CouplingSchedule":
+        return cls(PiecewiseLinear(times, matrices), zero_row_sums, nonneg_off_diagonal)
 
     def matrix(self, t: float) -> np.ndarray:
-        A = np.asarray(self._fn(t), dtype=float)
-        if A.shape != (self.m, self.m):
-            raise ValueError(f"coupling schedule returned shape {A.shape}, expected {(self.m, self.m)}")
-        return A
+        """A(t); with one knot, the stored read-only matrix."""
+        return self.knots(t)
 
 
-def _structural_flags(A: np.ndarray) -> tuple[bool, bool]:
-    sums_ok = bool(np.max(np.abs(A.sum(axis=1))) <= _FLAG_TOL)
-    off = A - np.diag(np.diag(A))
-    offdiag_ok = bool(np.min(off) >= -_FLAG_TOL)
-    return sums_ok, offdiag_ok
+def _flag(demanded: bool | None, broken: np.ndarray, times, what: str, where: str) -> bool:
+    """A flag given ``broken``, the (knot, ...) mask of its violations."""
+    if demanded is None:
+        return not broken.any()
+    if demanded and broken.any():
+        k, *at = (int(i) for i in np.unravel_index(int(np.argmax(broken)), broken.shape))
+        place = at[0] if len(at) == 1 else tuple(at)
+        raise ValueError(f"{what} demanded but {where} {place} breaks it "
+                         f"at knot t={times[k]:.6g}")
+    return bool(demanded)
 
 
 class DelaySchedule:
-    """Per-pair discrete delay tau_ij(t) >= 0 ahead of the kernel shift.
+    """Per-pair discrete delays tau_ij(t) >= 0 ahead of the kernel shift.
 
-    ``fn(i, j, t)`` gives one delay.  The constant schedules also carry a
-    builder of their m x m delay matrix, which ``matrix`` calls once per m
-    and returns at every t; a schedule made from ``fn`` alone is tabulated
-    from it at each call.
+    ``table`` and ``constant`` of a matrix hold a table of m x m delay
+    matrices.  ``zero``, ``constant`` of a scalar and ``offdiagonal`` hold
+    one delay for the diagonal and one off it, fit every m, and store their
+    m x m matrix once per m.  A negative or non-finite delay is rejected at
+    construction, naming the pair and the knot.
     """
 
-    def __init__(self, fn: Callable[[int, int, float], float]):
-        self._fn = fn
-        self._table: Callable[[int], np.ndarray] | None = None
+    def __init__(self, knots: PiecewiseLinear | None, diagonal: float = 0.0,
+                 off_diagonal: float = 0.0):
+        if knots is None:
+            if not all(0.0 <= v < np.inf for v in (diagonal, off_diagonal)):
+                raise ValueError("delay must be finite and nonnegative")
+        else:
+            D = knots.values
+            if D.ndim != 3 or D.shape[1] != D.shape[2]:
+                raise ValueError("delay matrix must be square")
+            negative = D < 0.0
+            if negative.any():
+                k, i, j = (int(a) for a in np.unravel_index(int(np.argmax(negative)), D.shape))
+                raise ValueError(f"negative delay {D[k, i, j]:.6g} for pair ({i}, {j}) "
+                                 f"at knot t={knots.times[k]:.6g}")
+        self.knots = knots
+        self._pair = (float(diagonal), float(off_diagonal))
         self._stored: dict[int, np.ndarray] = {}
 
     @classmethod
-    def _constant(cls, fn, table: Callable[[int], np.ndarray]) -> "DelaySchedule":
-        schedule = cls(fn)
-        schedule._table = table
-        return schedule
-
-    @classmethod
     def zero(cls) -> "DelaySchedule":
-        return cls._constant(lambda i, j, t: 0.0, lambda m: np.zeros((m, m)))
+        return cls(None)
 
     @classmethod
     def constant(cls, tau) -> "DelaySchedule":
         """Scalar: same delay everywhere; matrix: per-pair delays."""
         arr = np.asarray(tau, dtype=float)
         if arr.ndim == 0:
-            v = float(arr)
-            if v < 0:
-                raise ValueError("delay must be nonnegative")
-            return cls._constant(lambda i, j, t: v, lambda m: np.full((m, m), v))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("delay matrix must be square")
-        if np.min(arr) < 0:
-            raise ValueError("delays must be nonnegative")
-        arr = arr.copy()
-        return cls._constant(lambda i, j, t: float(arr[i, j]), lambda m: arr)
+            return cls(None, float(arr), float(arr))
+        return cls(PiecewiseLinear.constant(arr))
 
     @classmethod
     def offdiagonal(cls, tau: float) -> "DelaySchedule":
         """tau between distinct nodes, zero on the diagonal."""
-        tau = float(tau)
-        if tau < 0:
-            raise ValueError("delay must be nonnegative")
+        return cls(None, 0.0, float(tau))
 
-        def table(m):
-            D = np.full((m, m), tau)
-            np.fill_diagonal(D, 0.0)
-            return D
-
-        return cls._constant(lambda i, j, t: 0.0 if i == j else tau, table)
+    @classmethod
+    def table(cls, times, matrices) -> "DelaySchedule":
+        """m x m delay matrices at knot times."""
+        return cls(PiecewiseLinear(times, matrices))
 
     def value(self, i: int, j: int, t: float) -> float:
-        return float(self._fn(i, j, t))
+        if self.knots is None:
+            return self._pair[i != j]
+        return float(self.knots(t)[i, j])
 
     def matrix(self, t: float, m: int) -> np.ndarray:
         """The m x m matrix of delays at time t, read-only when constant."""
-        if self._table is None:
-            return np.array([[self.value(i, j, t) for j in range(m)] for i in range(m)])
+        if self.knots is not None:
+            size = self.knots.values.shape[1]
+            if size != m:
+                raise ValueError(f"delay matrix is {size}x{size}, model has m={m}")
+            return self.knots(t)
         D = self._stored.get(m)
         if D is None:
-            D = self._table(m)
-            if D.shape != (m, m):
-                raise ValueError(f"delay matrix is {D.shape[0]}x{D.shape[1]}, model has m={m}")
+            D = np.full((m, m), self._pair[1])
+            np.fill_diagonal(D, self._pair[0])
             D.flags.writeable = False
             self._stored[m] = D
         return D
@@ -274,7 +278,7 @@ class NetworkModel:
             for row in self.kernels)
         self.tail_tol = float(tail_tol)
         self.node_spacing = float(node_spacing)
-        delays.matrix(0.0, m)  # a constant delay matrix must be m x m
+        delays.matrix(0.0, m)  # a delay table must be m x m
         self._taps: _TapTable | None = None
 
     @property
@@ -379,12 +383,6 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     key = (support.tobytes(), taus.tobytes())
     table = model._taps
     if table is None or table.key != key:
-        # delays equal to the last table's were checked when it was built
-        negative = taus < 0
-        if negative.any():
-            k = int(np.argmax(negative))
-            i, j = divmod(int(support[k]), m)
-            raise ValueError(f"negative delay {float(taus[k])} for pair ({i}, {j}) at t={t}")
         table = model._taps = _TapTable(model, key, support, taus)
 
     # each row's couplings are summed on their own, in j order, so that
@@ -479,29 +477,20 @@ def make_node(spec: dict) -> NodeDynamics:
 
 
 def linear_output(Gamma) -> OutputFunction:
-    """g(t, u) = Gamma u with the exact Lipschitz bound |Gamma|_2."""
-    G = np.asarray(Gamma, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+    """g(t, u) = Gamma(t) u for a matrix or a ``PiecewiseLinear`` table of
+    matrices.  kappa = max over knots of |Gamma_k|_2, which bounds every t
+    exactly because the norm is convex along each piece."""
+    table = Gamma if isinstance(Gamma, PiecewiseLinear) else PiecewiseLinear.constant(Gamma)
+    G = table.values
+    if G.ndim != 3 or G.shape[1] != G.shape[2]:
         raise ValueError("output matrix must be square")
-    kap = float(np.linalg.norm(G, 2))
-    return OutputFunction(dim=G.shape[0], fn=lambda t, u: u @ G.T,
-                          kappa=lambda t: kap, name="linear")
+    kappa = max(float(np.linalg.norm(Gk, 2)) for Gk in G)
+    return OutputFunction(dim=G.shape[1], fn=lambda t, u: u @ table(t).T,
+                          kappa=kappa, name="linear")
 
 
 def identity_output(dim: int) -> OutputFunction:
-    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=lambda t: 1.0, name="identity")
-
-
-def time_varying_linear_output(dim: int, Gamma_fn: Callable[[float], np.ndarray]) -> OutputFunction:
-    """g(t, u) = Gamma(t) u; the Lipschitz bound is |Gamma(t)|_2 per call."""
-    def fn(t, u):
-        G = np.asarray(Gamma_fn(t), dtype=float)
-        return u @ G.T
-
-    def kappa(t):
-        return float(np.linalg.norm(np.asarray(Gamma_fn(t), dtype=float), 2))
-
-    return OutputFunction(dim=dim, fn=fn, kappa=kappa, name="time_varying_linear")
+    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=1.0, name="identity")
 
 
 def named_topology(name: str, m: int) -> np.ndarray:
@@ -537,9 +526,10 @@ def make_example(which: int, **params) -> NetworkModel:
     1: constant matrix with zero row sums, linear undelayed output.
        params: node, A, Gamma.
     2: time-varying matrix and output, still undelayed.
-       params: node, A (callable t -> matrix or constant), Gamma (callable
-       t -> matrix or constant), m (required when A is callable), plus
-       optional flags zero_row_sums / nonneg_off_diagonal (default True).
+       params: node, A and Gamma (each a matrix or a ``PiecewiseLinear``
+       table of matrices), plus optional flags zero_row_sums /
+       nonneg_off_diagonal (default True: demanded at every knot; False
+       leaves the flag to what the knots satisfy).
     3: constant matrix with diagonal -c, one shared delay off the diagonal,
        diagonal nonnegative output matrix.  The coupling term reduces to
        sum over j != i of a_ij * Gamma * (x_j(t - tau) - x_i(t)).
@@ -562,21 +552,12 @@ def _example_1(node: NodeDynamics, A, Gamma) -> NetworkModel:
                         coupling=coupling, delays=DelaySchedule.zero(), kernels=dirac())
 
 
-def _example_2(node: NodeDynamics, A, Gamma, m: int | None = None,
-               zero_row_sums: bool = True, nonneg_off_diagonal: bool = True) -> NetworkModel:
-    if callable(A):
-        if m is None:
-            m = int(np.asarray(A(0.0)).shape[0])
-        coupling = CouplingSchedule(m, A, zero_row_sums=zero_row_sums,
-                                    nonneg_off_diagonal=nonneg_off_diagonal)
-    else:
-        coupling = CouplingSchedule.constant(A, zero_row_sums=zero_row_sums or None,
-                                             nonneg_off_diagonal=nonneg_off_diagonal or None)
-    if callable(Gamma):
-        output = time_varying_linear_output(node.dim, Gamma)
-    else:
-        output = linear_output(Gamma)
-    return NetworkModel(m=coupling.m, node=node, output=output,
+def _example_2(node: NodeDynamics, A, Gamma, zero_row_sums: bool = True,
+               nonneg_off_diagonal: bool = True) -> NetworkModel:
+    table = A if isinstance(A, PiecewiseLinear) else PiecewiseLinear.constant(A)
+    coupling = CouplingSchedule(table, zero_row_sums=zero_row_sums or None,
+                                nonneg_off_diagonal=nonneg_off_diagonal or None)
+    return NetworkModel(m=coupling.m, node=node, output=linear_output(Gamma),
                         coupling=coupling, delays=DelaySchedule.zero(), kernels=dirac())
 
 
@@ -654,11 +635,12 @@ class AssumptionReport:
 
 def check_assumptions(model: NetworkModel, horizon: float, sample_budget: int = 2000,
                       seed: int = 0) -> AssumptionReport:
-    """Try to falsify the standing model assumptions by random probing.
+    """Try to falsify the node and output assumptions by random probing.
 
     A passing check is evidence, not proof: continuity and Lipschitz bounds
     cannot be established from finitely many samples.  A failing check comes
-    with a concrete witness.
+    with a concrete witness.  The coupling flags and the delay signs need no
+    probe: they are decided exactly over the knots at construction.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -666,9 +648,7 @@ def check_assumptions(model: NetworkModel, horizon: float, sample_budget: int = 
     per = max(50, sample_budget // 4)
     report = AssumptionReport()
     report.checks.append(_check_node_regularity(model.node, horizon, per, rng))
-    report.checks.append(_check_coupling(model.coupling, horizon, per, rng))
     report.checks.append(_check_output_bound(model.output, horizon, per, rng))
-    report.checks.append(_check_delays(model, horizon, per, rng))
     return report
 
 
@@ -709,48 +689,14 @@ def _check_node_regularity(node: NodeDynamics, horizon, budget, rng) -> Assumpti
     return AssumptionCheck(name, True, budget)
 
 
-def _check_coupling(coupling: CouplingSchedule, horizon, budget, rng) -> AssumptionCheck:
-    name = "coupling-schedule"
-    ts = np.concatenate([np.linspace(0.0, horizon, min(budget, 200)),
-                         rng.uniform(0.0, horizon, size=budget)])
-    for t in ts:
-        A = coupling.matrix(float(t))
-        if coupling.zero_row_sums:
-            sums = A.sum(axis=1)
-            i = int(np.argmax(np.abs(sums)))
-            if abs(sums[i]) > _FLAG_TOL:
-                return AssumptionCheck(
-                    name, False, ts.size,
-                    witness={"t": float(t), "row": i, "row_sum": float(sums[i])},
-                    detail=f"row {i} of A({t:.6g}) sums to {sums[i]:.3g}, zero row sums promised")
-        if coupling.nonneg_off_diagonal:
-            off = A - np.diag(np.diag(A))
-            if np.min(off) < -_FLAG_TOL:
-                i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-                return AssumptionCheck(
-                    name, False, ts.size,
-                    witness={"t": float(t), "entry": [int(i), int(j)], "value": float(A[i, j])},
-                    detail=f"A({t:.6g})[{i},{j}] = {A[i, j]:.3g} < 0, nonnegative off-diagonal promised")
-        gap = float(np.max(np.abs(coupling.matrix(float(t) + 1e-9) - A)))
-        if gap > 1e-3:
-            return AssumptionCheck(
-                name, False, ts.size, witness={"t": float(t), "jump": gap},
-                detail=f"A jumps by {gap:.3g} across t={t:.6g}")
-    return AssumptionCheck(name, True, int(ts.size))
-
-
 def _check_output_bound(output: OutputFunction, horizon, budget, rng) -> AssumptionCheck:
     name = "output-lipschitz-bound"
     ts = rng.uniform(0.0, horizon, size=budget)
     u1 = _sample_points(rng, output.dim, budget)
     u2 = u1 + rng.standard_normal((budget, output.dim)) * rng.uniform(1e-3, 2.0, size=(budget, 1))
     for t, a, b in zip(ts, u1, u2):
-        kap = float(output.kappa(float(t)))
-        if kap < 0:
-            return AssumptionCheck(name, False, budget, witness={"t": float(t), "kappa": kap},
-                                   detail=f"declared bound is negative at t={t:.6g}")
         gap = float(np.linalg.norm(output.eval_rows(t, a) - output.eval_rows(t, b)))
-        allowed = kap * float(np.linalg.norm(a - b)) * (1.0 + 1e-9) + 1e-12
+        allowed = output.kappa * float(np.linalg.norm(a - b)) * (1.0 + 1e-9) + 1e-12
         if gap > allowed:
             return AssumptionCheck(
                 name, False, budget,
@@ -758,20 +704,3 @@ def _check_output_bound(output: OutputFunction, horizon, budget, rng) -> Assumpt
                          "gap": gap, "allowed": allowed},
                 detail=f"|g(t,u1)-g(t,u2)| = {gap:.6g} exceeds kappa|u1-u2| = {allowed:.6g} at t={t:.6g}")
     return AssumptionCheck(name, True, budget)
-
-
-def _check_delays(model: NetworkModel, horizon, budget, rng) -> AssumptionCheck:
-    name = "delay-nonnegative"
-    ts = np.concatenate([np.linspace(0.0, horizon, 50), rng.uniform(0.0, horizon, size=budget)])
-    samples = int(ts.size) * model.m * model.m
-    for t in ts:
-        D = model.delays.matrix(float(t), model.m)
-        negative = D < 0
-        if negative.any():
-            i, j = divmod(int(np.argmax(negative)), model.m)
-            tau = float(D[i, j])
-            return AssumptionCheck(
-                name, False, samples,
-                witness={"t": float(t), "pair": [i, j], "tau": tau},
-                detail=f"tau[{i},{j}]({t:.6g}) = {tau:.6g} < 0")
-    return AssumptionCheck(name, True, samples)

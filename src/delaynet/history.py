@@ -1,22 +1,26 @@
-"""Initial functions on (-inf, 0] and the growing solution record.
+"""Piecewise-linear tables of time, initial functions on (-inf, 0] and the
+growing solution record.
 
-The infinite past is represented as an optional analytic segment on
-``[segment_start, 0]`` glued to a constant tail, which realizes the required
-limit at -inf exactly and keeps the sup of the deviation computable.  A
-Trajectory anchors its first sample to the initial function at t = 0 and can
-be evaluated at any time up to its last sample; extrapolation is refused.
+Every input that depends on time (the coupling matrix, the delays, a linear
+output matrix and the initial function) is one ``PiecewiseLinear`` table:
+values at knots t_0 < ... < t_K, linear between them, exact at them and
+held constant outside them.  A constant is one knot at t = 0.  A table is
+affine in t on each piece, so a convex function of its value (the modulus of
+an entry, a spectral norm, a squared distance) has its supremum over all t
+at a knot, and the bounds taken from tables are maxima over their knots.
 
-A trajectory is mutated by exactly one integration run; concurrent readers
-between appends are fine.
+A Trajectory anchors its first sample to the initial function at t = 0 and
+can be evaluated at any time up to its last sample; extrapolation is
+refused.  A trajectory is mutated by exactly one integration run;
+concurrent readers between appends are fine.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
+    "PiecewiseLinear",
     "HistoryFunction",
     "Trajectory",
     "spd_weight",
@@ -24,43 +28,84 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-_SEGMENT_SUP_SAMPLES = 4097
+
+class PiecewiseLinear:
+    """Values at knots t_0 < ... < t_K, linear between them, constant outside.
+
+    ``values`` holds one entry per knot along its first axis: a number, a
+    vector or a matrix.  Knot times and values must be finite; both arrays
+    are stored read-only.
+    """
+
+    def __init__(self, times, values):
+        times = np.array(times, dtype=float)
+        values = np.array(values, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("knot times must be a nonempty 1-D sequence")
+        if values.shape[:1] != times.shape:
+            raise ValueError(f"{times.size} knot times need as many values, "
+                             f"got an array of shape {values.shape}")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("knot times must be finite")
+        if np.any(np.diff(times) <= 0.0):
+            raise ValueError("knot times must be strictly increasing")
+        bad = ~np.isfinite(values.reshape(times.size, -1)).all(axis=1)
+        if bad.any():
+            raise ValueError(f"value at knot t={times[np.argmax(bad)]:.6g} is not finite")
+        times.flags.writeable = False
+        values.flags.writeable = False
+        self.times = times
+        self.values = values
+
+    @classmethod
+    def constant(cls, value) -> "PiecewiseLinear":
+        """One knot at t = 0."""
+        return cls([0.0], [value])
+
+    def __call__(self, t: float) -> np.ndarray:
+        """The value at time t; with one knot, the stored read-only array."""
+        if self.times.size == 1:
+            return self.values[0]
+        return self.eval_many([t])[0]
+
+    def eval_many(self, ts) -> np.ndarray:
+        """Values at an array of times, one entry each along the first axis."""
+        ts = np.asarray(ts, dtype=float).ravel()
+        if self.times.size == 1:
+            return np.repeat(self.values, ts.size, axis=0)
+        # piece k runs from knot k-1 to knot k; a time on knot k-1 gets
+        # w = 0, and w is clipped to [0, 1] outside the knots
+        k = np.clip(np.searchsorted(self.times, ts, side="right"), 1, self.times.size - 1)
+        t0, t1 = self.times[k - 1], self.times[k]
+        w = np.clip((ts - t0) / (t1 - t0), 0.0, 1.0)
+        w = w.reshape(w.shape + (1,) * (self.values.ndim - 1))
+        return (1.0 - w) * self.values[k - 1] + w * self.values[k]
 
 
 class HistoryFunction:
-    """State history for t <= 0: constant tail, optionally an analytic segment.
+    """State history for t <= 0: a table of states at knots t_0 < ... < t_K <= 0.
 
-    ``constant(x)`` is the history identically equal to ``x``.  ``segment``
-    attaches a callable on ``[start, 0]``; before ``start`` the history is the
-    constant ``tail``.  The segment is batch-shaped: it maps a 1-D array of k
-    times to a (k, dim) array of states.  It should meet the tail at
-    ``start`` if a continuous history is wanted; this is not enforced.
+    Before t_0 the history holds the first state, which realizes the limit
+    at -inf exactly; after t_K it holds the last one up to 0.
+    ``constant(x)`` is the history identically equal to ``x``, one knot at
+    t = 0; ``table(times, states)`` takes one state row per knot.
     """
 
-    def __init__(self, tail: np.ndarray,
-                 segment: Callable[[np.ndarray], np.ndarray] | None = None,
-                 segment_start: float = 0.0):
-        tail = np.asarray(tail, dtype=float).ravel()
-        if tail.size == 0 or not np.all(np.isfinite(tail)):
-            raise ValueError("history tail must be a nonempty finite vector")
-        if segment is not None and not segment_start < 0:
-            raise ValueError("segment_start must be negative")
-        self.tail = tail
-        self.segment = segment
-        self.segment_start = float(segment_start) if segment is not None else 0.0
-        self.dim = tail.size
+    def __init__(self, knots: PiecewiseLinear):
+        if knots.values.ndim != 2 or knots.values.shape[1] == 0:
+            raise ValueError("history states must be nonempty vectors, one per knot")
+        if knots.times[-1] > 0.0:
+            raise ValueError(f"history knots must be at t <= 0, got t={knots.times[-1]:.6g}")
+        self.knots = knots
+        self.dim = knots.values.shape[1]
 
     @classmethod
     def constant(cls, x) -> "HistoryFunction":
-        return cls(tail=np.asarray(x, dtype=float))
+        return cls(PiecewiseLinear.constant(np.asarray(x, dtype=float).ravel()))
 
     @classmethod
-    def with_segment(cls, fn: Callable[[np.ndarray], np.ndarray], start: float,
-                     tail=None) -> "HistoryFunction":
-        """Analytic segment on [start, 0]; tail defaults to the segment at start."""
-        if tail is None:
-            tail = np.asarray(fn(np.array([float(start)])), dtype=float)[0]
-        return cls(tail=np.asarray(tail, dtype=float), segment=fn, segment_start=start)
+    def table(cls, times, states) -> "HistoryFunction":
+        return cls(PiecewiseLinear(times, states))
 
     def eval(self, t: float) -> np.ndarray:
         return self.eval_many([t])[0]
@@ -72,18 +117,7 @@ class HistoryFunction:
         ts = np.asarray(ts, dtype=float).ravel()
         if np.any(ts > 0.0):
             raise ValueError(f"history is only defined for t <= 0, got t={np.max(ts)}")
-        out = np.empty((ts.size, self.dim))
-        out[:] = self.tail
-        if self.segment is not None:
-            on_seg = ts >= self.segment_start
-            if on_seg.any():
-                expected = (int(np.count_nonzero(on_seg)), self.dim)
-                vals = np.asarray(self.segment(ts[on_seg]), dtype=float)
-                if vals.shape != expected:
-                    raise ValueError(
-                        f"history segment returned shape {vals.shape}, expected {expected}")
-                out[on_seg] = vals
-        return out
+        return self.knots.eval_many(ts)
 
 
 class Trajectory:
@@ -182,26 +216,20 @@ class Trajectory:
 def sup_history_deviation(traj_or_history, x0: np.ndarray, P: np.ndarray) -> float:
     """Sup over (-inf, 0] of half the squared P-weighted distance to ``x0``.
 
-    Exact on the constant tail; the compact segment is covered by dense
-    sampling (endpoints included).  ``P`` must be symmetric positive definite
-    and applies blockwise when the history dimension is a multiple of its
-    size.
+    Exact: the history is linear between its knots and constant outside
+    them, and the squared distance is convex along each piece, so the sup
+    is the maximum over the knots.  ``P`` must be symmetric positive
+    definite and applies blockwise when the history dimension is a multiple
+    of its size.
     """
     history = traj_or_history.initial if isinstance(traj_or_history, Trajectory) else traj_or_history
     P, _, _ = spd_weight(P)
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != history.dim or x0.size % P.shape[0] != 0:
         raise ValueError("x0 must match the history dimension and be a multiple of P's size")
-
-    def energy(values: np.ndarray) -> np.ndarray:
-        diff = (values - x0).reshape(values.shape[0], -1, P.shape[0])
-        return 0.5 * np.einsum("ijk,kl,ijl->i", diff, P, diff)
-
-    sup = float(energy(history.tail[None, :])[0])
-    if history.segment is not None:
-        ts = np.linspace(history.segment_start, 0.0, _SEGMENT_SUP_SAMPLES)
-        sup = max(sup, float(np.max(energy(history.eval_many(ts)))))
-    return sup
+    states = history.knots.values
+    diff = (states - x0).reshape(states.shape[0], -1, P.shape[0])
+    return float(np.max(0.5 * np.einsum("ijk,kl,ijl->i", diff, P, diff)))
 
 
 def spd_weight(P) -> tuple[np.ndarray, float, float]:
@@ -228,9 +256,12 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:
         raise ValueError("stride must be >= 1")
     m, n = traj.node_count, traj.node_dim
     header = ["t"] + [f"x{i + 1}_{k + 1}" for i in range(m) for k in range(n)]
-    rows = range(0, len(traj), stride)
+    _write_csv(path, ",".join(header), np.column_stack([traj.times, traj.states])[::stride])
+
+
+def _write_csv(path, header: str, rows: np.ndarray) -> None:
+    """A header line, then one line per row with every number at full precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        times, states = traj.times, traj.states
-        for r in rows:
-            fh.write(",".join(repr(float(v)) for v in (times[r], *states[r])) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -2,8 +2,9 @@
 
 A scenario is a JSON document matching the published schema, packaged at
 ``src/delaynet/schemas/scenario.json``.
-Loading validates twice: against the schema first, then structurally, so that
-dimension mismatches between sections are reported with the offending key
+Loading validates three times: against the schema, then for numbers that
+are not finite, then structurally, so that every such number and every
+dimension mismatch between sections is reported with the offending key
 before any computation starts.  Running integrates the network and writes the
 requested artifact files into an output directory; artifacts are plain CSV or
 text and contain no timestamps, so identical scenario + seed reproduce them
@@ -13,6 +14,8 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -118,6 +121,9 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
                            key=lambda e: list(e.absolute_path))
     if schema_errors:
         raise ScenarioError([_locate(err) for err in schema_errors])
+    non_finite = list(_non_finite(doc, "$"))
+    if non_finite:
+        raise ScenarioError(non_finite)
 
     errs: list[str] = []
     msec = doc["model"]
@@ -237,6 +243,22 @@ def _locate(err) -> str:
                                  e.validator not in _SHALLOW_VALIDATORS))
     path = err.json_path if err.json_path != "$" else "$ (document root)"
     return f"{path}: {err.message}"
+
+
+def _non_finite(value, path: str):
+    # json.loads admits NaN and Infinity, turns 1e400 into inf and keeps a
+    # 400-digit integer as an int no double holds; the schema's "number"
+    # accepts all of them
+    if isinstance(value, float) and not math.isfinite(value):
+        yield f"{path}: number must be finite, got {value!r}"
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        yield f"{path}: number must be finite, got an integer beyond the range of a double"
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{k}]")
 
 
 def _build_delays(spec: dict) -> DelaySchedule:

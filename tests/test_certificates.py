@@ -29,6 +29,7 @@ from delaynet.dynamics import (
     make_example,
     tanh_hopfield_node,
 )
+from delaynet.history import PiecewiseLinear
 from delaynet.kernels import dirac, exponential, mixture
 
 
@@ -307,15 +308,35 @@ def test_envelope_gamma_hand_computed_with_signed_mass():
 
 
 def test_envelope_alpha_tracks_time_varying_output():
-    def Gamma(t):
-        return (2.0 + np.cos(t)) * np.eye(2)
-
+    # the largest |Gamma_k|_2 sits at a knot between two grid points
+    rng = np.random.default_rng(31)
+    times = np.array([0.0, 0.6, 2.0 * np.pi / 3.0 + 1e-3, 4.0])
+    Gs = [rng.standard_normal((2, 2)) for _ in times]
+    Gs[2] = 5.0 * Gs[2] / np.linalg.norm(Gs[2], 2)
     A0 = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    model = make_example(2, node=contracting_node(), A=lambda t: A0, Gamma=Gamma, m=2)
+    model = make_example(2, node=contracting_node(), A=A0,
+                         Gamma=PiecewiseLinear(times, Gs))
     alpha, beta, _ = estimate_envelope_constants(model, np.zeros(4), horizon=2 * np.pi,
-                                                 grid=1001)
-    assert alpha == pytest.approx(3.0, abs=1e-4)
-    assert beta == pytest.approx(1.0)
+                                                 grid=7)
+    assert alpha == max(float(np.linalg.norm(G, 2)) for G in Gs)
+    assert beta == 1.0
+
+
+def test_envelope_beta_and_gamma_take_every_knot_of_A():
+    # one entry of A peaks at a knot off the grid; f = 0 and g = identity,
+    # so node i's gamma term is |sum_j a_ij(t) x0_j|, largest at that knot
+    times = np.array([0.0, 0.1234, 0.3, 5.0])
+    calm = np.array([[0.0, 1.0], [0.5, 0.0]])
+    peak = np.array([[0.0, -7.5], [0.5, 0.0]])
+    model = NetworkModel(m=2, node=NodeDynamics(dim=1, fn=lambda t, u: 0.0 * u),
+                         output=identity_output(1),
+                         coupling=CouplingSchedule.table(times, [calm, peak, calm, calm]),
+                         delays=DelaySchedule.zero(), kernels=dirac())
+    x0 = np.array([1.0, 2.0])
+    alpha, beta, gamma = estimate_envelope_constants(model, x0, horizon=1.0)
+    assert alpha == 1.0
+    assert beta == 7.5
+    assert gamma == 15.0
 
 
 def test_compute_eta_arithmetic():

@@ -80,9 +80,7 @@ def test_M_floor_and_history_domination():
     assert envelope_columns(traj, np.eye(2))[1][-1] == 0.5
 
     # history at P-distance 2 from x(0)
-    hist = HistoryFunction.with_segment(
-        lambda s: x0 + (s[:, None] / 4.0) * np.array([2.0, 0.0]),
-        start=-4.0, tail=x0 - np.array([2.0, 0.0]))
+    hist = HistoryFunction.table([-4.0, 0.0], [x0 - np.array([2.0, 0.0]), x0])
     traj2 = Trajectory(hist, node_count=1, node_dim=2)
     traj2.append(1.0, x0 + np.array([0.5, 0.0]))
     assert envelope_columns(traj2, np.eye(2))[1][-1] == pytest.approx(2.0)

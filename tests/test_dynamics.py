@@ -24,6 +24,7 @@ from delaynet.dynamics import (
     rhs,
     tanh_hopfield_node,
 )
+from delaynet.history import PiecewiseLinear
 from delaynet.kernels import dirac, exponential, mixture, uniform
 
 
@@ -64,6 +65,17 @@ def pairwise_rhs(model, t, past):
     return out.ravel()
 
 
+def lerp(times, values, t):
+    """Oracle: the table's value at t, linear between knots, held outside."""
+    if t <= times[0]:
+        return values[0]
+    if t >= times[-1]:
+        return values[-1]
+    k = next(k for k in range(1, len(times)) if t <= times[k])
+    w = (t - times[k - 1]) / (times[k] - times[k - 1])
+    return values[k - 1] + w * (values[k] - values[k - 1])
+
+
 def random_zero_row_sum_matrix(rng, m):
     A = rng.uniform(0.0, 2.0, size=(m, m))
     np.fill_diagonal(A, 0.0)
@@ -98,25 +110,24 @@ def test_example_1_matches_hand_coded_reduction():
 
 
 def test_example_2_time_varying_coupling_and_output():
+    # sinusoidal A and Gamma tabulated at uneven knots on [0, 20]; times
+    # before and after the knots see the end values
     rng = np.random.default_rng(202)
     m, n = 3, 2
     B = rng.standard_normal((n, n))
     A0 = random_zero_row_sum_matrix(rng, m)
     G0 = rng.standard_normal((n, n))
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 20.0, size=38)), [20.0]])
+    As = [(1.0 + 0.5 * np.sin(t)) * A0 for t in times]
+    Gs = [(2.0 + np.cos(t)) * G0 for t in times]
 
-    def A(t):
-        return (1.0 + 0.5 * np.sin(t)) * A0
-
-    def Gamma(t):
-        return (2.0 + np.cos(t)) * G0
-
-    model = make_example(2, node=linear_node(B), A=A, Gamma=Gamma, m=m)
-    for _ in range(100):
-        t = rng.uniform(0.0, 20.0)
+    model = make_example(2, node=linear_node(B), A=PiecewiseLinear(times, As),
+                         Gamma=PiecewiseLinear(times, Gs))
+    for t in [*rng.uniform(-2.0, 22.0, size=100), *times[::7]]:
         x = rng.standard_normal(m * n)
         got = rhs(model, t, Past(lambda s: x))
         X = x.reshape(m, n)
-        At, Gt = A(t), Gamma(t)
+        At, Gt = lerp(times, As, t), lerp(times, Gs, t)
         want = np.stack([B @ X[i] + sum(At[i, j] * (Gt @ X[j]) for j in range(m))
                          for i in range(m)]).ravel()
         assert np.max(np.abs(got - want)) < 1e-12
@@ -248,34 +259,46 @@ def test_shared_lookups_are_made_once():
 
 
 def test_rhs_follows_a_coupling_whose_support_changes():
-    # a ring before t = 1 and all-to-all after: each support gets its own
-    # lookups, and returning to the first one gives the first result again
+    # a ring up to t = 1, then a ramp to all-to-all at t = 1.5: each support
+    # gets its own lookups, and returning to the first one gives the first
+    # result again
     rng = np.random.default_rng(63)
     m, n = 4, 3
     ring = 1.5 * named_topology("ring", m)
     full = 1.5 * named_topology("all-to-all", m)
-    coupling = CouplingSchedule(m, lambda t: ring if t < 1.0 else full)
+    coupling = CouplingSchedule.table([0.0, 1.0, 1.5], [ring, ring, full])
     model = NetworkModel(m=m, node=chua_node(), output=identity_output(n),
                          coupling=coupling, delays=DelaySchedule.offdiagonal(0.3),
                          kernels=dirac())
     past = smooth_past(rng, m * n)
     first = rhs(model, 0.5, past)
+    np.testing.assert_array_equal(np.flatnonzero(model.coupling.matrix(0.5)),
+                                  np.flatnonzero(ring))
     np.testing.assert_allclose(first, pairwise_rhs(model, 0.5, past), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rhs(model, 1.5, past), pairwise_rhs(model, 1.5, past),
-                               rtol=0, atol=1e-12)
+    for t in (1.25, 1.5):
+        np.testing.assert_array_equal(np.flatnonzero(model.coupling.matrix(t)),
+                                      np.flatnonzero(full))
+        np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
+                                   rtol=0, atol=1e-12)
     np.testing.assert_array_equal(rhs(model, 0.5, past), first)
 
 
-def test_rhs_with_a_callable_delay_schedule_matches_oracle():
+def test_rhs_with_a_delay_table_matches_oracle():
     rng = np.random.default_rng(64)
     m, n = 3, 2
-    delays = DelaySchedule(lambda i, j, t: 0.1 * (1 + i + 2 * j) * (1.0 + np.sin(t)) ** 2)
+    times = np.linspace(0.0, 5.0, 11)
+    Ds = [np.array([[0.1 * (1 + i + 2 * j) * (1.0 + np.sin(t)) ** 2 for j in range(m)]
+                    for i in range(m)]) for t in times]
     model = NetworkModel(m=m, node=linear_node(rng.standard_normal((n, n))),
                          output=linear_output(rng.standard_normal((n, n))),
                          coupling=CouplingSchedule.constant(random_zero_row_sum_matrix(rng, m)),
-                         delays=delays, kernels=mixture(dirac(0.0, 0.5), dirac(0.2, 0.5)))
+                         delays=DelaySchedule.table(times, Ds),
+                         kernels=mixture(dirac(0.0, 0.5), dirac(0.2, 0.5)))
     past = smooth_past(rng, m * n)
-    for t in (0.3, 1.7, 4.0):
+    for t in (0.3, 1.7, 2.0, 4.0, 6.0):
+        np.testing.assert_allclose(model.delays.matrix(t, m), lerp(times, Ds, t),
+                                   rtol=0, atol=1e-15)
+        assert model.delays.value(1, 2, t) == model.delays.matrix(t, m)[1, 2]
         np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
                                    rtol=0, atol=1e-12)
 
@@ -294,14 +317,22 @@ def test_single_node_network_matches_oracle():
 
 
 def test_negative_delay_names_its_pair():
-    # a negative delay where the coupling is zero is never read
-    delays = DelaySchedule(lambda i, j, t: -0.5 if (i, j) in ((1, 2), (0, 2)) else 0.1)
-    A = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
-    model = NetworkModel(m=3, node=linear_node(-np.eye(1)), output=identity_output(1),
-                         coupling=CouplingSchedule.constant(A), delays=delays,
-                         kernels=dirac())
-    with pytest.raises(ValueError, match=r"negative delay -0.5 for pair \(1, 2\) at t=0.75"):
-        rhs(model, 0.75, Past(lambda s: np.zeros(3)))
+    # a table negative at one interior knot is rejected when it is built,
+    # whatever the coupling; the error names the first such knot and pair
+    ok = np.full((3, 3), 0.1)
+    bad = ok.copy()
+    bad[1, 2] = bad[2, 0] = -0.5
+    with pytest.raises(ValueError, match=r"negative delay -0.5 for pair \(1, 2\) at knot t=0.75"):
+        DelaySchedule.table([0.0, 0.75, 2.0], [ok, bad, ok])
+    with pytest.raises(ValueError, match=r"negative delay -0.5 for pair \(1, 2\) at knot t=0"):
+        DelaySchedule.constant(bad)
+    for tau in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delay must be finite and nonnegative"):
+            DelaySchedule.offdiagonal(tau)
+        with pytest.raises(ValueError, match="delay must be finite and nonnegative"):
+            DelaySchedule.constant(tau)
+    with pytest.raises(ValueError, match="value at knot t=0.75 is not finite"):
+        DelaySchedule.table([0.0, 0.75], [ok, np.full((3, 3), np.nan)])
 
 
 def test_rows_without_a_coupling_never_read_a_tap():
@@ -319,18 +350,22 @@ def test_rows_without_a_coupling_never_read_a_tap():
 
 
 def test_threads_sharing_a_model_get_the_single_thread_results():
-    # the support flips every 0.1 in t, so threads keep replacing the model's
-    # tap table; each call reads the table once, so none mixes two of them
+    # the support flips between neighbouring times, so threads keep replacing
+    # the model's tap table; each call reads the table once, so none mixes
+    # two of them
     rng = np.random.default_rng(66)
     m, n = 4, 3
     ring = 1.5 * named_topology("ring", m)
     full = 1.5 * named_topology("all-to-all", m)
-    coupling = CouplingSchedule(m, lambda t: ring if int(t * 10.0) % 2 else full)
+    ts = np.linspace(0.5, 2.5, 41)
+    # every other time is a knot, ring and all-to-all in turn; between two
+    # knots the support is the all-to-all one
+    knots = ts[::2]
+    coupling = CouplingSchedule.table(knots, [ring if k % 2 else full for k in range(knots.size)])
     model = NetworkModel(m=m, node=chua_node(), output=identity_output(n),
                          coupling=coupling, delays=DelaySchedule.offdiagonal(0.3),
                          kernels=dirac())
     past = smooth_past(rng, m * n)
-    ts = np.linspace(0.5, 2.5, 41)
     want = [rhs(model, t, past) for t in ts]
     results, errors = {}, []
 
@@ -412,7 +447,7 @@ def test_callables_of_the_wrong_shape_are_rejected():
     model = make_example(1, node=node, A=np.zeros((3, 3)), Gamma=np.eye(2))
     with pytest.raises(ValueError, match=r"node field f returned shape \(2, 2\), expected \(3, 2\)"):
         rhs(model, 0.0, Past(lambda s: np.zeros(6)))
-    output = OutputFunction(dim=2, fn=lambda t, u: u.sum(axis=-1), kappa=lambda t: 2.0)
+    output = OutputFunction(dim=2, fn=lambda t, u: u.sum(axis=-1), kappa=2.0)
     with pytest.raises(ValueError, match=r"output g returned shape \(3,\), expected \(3, 2\)"):
         output.eval_rows(0.0, np.zeros((3, 2)))
 
@@ -433,6 +468,8 @@ def test_factory_validation_errors():
                      base=np.array([[-1.0, 0.5], [0.5, -1.0]]), c=1.0)
     with pytest.raises(ValueError):
         make_example(4, node=node, A=good_A, Gamma=np.eye(2))
+    with pytest.raises(ValueError, match="kappa must be nonnegative"):
+        OutputFunction(dim=2, fn=lambda t, u: u, kappa=-1.0)
 
 
 def test_named_topologies_are_normalized():
@@ -499,7 +536,7 @@ def test_assumption_check_finds_output_bound_violation():
     def square(t, u):
         return u * u
 
-    bad_output = OutputFunction(dim=1, fn=square, kappa=lambda t: 1.0)
+    bad_output = OutputFunction(dim=1, fn=square, kappa=1.0)
     node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
     model = NetworkModel(m=2, node=node, output=bad_output,
                          coupling=CouplingSchedule.constant(np.array([[-1.0, 1.0], [1.0, -1.0]])),
@@ -513,24 +550,27 @@ def test_assumption_check_finds_output_bound_violation():
     assert np.linalg.norm(u1 * u1 - u2 * u2) > 1.0 * np.linalg.norm(u1 - u2)
 
 
-def test_assumption_check_finds_negative_delay():
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
-    model = NetworkModel(m=2, node=node, output=identity_output(1),
-                         coupling=CouplingSchedule.constant(np.array([[-1.0, 1.0], [1.0, -1.0]])),
-                         delays=DelaySchedule(lambda i, j, t: np.sin(t)),
-                         kernels=dirac())
-    report = check_assumptions(model, horizon=10.0, sample_budget=400, seed=3)
-    check = report["delay-nonnegative"]
-    assert not check.ok
-    assert np.sin(check.witness["t"]) < 0
-
-
-def test_assumption_check_flags_row_sum_drift():
-    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
-    drifting = CouplingSchedule(2, lambda t: np.array([[-1.0, 1.0 + 0.1 * t], [1.0, -1.0]]),
-                                zero_row_sums=True, nonneg_off_diagonal=True)
-    model = NetworkModel(m=2, node=node, output=identity_output(1),
-                         coupling=drifting, delays=DelaySchedule.zero(), kernels=dirac())
-    report = check_assumptions(model, horizon=5.0, sample_budget=400, seed=4)
-    assert not report["coupling-schedule"].ok
-    assert report["coupling-schedule"].witness["row"] == 0
+def test_coupling_table_breaking_a_demanded_flag_is_rejected():
+    # row sums and off-diagonal entries are affine between knots, so the
+    # flags are decided at the knots; one bad interior knot is enough
+    good = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    drift = np.array([[-1.0, 1.1], [1.0, -1.0]])
+    negative = np.array([[0.5, -0.5], [1.0, -1.0]])
+    times = [0.0, 2.5, 5.0]
+    with pytest.raises(ValueError, match="zero row sums demanded but row 0 breaks it at knot t=2.5"):
+        CouplingSchedule.table(times, [good, drift, good], zero_row_sums=True)
+    with pytest.raises(ValueError, match=r"nonnegative off-diagonal demanded but entry \(0, 1\) "
+                                         r"breaks it at knot t=2.5"):
+        CouplingSchedule.table(times, [good, negative, good], nonneg_off_diagonal=True)
+    with pytest.raises(ValueError, match="zero row sums demanded"):
+        make_example(2, node=linear_node(-np.eye(1)), A=PiecewiseLinear(times, [good, drift, good]),
+                     Gamma=np.eye(1))
+    # undemanded flags are what every knot satisfies
+    flags = CouplingSchedule.table(times, [good, drift, good])
+    assert not flags.zero_row_sums and flags.nonneg_off_diagonal
+    flags = CouplingSchedule.table(times, [good, 2.0 * good, good])
+    assert flags.zero_row_sums and flags.nonneg_off_diagonal
+    # knots must be strictly increasing and finite
+    for bad_times in ([0.0, 5.0, 2.5], [0.0, 2.5, 2.5], [0.0, np.nan, 5.0], [0.0, 2.5, np.inf]):
+        with pytest.raises(ValueError, match="knot times must be"):
+            CouplingSchedule.table(bad_times, [good, good, good])

@@ -7,6 +7,7 @@ import pytest
 
 from delaynet.history import (
     HistoryFunction,
+    PiecewiseLinear,
     Trajectory,
     sup_history_deviation,
     write_trajectory_csv,
@@ -30,23 +31,36 @@ def test_constant_history_evaluates_everywhere_in_the_past():
 
 
 def test_segment_history_switches_to_tail_before_start():
-    seg = HistoryFunction.with_segment(lambda t: np.sin(t)[:, None], start=-2.0)
-    assert seg.eval(-1.0) == pytest.approx([np.sin(-1.0)])
-    assert seg.eval(-2.0) == pytest.approx([np.sin(-2.0)])
-    # beyond the segment the tail is the segment value at the left endpoint
-    assert seg.eval(-10.0) == pytest.approx([np.sin(-2.0)])
-    # one batch call mixes tail and segment times, one row each
-    np.testing.assert_array_equal(seg.eval_many([-10.0, -1.0, 0.0]),
-                                  np.sin([[-2.0], [-1.0], [0.0]]))
+    # sin tabulated at knots on [-2, -0.5]: exact at the knots, linear
+    # between them, the first state before -2 and the last one up to 0
+    times = np.array([-2.0, -1.0, -0.75, -0.5])
+    hist = HistoryFunction.table(times, np.sin(times)[:, None])
+    for t in times:
+        assert hist.eval(t)[0] == np.sin(t)
+    assert hist.eval(-10.0)[0] == np.sin(-2.0)
+    assert hist.eval(-0.25)[0] == hist.eval(0.0)[0] == np.sin(-0.5)
+    assert hist.eval(-1.5)[0] == pytest.approx(0.5 * (np.sin(-2.0) + np.sin(-1.0)), rel=1e-15)
+    assert hist.eval(-0.9)[0] == pytest.approx(0.6 * np.sin(-1.0) + 0.4 * np.sin(-0.75),
+                                               rel=1e-14)
+    # one batch call mixes times before, between and after the knots, one row each
+    ts = [-10.0, -1.5, -1.0, -0.9, 0.0]
+    np.testing.assert_array_equal(hist.eval_many(ts), [hist.eval(t) for t in ts])
 
 
 def test_segment_of_the_wrong_shape_is_rejected():
-    # a per-time segment returns one state, not one row per time
-    seg = HistoryFunction.with_segment(lambda t: np.array([1.0, 2.0]), start=-1.0,
-                                       tail=[1.0, 2.0])
-    assert seg.eval(-5.0) == pytest.approx([1.0, 2.0])
-    with pytest.raises(ValueError, match=r"expected \(3, 2\)"):
-        seg.eval_many([-0.5, -0.25, 0.0])
+    # one state row per knot, knots at t <= 0, strictly increasing and finite
+    with pytest.raises(ValueError, match=r"2 knot times need as many values, got an array of shape \(1, 2\)"):
+        HistoryFunction.table([-1.0, 0.0], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="history knots must be at t <= 0, got t=0.5"):
+        HistoryFunction.table([-1.0, 0.5], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="knot times must be strictly increasing"):
+        HistoryFunction.table([-1.0, -2.0], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="knot times must be finite"):
+        HistoryFunction.table([-np.inf, 0.0], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="value at knot t=-1 is not finite"):
+        HistoryFunction.table([-2.0, -1.0, 0.0], [[1.0], [np.nan], [2.0]])
+    with pytest.raises(ValueError, match="nonempty vectors"):
+        HistoryFunction.constant([])
 
 
 def test_linear_interpolation_between_samples():
@@ -85,8 +99,8 @@ def test_append_rejects_non_monotone_and_non_finite():
 
 
 def test_eval_continuous_across_time_zero():
-    seg = HistoryFunction.with_segment(lambda t: (1.0 + t)[:, None], start=-1.0)
-    traj = Trajectory(seg, node_count=1, node_dim=1)
+    line = HistoryFunction.table([-1.0, 0.0], [[0.0], [1.0]])
+    traj = Trajectory(line, node_count=1, node_dim=1)
     traj.append(0.25, np.array([1.25]))
     for h in (1e-3, 1e-6, 1e-9):
         gap = abs(traj.eval(h)[0] - traj.eval(-h)[0])
@@ -124,10 +138,45 @@ def test_sup_deviation_linear_segment_peaks_at_left_endpoint():
     # history x0 + s*e1 on [-1, 0]: half the squared distance is s^2/2,
     # maximized at s = -1
     x0 = np.array([0.5, 2.0])
-    seg = HistoryFunction.with_segment(
-        lambda s: x0 + np.outer(s, [1.0, 0.0]), start=-1.0)
-    got = sup_history_deviation(seg, x0, np.eye(2))
-    assert got == pytest.approx(0.5, rel=1e-12)
+    line = HistoryFunction.table([-1.0, 0.0], [x0 - [1.0, 0.0], x0])
+    assert sup_history_deviation(line, x0, np.eye(2)) == 0.5
+
+
+def test_sup_deviation_is_exact_at_a_knot_between_sample_points():
+    # a narrow spike at a knot halfway between two points of a 4,097-point
+    # grid on [-1, 0]: the grid misses it entirely, the knots do not
+    P = np.array([[2.0, 0.5], [0.5, 1.0]])
+    x0 = np.array([0.3, -0.7])
+    spike = np.array([1.1, 0.4])
+    peak = -0.5 - 0.5 / 4096
+    hist = HistoryFunction.table([-1.0, peak - 1e-5, peak, peak + 1e-5, 0.0],
+                                 [x0, x0, spike, x0, x0])
+    d = spike - x0
+    assert sup_history_deviation(hist, x0, P) == pytest.approx(0.5 * float(d @ P @ d), rel=1e-15)
+    grid = np.linspace(-1.0, 0.0, 4097)
+    np.testing.assert_allclose(hist.eval_many(grid), np.tile(x0, (grid.size, 1)),
+                               rtol=0, atol=1e-15)
+
+
+def test_table_values_are_exact_at_knots_and_held_outside():
+    rng = np.random.default_rng(17)
+    times = np.sort(rng.uniform(-3.0, 3.0, size=9))
+    values = rng.standard_normal((9, 2, 2))
+    table = PiecewiseLinear(times, values)
+    for t, v in zip(times, values):
+        np.testing.assert_array_equal(table(t), v)
+    np.testing.assert_array_equal(table(times[0] - 1.0), values[0])
+    np.testing.assert_array_equal(table(times[-1] + 1.0), values[-1])
+    for k in range(8):
+        w = rng.uniform()
+        t = times[k] + w * (times[k + 1] - times[k])
+        want = values[k] + (t - times[k]) / (times[k + 1] - times[k]) * (values[k + 1] - values[k])
+        np.testing.assert_allclose(table(t), want, rtol=0, atol=1e-14)
+    # one knot is a constant: the stored array, read-only, at every time
+    single = PiecewiseLinear.constant(values[0])
+    assert np.shares_memory(single(-5.0), single.values)
+    assert not single(0.0).flags.writeable
+    np.testing.assert_array_equal(single.eval_many([-1.0, 0.0, 2.0]), values[[0, 0, 0]])
 
 
 def test_sup_deviation_scales_quadratically():

@@ -171,8 +171,10 @@ def test_convolve_two_atom_average_of_constant_history():
 
 
 def test_convolve_exponential_plan_matches_riemann_oracle():
-    # trajectory carrying sin: exact on the initial segment, dense samples after 0
-    hist = HistoryFunction.with_segment(lambda s: np.sin(s)[:, None], start=-30.0)
+    # trajectory carrying sin: a history table and samples after 0, both at
+    # the plan's 1e-3 node spacing
+    knots = np.arange(-30000, 1) * 1e-3
+    hist = HistoryFunction.table(knots, np.sin(knots)[:, None])
     traj = Trajectory(hist, node_count=1, node_dim=1)
     grid = np.arange(1, 5001) * 1e-3
     for t in grid:

@@ -229,6 +229,39 @@ def test_invalid_probe_domain_exits_2_from_every_command(tmp_path, capsys, probe
         assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, value, literal, where", [
+    (("model", "gamma"), [["X", 0.0], [0.0, 1.0]], "NaN", "$.model.gamma[0][0]"),
+    (("history", "value"), [[0.5, 0.0], [-0.3, "X"], [0.1, -0.4]], "NaN",
+     "$.history.value[1][1]"),
+    (("model", "delays"), {"type": "constant", "tau": "X"}, "NaN", "$.model.delays.tau"),
+    (("model", "delays"), {"type": "constant", "tau": "X"}, "Infinity", "$.model.delays.tau"),
+    (("model", "delays"), {"type": "constant", "tau": "X"}, "1e400", "$.model.delays.tau"),
+    (("model", "coupling"), {"matrix": [[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.5, "X", -1.0]]},
+     "NaN", "$.model.coupling.matrix[2][1]"),
+    (("certificate", "epsilon"), "X", "NaN", "$.certificate.epsilon"),
+    (("model", "node", "matrix"), [[0.0, 1.0], ["X", -0.5]], "NaN", "$.model.node.matrix[1][0]"),
+    (("integrator", "step"), "X", "1" + "0" * 400, "$.integrator.step"),
+], ids=["gamma-nan", "history-nan", "tau-nan", "tau-infinity", "tau-1e400", "coupling-nan",
+        "epsilon-nan", "node-nan", "step-400-digits"])
+def test_non_finite_numbers_exit_2_with_their_path(tmp_path, capsys, keys, value, literal, where):
+    # json.loads admits NaN and Infinity, reads 1e400 as inf and keeps a
+    # 400-digit integer as an int that no double holds; "X" marks the spot
+    doc = json.loads((SCENARIOS / "linear_network.json").read_text(encoding="utf-8"))
+    section = doc
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc).replace('"X"', literal), encoding="utf-8")
+    parsed = json.loads(literal)
+    got = repr(parsed) if isinstance(parsed, float) else "an integer beyond the range of a double"
+    message = f"error: {where}: number must be finite, got {got}"
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")],
+                 ["check-quad", str(path)]):
+        assert main(argv) == 2, argv[0]
+        assert message in capsys.readouterr().err.splitlines()
+
+
 @pytest.mark.parametrize("command", ["run", "check-quad"])
 def test_cli_negative_seed_exits_2_with_a_message(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
