@@ -550,6 +550,27 @@ def test_assumption_check_finds_output_bound_violation():
     assert np.linalg.norm(u1 * u1 - u2 * u2) > 1.0 * np.linalg.norm(u1 - u2)
 
 
+def test_assumption_check_finds_negative_delay():
+    # the delay sin(t) tabulated over the horizon goes negative, so the model
+    # cannot be built and no probe is needed; the knot in the error is one
+    # where sin really is negative
+    times = np.linspace(0.0, 10.0, 41)
+    with pytest.raises(ValueError, match=r"negative delay .* at knot t=") as info:
+        DelaySchedule.table(times, [np.full((2, 2), np.sin(t)) for t in times])
+    t_bad = float(str(info.value).rsplit("t=", 1)[1])
+    assert np.sin(t_bad) < 0
+    # the nonnegative part of the same schedule builds, and the probes that
+    # remain find nothing wrong with the model
+    node = NodeDynamics(dim=1, fn=lambda t, u: -u, lipschitz_hint=1.0)
+    model = NetworkModel(m=2, node=node, output=identity_output(1),
+                         coupling=CouplingSchedule.constant(np.array([[-1.0, 1.0], [1.0, -1.0]])),
+                         delays=DelaySchedule.table(times, [np.full((2, 2), max(np.sin(t), 0.0))
+                                                            for t in times]),
+                         kernels=dirac())
+    report = check_assumptions(model, horizon=10.0, sample_budget=400, seed=3)
+    assert report.ok, report.summary()
+
+
 def test_coupling_table_breaking_a_demanded_flag_is_rejected():
     # row sums and off-diagonal entries are affine between knots, so the
     # flags are decided at the knots; one bad interior knot is enough
