@@ -310,11 +310,13 @@ class _TapTable:
     """The coupling resolved for one support and its delays, as flat arrays.
 
     A tap is one distinct (source j, delay, plan) lookup; pairs that share
-    one share its quadrature nodes.  Per node: its delay, location and
-    source (``plan`` holds the locations and weights, ``starts`` the first
-    node of each tap).  ``slot[k, i]`` is the tap of row i's k-th coupling in
-    j order, and ``coef_at`` where that coupling's a_ij goes in the flat
-    (degree, m) coefficient array.  Slots past a row's last coupling point
+    one share its quadrature nodes.  Per node, as read-only arrays: its lag
+    ``lags`` = tau + s (the tap's delay plus the node's location) and its
+    source node ``sources`` = j, so node q reads x_j(t - lags[q]); ``plan``
+    holds the weights and ``starts`` the first node of each tap.
+    ``slot[k, i]`` is the tap of row i's k-th coupling in j order, and
+    ``coef_at`` where that coupling's a_ij goes in the flat (degree, m)
+    coefficient array.  Slots past a row's last coupling point
     at the zero row appended after the taps, with coefficient 0.0.  A pair
     whose plan has no nodes contributes nothing and gets no slot.
     """
@@ -340,16 +342,16 @@ class _TapTable:
             pair_tap.append(taps[lookup])
         sizes = np.array([len(p) for p in plans], dtype=np.intp)
         self.key = key
-        self.node_tau = np.repeat(np.array(delays, dtype=float), sizes)
         self.plan = QuadraturePlan(
             locations=np.concatenate([p.locations for p in plans] or [np.zeros(0)]),
             weights=np.concatenate([p.weights for p in plans] or [np.zeros(0)]),
             truncation_horizon=max((p.truncation_horizon for p in plans), default=0.0),
             tail_mass_bound=max((p.tail_mass_bound for p in plans), default=0.0))
         self.starts = np.cumsum(sizes) - sizes
-        # row q*m + j of the lookups viewed as (nodes*m, n) is node q's source block
-        self.gather = np.arange(int(sizes.sum())) * m + np.repeat(
-            np.array(sources, dtype=np.intp), sizes)
+        self.lags = np.repeat(np.array(delays, dtype=float), sizes) + self.plan.locations
+        self.sources = np.repeat(np.array(sources, dtype=np.intp), sizes)
+        self.lags.flags.writeable = False
+        self.sources.flags.writeable = False
         self.pad = np.zeros((1, model.n))
         # the k-th coupling of row i goes to slot k; rows are sorted
         rows = np.array(rows, dtype=np.intp)
@@ -364,13 +366,14 @@ class _TapTable:
 def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     """Full network derivative at time t given an evaluator for the past.
 
-    ``past(t)`` is the stacked state vector at t and ``past.eval_many(ts)``
-    the states at an array of times, one row each.  The coupling is compiled
-    into a tap table, kept on the model until its support or delays change;
-    each call then makes one batch lookup, one g call and one segment sum,
-    and f is evaluated once on the (m, n) block of node states.  Raises
-    ``NonFiniteDerivative`` naming the first node whose derivative is not
-    finite.
+    ``past(t)`` is the stacked state vector at t, and
+    ``past.lagged(t, lags, sources)`` the (N, n) block whose row q is
+    x_{sources[q]}(t - lags[q]).  The coupling is compiled into a tap table,
+    kept on the model until its support or delays change; each call then
+    makes one ``lagged`` lookup of the table's ``lags`` and ``sources``, one
+    g call and one segment sum, and f is evaluated once on the (m, n) block
+    of node states.  Raises ``NonFiniteDerivative`` naming the first node
+    whose derivative is not finite.
     """
     m, n = model.m, model.node.dim
     x_now = np.asarray(past(t), dtype=float).ravel()
@@ -389,8 +392,7 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     # symmetric contributions cancel exactly before the node term is added
     coupled = np.zeros((m, n))
     if table.degree:
-        values = past.eval_many((t - table.node_tau) - table.plan.locations)
-        rows = model.output.eval_rows(t, values.reshape(-1, n).take(table.gather, axis=0))
+        rows = model.output.eval_rows(t, past.lagged(t, table.lags, table.sources))
         conv = np.concatenate((table.plan.apply(rows, table.starts), table.pad))
         coef = np.zeros(table.degree * m)
         coef.put(table.coef_at, A.take(table.pairs))

@@ -185,6 +185,15 @@ class Trajectory:
         """State at time t <= last sample; exact at samples, initial for t <= 0."""
         return self.eval_many([t])[0]
 
+    __call__ = eval
+
+    def lagged(self, t: float, lags: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """The (N, node_dim) block whose row q is node sources[q]'s state at
+        t - lags[q]: the lookup ``rhs`` makes for its quadrature nodes."""
+        rows = self.eval_many(t - np.asarray(lags, dtype=float))
+        return rows.reshape(rows.shape[0], self.node_count, self.node_dim)[
+            np.arange(rows.shape[0]), sources]
+
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """States at an array of times (all <= last sample), one row each."""
         ts = np.asarray(ts, dtype=float).ravel()

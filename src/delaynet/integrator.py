@@ -1,13 +1,16 @@
 """Fixed-step explicit integration of delay-coupled networks.
 
-Each step evaluates the network derivative through an evaluator over the
-whole past: committed samples come from the trajectory, the time at the
-current Runge-Kutta stage returns the stage vector itself (so the undelayed
-part of the coupling sees classical RK4), and the rare lookup strictly
+Each stage evaluates the network derivative through one past evaluator per
+run, which serves the right-hand side's lookups in three classes: a lag of
+zero returns the stage vector itself (so the undelayed part of the coupling
+sees classical RK4); a lag landing on committed samples blends two of them,
+or reads the initial history before t = 0; and the rare lag strictly
 between the last committed sample and the stage time falls back to
 first-order extrapolation and is counted on the returned trajectory as
 ``stage_extrapolation_count``.  Such lookups occur only when some effective
-delay is positive but smaller than the step.
+delay is positive but smaller than the step.  With a fixed step, a lag seen
+from stage offset c always lands at the same sample offset and weight, so
+each (lags, c) is resolved once into a plan that every later step reuses.
 
 Integration halts with ``BlowUpError`` as soon as a state component leaves
 [-1e12, 1e12] or turns non-finite.  A run is strictly sequential; independent
@@ -70,48 +73,125 @@ class IntegratorConfig:
         return round(self.horizon / self.h)
 
 
-class _StagePast:
-    """Past evaluator used inside one RK stage.
+class _LookupPlan:
+    """The lookups of one (lags, sources) at one stage offset c, resolved
+    into the three classes of ``_StagePast``.
 
-    Lookup rules, in order: the stage time itself returns the stage vector;
-    times at or before the last committed sample go to the trajectory; times
-    in between are extrapolated linearly from the committed state and
-    counted.  Times past the stage are a contract violation.  ``eval_many``
-    holds these rules; a scalar call other than at the stage time delegates
-    to it.
+    The nodes are laid out in plan order: at-stage ones up to
+    ``at_stage_end``, sub-step ones up to ``sub_step_end``, then committed
+    ones sorted by their sample offset, so that at step k the ones still
+    before t = 0 (offset < -k) form a prefix of them; ``position[q]`` is
+    node q's place in that order.  ``cols`` holds, for each at-stage and
+    sub-step node, the n flat indices of its source block in a state
+    vector, and ``initial_cols`` the same for committed ones read from the
+    initial history, row by row.  ``lo`` and ``hi`` are the flat indices,
+    relative to sample k, of the two samples a committed node blends;
+    ``hi`` equals ``lo`` at offset 0, where theta is 0, so no row after the
+    last committed sample is read.
     """
 
-    def __init__(self, traj: Trajectory, t_base: float, x_base: np.ndarray,
-                 t_stage: float, x_stage: np.ndarray, slope: np.ndarray | None):
+    def __init__(self, lags: np.ndarray, sources: np.ndarray, c: float, h: float,
+                 node_dim: int, dim: int):
+        if not np.all(np.isfinite(lags) & (lags >= 0.0)):
+            raise ValueError("lookup lags must be finite and nonnegative")
+        r = c - lags / h
+        at_stage = lags == 0.0
+        sub_step = ~at_stage & (r > 0.0)
+        committed = np.flatnonzero(~(at_stage | sub_step))
+        order = np.concatenate([np.flatnonzero(at_stage), np.flatnonzero(sub_step),
+                                committed[np.argsort(np.floor(r[committed]), kind="stable")]])
+        self.position = np.argsort(order)
+        a = self.at_stage_end = int(np.count_nonzero(at_stage))
+        b = self.sub_step_end = a + int(np.count_nonzero(sub_step))
+        lags, r = lags[order], r[order]
+        cols = np.asarray(sources, dtype=np.intp)[order, None] * node_dim + np.arange(node_dim)
+        self.cols = cols[:b]
+        self.sub_step_dt = (c * h - lags[a:b])[:, None]
+        offsets = np.floor(r[b:])
+        theta = (r[b:] - offsets)[:, None]
+        self.offsets = offsets.astype(np.intp)
+        self.committed_lags = lags[b:]
+        self.initial_cols = np.arange(offsets.size)[:, None] * dim + cols[b:]
+        self.lo = self.offsets[:, None] * dim + cols[b:]
+        self.hi = self.lo + np.where(self.offsets < 0, dim, 0)[:, None]
+        self.w_lo = 1.0 - theta
+        self.w_hi = theta
+
+
+class _StagePast:
+    """The past the right-hand side sees inside the RK stages of one run.
+
+    One instance serves the whole run and is moved from stage to stage.
+    ``past(t)`` at the stage time is the stage vector.  ``lagged(t, lags,
+    sources)`` splits each lookup by its lag, with r = c - lag/h for the
+    stage offset c:
+
+    - at-stage, lag = 0: read from the stage vector;
+    - sub-step, 0 < lag < c*h (r > 0), only when a delay is below the step:
+      extrapolated linearly from the committed state at the step start with
+      the step's first slope, and counted;
+    - committed, the rest: from stage time (k + c)h the lookup lands at
+      (k + r)h, between samples k + floor(r) and the next one, with weight
+      theta = r - floor(r).  Lookups still before t = 0 go to the initial
+      history, which stays exact on tables; the rest blend two samples.
+
+    The split, offsets and weights are resolved once into a ``_LookupPlan``
+    per stage offset.  The cache is keyed on the identity of the ``lags``
+    array, which it holds, and is replaced whole when ``rhs`` passes another
+    one, so a run whose tap table recompiles at every stage holds at most
+    one plan per stage offset.
+    """
+
+    def __init__(self, traj: Trajectory, h: float):
         self.traj = traj
-        self.t_base = t_base
-        self.x_base = x_base
+        self.h = h
+        self.extrapolations = 0
+        self._lags = None
+        self._plans: dict[float, _LookupPlan] = {}
+
+    def move(self, k: int, c: float, t_stage: float, x_stage: np.ndarray,
+             x_base: np.ndarray, slope: np.ndarray | None) -> None:
+        """Enter the stage at offset c of step k, whose start state is x_base."""
+        self.k = k
+        self.c = c
         self.t_stage = t_stage
         self.x_stage = x_stage
+        self.x_base = x_base
         self.slope = slope
-        self.extrapolations = 0
 
     def __call__(self, t: float) -> np.ndarray:
-        if t == self.t_stage:
-            return self.x_stage
-        return self.eval_many([t])[0]
+        if t != self.t_stage:
+            raise AssertionError("stage past read away from the stage time")
+        return self.x_stage
 
-    def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float).ravel()
-        if np.any(ts > self.t_stage):
-            raise AssertionError("stage lookup past the stage time")
-        out = np.empty((ts.size, self.x_stage.size))
-        at_stage = ts == self.t_stage
-        committed = ts <= self.t_base
-        between = ~(at_stage | committed)
-        if at_stage.any():
-            out[at_stage] = self.x_stage
-        if committed.any():
-            out[committed] = self.traj.eval_many(ts[committed])
-        if between.any():
-            self.extrapolations += int(np.count_nonzero(between))
-            out[between] = self.x_base + (ts[between, None] - self.t_base) * self.slope
-        return out
+    def lagged(self, t: float, lags: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        if t != self.t_stage:
+            raise AssertionError("stage lookup away from the stage time")
+        if lags is not self._lags:
+            self._lags, self._plans = lags, {}
+        plan = self._plans.get(self.c)
+        if plan is None:
+            plan = self._plans[self.c] = _LookupPlan(
+                lags, sources, self.c, self.h, self.traj.node_dim, self.traj.dim)
+        a, b = plan.at_stage_end, plan.sub_step_end
+        out = np.empty((lags.size, self.traj.node_dim))
+        if a:
+            out[:a] = self.x_stage.take(plan.cols[:a])
+        if b > a:
+            self.extrapolations += b - a
+            out[a:b] = (self.x_base.take(plan.cols[a:b])
+                        + plan.sub_step_dt * self.slope.take(plan.cols[a:b]))
+        p = int(np.searchsorted(plan.offsets, -self.k))
+        if p:
+            # the offset puts these before t = 0; the clamp only absorbs rounding
+            rows = self.traj.initial.eval_many(np.minimum(t - plan.committed_lags[:p], 0.0))
+            out[b:b + p] = rows.take(plan.initial_cols[:p])
+        if b + p < lags.size:
+            states = self.traj.states
+            base = self.k * self.traj.dim
+            out[b + p:] = (plan.w_lo[p:] * states.take(plan.lo[p:] + base)
+                           + plan.w_hi[p:] * states.take(plan.hi[p:] + base))
+        return out.take(plan.position, axis=0)
 
 
 def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:
@@ -125,23 +205,22 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     traj.stage_extrapolation_count = 0
     stages, divisor = _TABLEAUS[config.method]
     h = config.h
+    past = _StagePast(traj, h)
     x = traj.states[0].copy()
     _guard_state(0.0, x, traj)
     for k in range(config.steps):
         t = k * h
         ks: list[np.ndarray] = []
-        extrapolations = 0
         try:
             for c, a, _ in stages:
                 if ks:
-                    past = _StagePast(traj, t, x, t + c * h, x + (a * h) * ks[-1], ks[0])
+                    past.move(k, c, t + c * h, x + (a * h) * ks[-1], x, ks[0])
                 else:
-                    past = _StagePast(traj, t, x, t, x, None)
+                    past.move(k, 0.0, t, x, x, None)
                 ks.append(rhs(model, past.t_stage, past))
-                extrapolations += past.extrapolations
         except NonFiniteDerivative as exc:
             raise BlowUpError(t, traj, str(exc)) from exc
-        traj.stage_extrapolation_count += extrapolations
+        traj.stage_extrapolation_count = past.extrapolations
         incr = stages[0][2] * ks[0]
         for (_, _, b), k_stage in zip(stages[1:], ks[1:]):
             incr = incr + b * k_stage

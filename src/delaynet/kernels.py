@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# a density plan larger than this is refused before it is allocated; the
+# bundled scenarios use 2,236 nodes per plan
+_MAX_DENSITY_NODES = 1_000_000
+
+
 @dataclass(frozen=True)
 class ExponentialDensity:
     """Density ``weight * rate * exp(-rate*s)`` on [0, inf); signed mass = weight."""
@@ -240,9 +245,11 @@ def build_quadrature(kernel: DelayKernel, tail_tol: float, node_spacing: float) 
 
     The density is truncated at the smallest horizon whose analytic tail mass
     is <= ``tail_tol`` (bounded supports are kept whole), then sampled on a
-    grid no coarser than ``node_spacing``.  Trapezoid weights are rescaled so
-    their sum equals the exact truncated mass, which keeps the plan's
-    absolute weight sum within the kernel's total variation.
+    grid no coarser than ``node_spacing``.  A grid of more than
+    ``_MAX_DENSITY_NODES`` nodes is refused, before anything is allocated,
+    with a ``ValueError`` naming ``node_spacing``.  Trapezoid weights are
+    rescaled so their sum equals the exact truncated mass, which keeps the
+    plan's absolute weight sum within the kernel's total variation.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -260,7 +267,13 @@ def build_quadrature(kernel: DelayKernel, tail_tol: float, node_spacing: float) 
         end, tail = density.truncation(tail_tol)
         horizon = max(horizon, end)
         if end > start:
-            n_intervals = max(1, math.ceil((end - start) / node_spacing - 1e-12))
+            intervals = (end - start) / node_spacing
+            if not intervals <= _MAX_DENSITY_NODES - 1:
+                raise ValueError(
+                    f"node_spacing {node_spacing!r} gives {intervals + 1:.4g} quadrature nodes "
+                    f"on the density over [{start:.6g}, {end:.6g}], more than the "
+                    f"{_MAX_DENSITY_NODES:,} allowed")
+            n_intervals = max(1, math.ceil(intervals - 1e-12))
             grid = np.linspace(start, end, n_intervals + 1)
             step = (end - start) / n_intervals
             coeff = np.full(grid.shape, step)

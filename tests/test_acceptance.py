@@ -114,16 +114,21 @@ def test_criterion_04_quadrature_oracle():
 class _AnalyticPast:
     """Smooth vector profile sin(omega t + phase), queryable at any time."""
 
-    def __init__(self, dim: int, rng: np.random.Generator):
-        self.omega = rng.uniform(0.5, 2.0, size=dim)
-        self.phase = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    def __init__(self, node_count: int, node_dim: int, rng: np.random.Generator):
+        self.node_count = node_count
+        self.node_dim = node_dim
+        self.omega = rng.uniform(0.5, 2.0, size=node_count * node_dim)
+        self.phase = rng.uniform(0.0, 2.0 * np.pi, size=node_count * node_dim)
 
     def eval(self, t: float) -> np.ndarray:
         return np.sin(self.omega * float(t) + self.phase)
 
-    def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.sin(np.outer(ts, self.omega) + self.phase)
+    def lagged(self, t: float, lags, sources) -> np.ndarray:
+        """Row q is node sources[q]'s block of the profile at t - lags[q]."""
+        lags = np.asarray(lags, dtype=float)
+        rows = np.sin(np.outer(t - lags, self.omega) + self.phase)
+        return rows.reshape(lags.size, self.node_count, self.node_dim)[
+            np.arange(lags.size), sources]
 
     __call__ = eval
 
@@ -145,7 +150,7 @@ def test_criterion_05_reduction_equivalence():
     model1 = make_example(1, node=node, A=A1, Gamma=Gamma1)
     for _ in range(100):
         t = float(rng.uniform(0.0, 10.0))
-        past = _AnalyticPast(m * n, rng)
+        past = _AnalyticPast(m, n, rng)
         x = past.eval(t).reshape(m, n)
         hand = np.empty((m, n))
         for i in range(m):
@@ -167,7 +172,7 @@ def test_criterion_05_reduction_equivalence():
     model3 = make_example(3, node=node3, Gamma=np.diag(gdiag), tau=tau, A=A3)
     for _ in range(100):
         t = float(rng.uniform(1.0, 10.0))
-        past = _AnalyticPast(9, rng)
+        past = _AnalyticPast(3, 3, rng)
         x_now = past.eval(t).reshape(3, 3)
         x_del = past.eval(t - tau).reshape(3, 3)
         hand = np.empty((3, 3))

@@ -29,21 +29,24 @@ from delaynet.kernels import dirac, exponential, mixture, uniform
 
 
 class Past:
-    """A past given pointwise by ``fn``, with the batch lookup ``rhs`` makes.
+    """A past given pointwise by ``fn``, the stacked state of nodes of
+    dimension ``n``, with the lookup ``rhs`` makes.
 
-    ``points`` counts the times looked up in batches.
+    ``points`` counts the lagged lookups.
     """
 
-    def __init__(self, fn):
+    def __init__(self, fn, n):
         self.fn = fn
+        self.n = n
         self.points = 0
 
     def __call__(self, t):
         return self.fn(t)
 
-    def eval_many(self, ts):
-        self.points += len(ts)
-        return np.array([self.fn(s) for s in ts])
+    def lagged(self, t, lags, sources):
+        self.points += len(lags)
+        return np.array([self.fn(t - lag)[j * self.n:(j + 1) * self.n]
+                         for lag, j in zip(lags, sources)])
 
 
 def pairwise_rhs(model, t, past):
@@ -88,7 +91,7 @@ def test_uncoupled_linear_node_rhs():
     model = NetworkModel(m=1, node=node, output=identity_output(1),
                          coupling=CouplingSchedule.constant(np.zeros((1, 1))),
                          delays=DelaySchedule.zero(), kernels=dirac())
-    out = rhs(model, 0.7, Past(lambda t: np.array([1.0])))
+    out = rhs(model, 0.7, Past(lambda t: np.array([1.0]), 1))
     assert out == pytest.approx([-1.0], abs=0.0)
 
 
@@ -102,7 +105,7 @@ def test_example_1_matches_hand_coded_reduction():
     for _ in range(100):
         t = rng.uniform(0.0, 10.0)
         x = rng.standard_normal(m * n)
-        got = rhs(model, t, Past(lambda s: x))
+        got = rhs(model, t, Past(lambda s: x, n))
         X = x.reshape(m, n)
         want = np.stack([B @ X[i] + sum(A[i, j] * (Gamma @ X[j]) for j in range(m))
                          for i in range(m)]).ravel()
@@ -125,7 +128,7 @@ def test_example_2_time_varying_coupling_and_output():
                          Gamma=PiecewiseLinear(times, Gs))
     for t in [*rng.uniform(-2.0, 22.0, size=100), *times[::7]]:
         x = rng.standard_normal(m * n)
-        got = rhs(model, t, Past(lambda s: x))
+        got = rhs(model, t, Past(lambda s: x, n))
         X = x.reshape(m, n)
         At, Gt = lerp(times, As, t), lerp(times, Gs, t)
         want = np.stack([B @ X[i] + sum(At[i, j] * (Gt @ X[j]) for j in range(m))
@@ -147,7 +150,7 @@ def test_example_3_matches_difference_coupling_both_conventions():
             t = rng.uniform(1.0, 5.0)
             p0 = rng.standard_normal(m * n)
             p1 = rng.standard_normal(m * n)
-            past = Past(lambda s, p0=p0, p1=p1: p0 + s * p1)
+            past = Past(lambda s, p0=p0, p1=p1: p0 + s * p1, n)
             got = rhs(model, t, past)
             now = past(t).reshape(m, n)
             lagged = past(t - tau).reshape(m, n)
@@ -165,7 +168,7 @@ def test_example_3_zero_strength_decouples():
                          topology="ring", c=0.0, m=4)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(12)
-    got = rhs(model, 2.0, Past(lambda s: x))
+    got = rhs(model, 2.0, Past(lambda s: x, 3))
     want = np.concatenate([node.eval(2.0, x[3 * i:3 * i + 3]) for i in range(4)])
     np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -180,8 +183,8 @@ def test_coupling_term_is_linear_in_matrix_entries():
     m2 = make_example(1, node=node, A=2.0 * A, Gamma=Gamma)
     x = rng.standard_normal(m * n)
     f_only = np.concatenate([node.eval(0.0, x[n * i:n * i + n]) for i in range(m)])
-    c1 = rhs(m1, 0.0, Past(lambda s: x)) - f_only
-    c2 = rhs(m2, 0.0, Past(lambda s: x)) - f_only
+    c1 = rhs(m1, 0.0, Past(lambda s: x, n)) - f_only
+    c2 = rhs(m2, 0.0, Past(lambda s: x, n)) - f_only
     np.testing.assert_allclose(c2, 2.0 * c1, atol=1e-12)
 
 
@@ -198,17 +201,18 @@ def test_batched_and_scalar_past_agree_with_distributed_kernels():
 
     p0 = rng.standard_normal(m * n)
     p1 = rng.standard_normal(m * n)
-    past = Past(lambda s: p0 + np.sin(s) * p1)
+    past = Past(lambda s: p0 + np.sin(s) * p1, n)
     t = 3.0
     np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
                                rtol=0, atol=1e-12)
 
 
-def smooth_past(rng, dim):
+def smooth_past(rng, m, n):
+    dim = m * n
     p0 = rng.standard_normal(dim)
     p1 = rng.standard_normal(dim)
     omega = rng.uniform(0.5, 2.0, size=dim)
-    return Past(lambda s: p0 + np.sin(omega * s) * p1)
+    return Past(lambda s: p0 + np.sin(omega * s) * p1, n)
 
 
 def test_rhs_matches_pairwise_oracle_on_sparse_rows_and_a_kernel_grid():
@@ -232,7 +236,7 @@ def test_rhs_matches_pairwise_oracle_on_sparse_rows_and_a_kernel_grid():
                          coupling=CouplingSchedule.constant(A),
                          delays=DelaySchedule.constant(delays), kernels=grid,
                          node_spacing=1e-2)
-    past = smooth_past(rng, m * n)
+    past = smooth_past(rng, m, n)
     for t in (0.5, 2.0, 3.25):
         np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
                                    rtol=0, atol=1e-12)
@@ -252,7 +256,7 @@ def test_shared_lookups_are_made_once():
     model = NetworkModel(m=m, node=chua_node(), output=linear_output(np.eye(n)),
                          coupling=CouplingSchedule.constant(A),
                          delays=DelaySchedule.constant(0.2), kernels=ker, node_spacing=1e-2)
-    past = smooth_past(rng, m * n)
+    past = smooth_past(rng, m, n)
     got = rhs(model, 1.0, past)
     assert past.points == m * len(model.plans[0][0])
     np.testing.assert_allclose(got, pairwise_rhs(model, 1.0, past), rtol=0, atol=1e-12)
@@ -270,7 +274,7 @@ def test_rhs_follows_a_coupling_whose_support_changes():
     model = NetworkModel(m=m, node=chua_node(), output=identity_output(n),
                          coupling=coupling, delays=DelaySchedule.offdiagonal(0.3),
                          kernels=dirac())
-    past = smooth_past(rng, m * n)
+    past = smooth_past(rng, m, n)
     first = rhs(model, 0.5, past)
     np.testing.assert_array_equal(np.flatnonzero(model.coupling.matrix(0.5)),
                                   np.flatnonzero(ring))
@@ -294,7 +298,7 @@ def test_rhs_with_a_delay_table_matches_oracle():
                          coupling=CouplingSchedule.constant(random_zero_row_sum_matrix(rng, m)),
                          delays=DelaySchedule.table(times, Ds),
                          kernels=mixture(dirac(0.0, 0.5), dirac(0.2, 0.5)))
-    past = smooth_past(rng, m * n)
+    past = smooth_past(rng, m, n)
     for t in (0.3, 1.7, 2.0, 4.0, 6.0):
         np.testing.assert_allclose(model.delays.matrix(t, m), lerp(times, Ds, t),
                                    rtol=0, atol=1e-15)
@@ -311,7 +315,7 @@ def test_single_node_network_matches_oracle():
                          delays=DelaySchedule.constant(0.25),
                          kernels=mixture(dirac(0.0, 0.3), uniform(0.0, 0.5, weight=0.7)),
                          node_spacing=1e-2)
-    past = smooth_past(rng, 2)
+    past = smooth_past(rng, 1, 2)
     np.testing.assert_allclose(rhs(model, 2.0, past), pairwise_rhs(model, 2.0, past),
                                rtol=0, atol=1e-12)
 
@@ -343,7 +347,7 @@ def test_rows_without_a_coupling_never_read_a_tap():
     model = NetworkModel(m=3, node=linear_node(-np.eye(1)), output=identity_output(1),
                          coupling=CouplingSchedule.constant(A),
                          delays=DelaySchedule.constant(0.5), kernels=dirac())
-    past = Past(lambda s: np.array([0.0, 0.0, np.inf if s < 1.0 else 0.0]))
+    past = Past(lambda s: np.array([0.0, 0.0, np.inf if s < 1.0 else 0.0]), 1)
     with pytest.raises(NonFiniteDerivative) as exc:
         rhs(model, 1.0, past)
     assert exc.value.node == 2
@@ -365,7 +369,7 @@ def test_threads_sharing_a_model_get_the_single_thread_results():
     model = NetworkModel(m=m, node=chua_node(), output=identity_output(n),
                          coupling=coupling, delays=DelaySchedule.offdiagonal(0.3),
                          kernels=dirac())
-    past = smooth_past(rng, m * n)
+    past = smooth_past(rng, m, n)
     want = [rhs(model, t, past) for t in ts]
     results, errors = {}, []
 
@@ -411,7 +415,7 @@ def test_rhs_reports_non_finite_with_node_index():
                          coupling=CouplingSchedule.constant(np.zeros((2, 2))),
                          delays=DelaySchedule.zero(), kernels=dirac())
     with pytest.raises(NonFiniteDerivative, match="node index 0") as exc:
-        rhs(model, 1.5, Past(lambda s: np.zeros(2)))
+        rhs(model, 1.5, Past(lambda s: np.zeros(2), 1))
     assert exc.value.t == 1.5
     assert exc.value.node == 0
 
@@ -424,7 +428,7 @@ def test_rhs_reports_non_finite_with_node_index():
                          coupling=CouplingSchedule.constant(np.zeros((3, 3))),
                          delays=DelaySchedule.zero(), kernels=dirac())
     with pytest.raises(NonFiniteDerivative, match="node index 2") as exc:
-        rhs(model, 0.5, Past(lambda s: np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0])))
+        rhs(model, 0.5, Past(lambda s: np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0]), 2))
     assert exc.value.node == 2
 
 
@@ -436,7 +440,7 @@ def test_rhs_leaves_the_stage_vector_unchanged():
     model = make_example(1, node=node, A=A, Gamma=np.eye(2))
     x = np.array([1.0, 2.0, 3.0, 5.0])
     kept = x.copy()
-    got = rhs(model, 0.0, Past(lambda s: x))
+    got = rhs(model, 0.0, Past(lambda s: x, 2))
     np.testing.assert_array_equal(x, kept)
     np.testing.assert_array_equal(got, [3.0, 5.0, 1.0, 2.0])
 
@@ -446,7 +450,7 @@ def test_callables_of_the_wrong_shape_are_rejected():
     node = NodeDynamics(dim=2, fn=lambda t, u: np.array([-u[0], -u[1]]))
     model = make_example(1, node=node, A=np.zeros((3, 3)), Gamma=np.eye(2))
     with pytest.raises(ValueError, match=r"node field f returned shape \(2, 2\), expected \(3, 2\)"):
-        rhs(model, 0.0, Past(lambda s: np.zeros(6)))
+        rhs(model, 0.0, Past(lambda s: np.zeros(6), 2))
     output = OutputFunction(dim=2, fn=lambda t, u: u.sum(axis=-1), kappa=2.0)
     with pytest.raises(ValueError, match=r"output g returned shape \(3,\), expected \(3, 2\)"):
         output.eval_rows(0.0, np.zeros((3, 2)))

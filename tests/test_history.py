@@ -118,6 +118,19 @@ def test_eval_many_matches_scalar_eval_and_handles_past():
         np.testing.assert_array_equal(row, traj.eval(t))
 
 
+def test_lagged_reads_each_source_block_at_its_own_lag():
+    rng = np.random.default_rng(12)
+    hist = HistoryFunction.table([-2.0, -0.5], rng.standard_normal((2, 6)))
+    traj = Trajectory(hist, node_count=3, node_dim=2)
+    for k in range(1, 20):
+        traj.append(0.1 * k, rng.standard_normal(6))
+    lags = np.array([0.0, 0.05, 0.3, 1.9, 3.0, 0.3])
+    sources = np.array([2, 0, 1, 2, 0, 0])
+    got = traj.lagged(1.9, lags, sources)
+    for row, lag, j in zip(got, lags, sources):
+        np.testing.assert_array_equal(row, traj(1.9 - lag)[2 * j:2 * j + 2])
+
+
 def test_sup_deviation_zero_for_history_at_reference():
     hist = HistoryFunction.constant([2.0, -1.0])
     traj = Trajectory(hist, node_count=1, node_dim=2)

@@ -12,6 +12,8 @@ from delaynet.dynamics import (
     NodeDynamics,
     identity_output,
     linear_node,
+    linear_output,
+    named_topology,
     rhs,
 )
 from delaynet.history import HistoryFunction, Trajectory
@@ -76,7 +78,8 @@ def test_distributed_delay_rhs_at_zero():
     # x' = -integral of x(t-s) e^{-s} ds with constant history c: slope -c
     c = 3.0
     model = scalar_delay_model(a=-1.0, tau=0.0, kernel=exponential(1.0))
-    got = rhs(model, 0.0, HistoryFunction.constant([c]))
+    past = Trajectory(HistoryFunction.constant([c]), node_count=1, node_dim=1)
+    got = rhs(model, 0.0, past)
     assert abs(got[0] - (-c)) < 1e-9
 
 
@@ -137,6 +140,12 @@ def test_stage_lookups_inside_step_are_counted():
     traj0 = integrate(undelayed, HistoryFunction.constant([1.0]),
                       IntegratorConfig(method="rk4", h=h, horizon=0.1))
     assert traj0.stage_extrapolation_count == 0
+    # a lag of exactly h/2 lands on the committed sample at the two midpoint
+    # stages and inside the step only at the last one
+    half = scalar_delay_model(a=-1.0, tau=h / 2)
+    traj_half = integrate(half, HistoryFunction.constant([1.0]),
+                          IntegratorConfig(method="rk4", h=h, horizon=0.1))
+    assert traj_half.stage_extrapolation_count == 50
 
 
 def test_tiny_delay_run_stays_close_to_undelayed_limit():
@@ -145,6 +154,96 @@ def test_tiny_delay_run_stays_close_to_undelayed_limit():
     fast = scalar_delay_model(a=-1.0, tau=1e-6)
     val = integrate(fast, HistoryFunction.constant([1.0]), cfg).eval(1.0)[0]
     assert abs(val - math.exp(-1.0)) < 1e-4
+
+
+class OracleStagePast:
+    """The stage lookup rule written out on lookup times: the stage vector
+    at the stage time, ``Trajectory.eval_many`` at or before the step start,
+    and a counted first-order extrapolation in between."""
+
+    def __init__(self, traj, t_base, x_base, t_stage, x_stage, slope):
+        self.traj, self.t_base, self.x_base = traj, t_base, x_base
+        self.t_stage, self.x_stage, self.slope = t_stage, x_stage, slope
+        self.extrapolations = 0
+
+    def __call__(self, t):
+        assert t == self.t_stage
+        return self.x_stage
+
+    def lagged(self, t, lags, sources):
+        ts = t - np.asarray(lags)
+        rows = np.empty((ts.size, self.x_stage.size))
+        at_stage, committed = ts == self.t_stage, ts <= self.t_base
+        between = ~(at_stage | committed)
+        rows[at_stage] = self.x_stage
+        if committed.any():
+            rows[committed] = self.traj.eval_many(ts[committed])
+        rows[between] = self.x_base + (ts[between, None] - self.t_base) * self.slope
+        self.extrapolations += int(between.sum())
+        n = self.traj.node_dim
+        return rows.reshape(ts.size, -1, n)[np.arange(ts.size), sources]
+
+
+def oracle_rk4(model, initial, h, steps):
+    """Classical RK4 over ``OracleStagePast``; returns (trajectory, count)."""
+    traj = Trajectory(initial, node_count=model.m, node_dim=model.n)
+    x, count = traj.states[0].copy(), 0
+    for k in range(steps):
+        t, ks = k * h, []
+        for c, a in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
+            x_stage = x + (a * h) * ks[-1] if ks else x
+            past = OracleStagePast(traj, t, x, t + c * h, x_stage, ks[0] if ks else None)
+            ks.append(rhs(model, t + c * h, past))
+            count += past.extrapolations
+        x = x + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        traj.append((k + 1) * h, x)
+    return traj, count
+
+
+def oracle_network(m=2, coupling=None, delays=None, kernels=None, node_spacing=1e-3):
+    node = linear_node([[-0.5, 1.0], [-1.0, -0.5]])
+    if coupling is None:
+        coupling = CouplingSchedule.constant(0.8 * named_topology("ring", m))
+    return NetworkModel(m=m, node=node, output=linear_output([[1.0, 0.2], [0.0, 0.5]]),
+                        coupling=coupling, delays=delays or DelaySchedule.offdiagonal(0.3),
+                        kernels=kernels or dirac(), node_spacing=node_spacing)
+
+
+def oracle_cases():
+    ring, full = 0.8 * named_topology("ring", 3), 0.8 * named_topology("all-to-all", 3)
+    history = HistoryFunction.table([-3.3, -1.2345, -0.517, -0.0123],
+                                    [[0.2, -0.4, 1.0, 0.3], [0.7, 0.1, -0.2, 0.5],
+                                     [-0.3, 0.6, 0.4, -0.1], [0.5, -0.5, 0.25, 0.0]])
+    constant = HistoryFunction.constant([0.5, -0.5, 0.25, 0.0])
+    yield "on-grid", oracle_network(delays=DelaySchedule.offdiagonal(0.3)), constant, 0.01, 100
+    yield "off-grid", oracle_network(delays=DelaySchedule.constant(0.373)), constant, 0.01, 100
+    yield "below-h", oracle_network(delays=DelaySchedule.constant(0.0007)), constant, 0.002, 100
+    yield "mixture-over-table", oracle_network(
+        delays=DelaySchedule.constant(np.array([[0.0, 0.05], [0.137, 0.0]])),
+        kernels=mixture(dirac(0.0, 0.5), exponential(3.0, 0.5)), node_spacing=1e-2), \
+        history, 0.01, 60
+    yield "support-changes", oracle_network(
+        m=3, coupling=CouplingSchedule.table([0.3, 0.5], [ring, full]),
+        delays=DelaySchedule.offdiagonal(0.05)), \
+        HistoryFunction.constant([0.5, -0.5, 0.25, 0.0, -0.1, 0.3]), 0.01, 80
+    yield "delay-table", oracle_network(
+        delays=DelaySchedule.table([0.0, 0.61], [np.full((2, 2), 0.1), [[0.0, 0.25], [0.4, 0.0]]]),
+        kernels=mixture(dirac(0.0, 0.5), dirac(0.07, 0.5))), history, 0.01, 80
+    yield "uncoupled", oracle_network(coupling=CouplingSchedule.constant(np.zeros((2, 2)))), \
+        history, 0.01, 50
+
+
+@pytest.mark.parametrize("name, model, initial, h, steps", oracle_cases(),
+                         ids=[case[0] for case in oracle_cases()])
+def test_integrate_matches_the_lookup_oracle(name, model, initial, h, steps):
+    traj = integrate(model, initial, IntegratorConfig(method="rk4", h=h, horizon=steps * h))
+    want, count = oracle_rk4(model, initial, h, steps)
+    np.testing.assert_array_equal(traj.times, want.times)
+    assert np.max(np.abs(traj.states - want.states)) <= 1e-12
+    assert traj.stage_extrapolation_count == count
+    # a delay below h, the density's first nodes and a diagonal delay
+    # shrinking to 0 land inside the step; no lag is exactly c*h for a stage
+    assert (count > 0) == (name in ("below-h", "mixture-over-table", "delay-table"))
 
 
 def convolution(plan, traj, t, tau):

@@ -1,6 +1,7 @@
 """Delay kernel construction, total variation, and quadrature plans."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_atoms_become_exact_nodes_regardless_of_spacing():
     assert plan.locations[0] == 0.7
     assert plan.weights[0] == 2.5
     assert plan.tail_mass_bound == 0.0
+
+
+@pytest.mark.parametrize("kernel, spacing, nodes", [
+    (exponential(2.0), 1e-12, "1.151e+13"),
+    (uniform(0.0, 1.0), 1e-12, "1e+12"),
+    (mixture(dirac(0.3), uniform(0.5, 1.5)), 5e-324, "inf"),
+])
+def test_oversized_density_plan_is_refused(kernel, spacing, nodes):
+    # refused before the grid is allocated; an atom-only kernel never sees
+    # the spacing
+    message = re.escape(f"node_spacing {spacing!r} gives {nodes} quadrature nodes")
+    with pytest.raises(ValueError, match=message + ".* more than the 1,000,000 allowed"):
+        build_quadrature(kernel, tail_tol=1e-10, node_spacing=spacing)
+    assert len(build_quadrature(dirac(0.7), tail_tol=1e-10, node_spacing=spacing)) == 1
 
 
 def test_plan_weight_sum_bounded_by_total_variation():

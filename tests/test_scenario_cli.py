@@ -262,6 +262,19 @@ def test_non_finite_numbers_exit_2_with_their_path(tmp_path, capsys, keys, value
         assert message in capsys.readouterr().err.splitlines()
 
 
+def test_oversized_quadrature_plan_exits_2_from_every_command(tmp_path, capsys):
+    # 1.1e13 trapezoid nodes: refused by count, where allocating them failed
+    doc = json.loads((SCENARIOS / "distributed_delay.json").read_text(encoding="utf-8"))
+    doc["model"]["quadrature"]["node_spacing"] = 1e-12
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")],
+                 ["check-quad", str(path)]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "error: model: node_spacing 1e-12 gives 1.117e+13 quadrature nodes" in err
+
+
 @pytest.mark.parametrize("command", ["run", "check-quad"])
 def test_cli_negative_seed_exits_2_with_a_message(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
