@@ -215,12 +215,10 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
                          knots.times[(knots.times >= 0.0) & (knots.times <= horizon)]])
     gamma = 0.0
     for t in ts:
-        A = model.coupling.matrix(float(t))
-        g0 = model.output.eval_rows(float(t), X0)
-        f0 = model.node.eval(float(t), X0)
-        for i in range(m):
-            expr = f0[i] + (A[i] * masses[i]) @ g0
-            gamma = max(gamma, float(np.linalg.norm(expr)))
+        t = float(t)
+        coupled = (model.coupling.matrix(t) * masses) @ model.output.eval_rows(t, X0)
+        expr = model.node.eval(t, X0) + coupled
+        gamma = max(gamma, float(np.max(np.linalg.norm(expr, axis=1))))
     return alpha, beta, gamma
 
 

@@ -14,11 +14,10 @@ A(t), tau(t) and a linear output's Gamma(t) are piecewise-linear tables
 between knots, so the structural flags of A, the signs of the delays and the
 bound |Gamma(t)|_2 are decided exactly over the knots at construction.
 
-A model's parameters are fixed at construction.  Its one piece of state is
-the tap table ``rhs`` compiled last, the coupling resolved into flat arrays
-for one support and set of delays; it is replaced whole, by one attribute
-assignment, when either changes.  ``rhs`` is a pure function of (t, past),
-and a model may be shared across concurrent integrations.
+A model is read-only once built.  Its constructor compiles the coupling into
+a tap table, flat arrays over every pair nonzero at some knot of A, which
+``rhs`` reads at each call without changing it; ``rhs`` is a pure function
+of (t, past), and a model may be shared across concurrent integrations.
 """
 
 from __future__ import annotations
@@ -182,9 +181,9 @@ class DelaySchedule:
 
     ``table`` and ``constant`` of a matrix hold a table of m x m delay
     matrices.  ``zero``, ``constant`` of a scalar and ``offdiagonal`` hold
-    one delay for the diagonal and one off it, fit every m, and store their
-    m x m matrix once per m.  A negative or non-finite delay is rejected at
-    construction, naming the pair and the knot.
+    one delay for the diagonal and one off it and fit every m.  A negative
+    or non-finite delay is rejected at construction, naming the pair and the
+    knot.
     """
 
     def __init__(self, knots: PiecewiseLinear | None, diagonal: float = 0.0,
@@ -203,7 +202,6 @@ class DelaySchedule:
                                  f"at knot t={knots.times[k]:.6g}")
         self.knots = knots
         self._pair = (float(diagonal), float(off_diagonal))
-        self._stored: dict[int, np.ndarray] = {}
 
     @classmethod
     def zero(cls) -> "DelaySchedule":
@@ -232,20 +230,20 @@ class DelaySchedule:
             return self._pair[i != j]
         return float(self.knots(t)[i, j])
 
-    def matrix(self, t: float, m: int) -> np.ndarray:
-        """The m x m matrix of delays at time t, read-only when constant."""
-        if self.knots is not None:
-            size = self.knots.values.shape[1]
-            if size != m:
-                raise ValueError(f"delay matrix is {size}x{size}, model has m={m}")
-            return self.knots(t)
-        D = self._stored.get(m)
-        if D is None:
+    def table_for(self, m: int) -> PiecewiseLinear:
+        """The delays as a table of m x m matrices."""
+        if self.knots is None:
             D = np.full((m, m), self._pair[1])
             np.fill_diagonal(D, self._pair[0])
-            D.flags.writeable = False
-            self._stored[m] = D
-        return D
+            return PiecewiseLinear.constant(D)
+        size = self.knots.values.shape[1]
+        if size != m:
+            raise ValueError(f"delay matrix is {size}x{size}, model has m={m}")
+        return self.knots
+
+    def matrix(self, t: float, m: int) -> np.ndarray:
+        """The m x m matrix of delays at time t, read-only when constant."""
+        return self.table_for(m)(t)
 
 
 class NetworkModel:
@@ -253,7 +251,7 @@ class NetworkModel:
 
     ``kernels`` may be a single DelayKernel (shared by every pair) or an
     m x m nested sequence.  Quadrature plans are built once per distinct
-    kernel object at construction.
+    kernel object, and the coupling is compiled into ``taps``, at construction.
     """
 
     def __init__(self, m: int, node: NodeDynamics, output: OutputFunction,
@@ -278,8 +276,7 @@ class NetworkModel:
             for row in self.kernels)
         self.tail_tol = float(tail_tol)
         self.node_spacing = float(node_spacing)
-        delays.matrix(0.0, m)  # a delay table must be m x m
-        self._taps: _TapTable | None = None
+        self.taps = _TapTable(self)
 
     @property
     def n(self) -> int:
@@ -307,31 +304,34 @@ def _kernel_grid(kernels, m: int):
 
 
 class _TapTable:
-    """The coupling resolved for one support and its delays, as flat arrays.
+    """The coupling of a model resolved into flat arrays, once.
 
-    A tap is one distinct (source j, delay, plan) lookup; pairs that share
-    one share its quadrature nodes.  Per node, as read-only arrays: its lag
-    ``lags`` = tau + s (the tap's delay plus the node's location) and its
-    source node ``sources`` = j, so node q reads x_j(t - lags[q]); ``plan``
-    holds the weights and ``starts`` the first node of each tap.
-    ``slot[k, i]`` is the tap of row i's k-th coupling in j order, and
-    ``coef_at`` where that coupling's a_ij goes in the flat (degree, m)
-    coefficient array.  Slots past a row's last coupling point
-    at the zero row appended after the taps, with coefficient 0.0.  A pair
-    whose plan has no nodes contributes nothing and gets no slot.
+    The pairs, ``pairs`` in row-major order with their ``pair_tap``, are
+    every (i, j) nonzero at some knot of A whose plan has nodes; ``cells``
+    holds, pair by pair, the flat indices of row i in an (m, n) block.  A
+    tap is one distinct (source j, the pair's delays at every delay knot,
+    plan) lookup; pairs that share one share its nodes.  Node q reads
+    x_j(t - lag) with j = ``sources[q]`` and lag = tau + s, the tap's
+    delay plus the node's location; ``plan`` holds the weights and
+    ``starts`` the first node of each tap.  Under constant delays the lags
+    are one read-only array, ``lags``; under a delay table ``delays`` holds
+    each tap's delays and ``lags_at`` interpolates them.
     """
 
-    def __init__(self, model: "NetworkModel", key, support: np.ndarray, taus: np.ndarray):
-        m = model.m
-        taps: dict[tuple[int, float, int], int] = {}
+    def __init__(self, model: "NetworkModel"):
+        m, n = model.m, model.n
+        support = np.flatnonzero((model.coupling.knots.values != 0.0).any(axis=0))
+        table = model.delays.table_for(m)
+        taus = table.values.reshape(table.times.size, m * m)[:, support].T.tolist()
+        taps: dict[tuple[int, tuple[float, ...], int], int] = {}
         sources, delays, plans = [], [], []
         pairs, rows, pair_tap = [], [], []
-        for a, tau in zip(support.tolist(), taus.tolist()):
+        for a, tau in zip(support.tolist(), taus):
             i, j = divmod(a, m)
             plan = model.plans[i][j]
             if not len(plan):
                 continue
-            lookup = (j, tau, id(plan))
+            lookup = (j, tuple(tau), id(plan))
             if lookup not in taps:
                 taps[lookup] = len(plans)
                 sources.append(j)
@@ -340,27 +340,31 @@ class _TapTable:
             pairs.append(a)
             rows.append(i)
             pair_tap.append(taps[lookup])
-        sizes = np.array([len(p) for p in plans], dtype=np.intp)
-        self.key = key
+        self.sizes = np.array([len(p) for p in plans], dtype=np.intp)
         self.plan = QuadraturePlan(
             locations=np.concatenate([p.locations for p in plans] or [np.zeros(0)]),
             weights=np.concatenate([p.weights for p in plans] or [np.zeros(0)]),
             truncation_horizon=max((p.truncation_horizon for p in plans), default=0.0),
             tail_mass_bound=max((p.tail_mass_bound for p in plans), default=0.0))
-        self.starts = np.cumsum(sizes) - sizes
-        self.lags = np.repeat(np.array(delays, dtype=float), sizes) + self.plan.locations
-        self.sources = np.repeat(np.array(sources, dtype=np.intp), sizes)
-        self.lags.flags.writeable = False
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.sources = np.repeat(np.array(sources, dtype=np.intp), self.sizes)
         self.sources.flags.writeable = False
-        self.pad = np.zeros((1, model.n))
-        # the k-th coupling of row i goes to slot k; rows are sorted
-        rows = np.array(rows, dtype=np.intp)
-        cols = np.arange(rows.size) - np.searchsorted(rows, rows)
-        self.degree = int(cols.max()) + 1 if rows.size else 0
         self.pairs = np.array(pairs, dtype=np.intp)
-        self.coef_at = cols * m + rows
-        self.slot = np.full((self.degree, m), len(plans), dtype=np.intp)
-        self.slot[cols, rows] = pair_tap
+        self.cells = (np.array(rows, dtype=np.intp)[:, None] * n + np.arange(n)).ravel()
+        self.pair_tap = np.array(pair_tap, dtype=np.intp)
+        delays = np.array(delays, dtype=float).reshape(len(plans), table.times.size)
+        if table.times.size > 1 and plans:
+            self.delays, self.lags = PiecewiseLinear(table.times, delays.T), None
+        else:
+            self.delays = None
+            self.lags = np.repeat(delays[:, 0], self.sizes) + self.plan.locations
+            self.lags.flags.writeable = False
+
+    def lags_at(self, t: float) -> np.ndarray:
+        """Every node's lag at time t; under constant delays, ``lags``."""
+        if self.delays is None:
+            return self.lags
+        return np.repeat(self.delays(t), self.sizes) + self.plan.locations
 
 
 def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
@@ -368,38 +372,29 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
 
     ``past(t)`` is the stacked state vector at t, and
     ``past.lagged(t, lags, sources)`` the (N, n) block whose row q is
-    x_{sources[q]}(t - lags[q]).  The coupling is compiled into a tap table,
-    kept on the model until its support or delays change; each call then
-    makes one ``lagged`` lookup of the table's ``lags`` and ``sources``, one
-    g call and one segment sum, and f is evaluated once on the (m, n) block
-    of node states.  Raises ``NonFiniteDerivative`` naming the first node
-    whose derivative is not finite.
+    x_{sources[q]}(t - lags[q]).  Each call makes, over the model's tap
+    table, one ``lagged`` lookup, one g call, one segment sum and one
+    scatter-add of a_ij(t) times each pair's integral into row i, and calls
+    f once on the (m, n) block.  Under a coupling table g is evaluated for
+    every pair nonzero at some knot; one zero at t adds an exact zero.
+    Raises ``NonFiniteDerivative`` naming the first node whose derivative
+    is not finite.
     """
     m, n = model.m, model.node.dim
     x_now = np.asarray(past(t), dtype=float).ravel()
     if x_now.shape != (model.dim,):
         raise ValueError(f"past evaluator returned shape {x_now.shape}, expected ({model.dim},)")
     X = x_now.reshape(m, n)
-    A = model.coupling.matrix(t)
-    support = np.flatnonzero(A)
-    taus = model.delays.matrix(t, m).take(support)
-    key = (support.tobytes(), taus.tobytes())
-    table = model._taps
-    if table is None or table.key != key:
-        table = model._taps = _TapTable(model, key, support, taus)
-
-    # each row's couplings are summed on their own, in j order, so that
-    # symmetric contributions cancel exactly before the node term is added
-    coupled = np.zeros((m, n))
-    if table.degree:
-        rows = model.output.eval_rows(t, past.lagged(t, table.lags, table.sources))
-        conv = np.concatenate((table.plan.apply(rows, table.starts), table.pad))
-        coef = np.zeros(table.degree * m)
-        coef.put(table.coef_at, A.take(table.pairs))
-        coef = coef.reshape(table.degree, m, 1)
-        for k in range(table.degree):
-            coupled = coupled + coef[k] * conv.take(table.slot[k], axis=0)
-    out = model.node.eval(t, X) + coupled
+    taps = model.taps
+    # np.add.at adds pair by pair in order: each row sums its couplings in j
+    # order, so symmetric contributions cancel before the node term is added
+    coupled = np.zeros(m * n)
+    if taps.pairs.size:
+        values = model.output.eval_rows(t, past.lagged(t, taps.lags_at(t), taps.sources))
+        conv = taps.plan.apply(values, taps.starts)
+        coef = model.coupling.matrix(t).take(taps.pairs)
+        np.add.at(coupled, taps.cells, (coef[:, None] * conv.take(taps.pair_tap, axis=0)).ravel())
+    out = model.node.eval(t, X) + coupled.reshape(m, n)
     finite = np.isfinite(out)
     if not finite.all():
         raise NonFiniteDerivative(t, int(np.argmin(finite.all(axis=1))))

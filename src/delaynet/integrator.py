@@ -136,10 +136,10 @@ class _StagePast:
       history, which stays exact on tables; the rest blend two samples.
 
     The split, offsets and weights are resolved once into a ``_LookupPlan``
-    per stage offset.  The cache is keyed on the identity of the ``lags``
-    array, which it holds, and is replaced whole when ``rhs`` passes another
-    one, so a run whose tap table recompiles at every stage holds at most
-    one plan per stage offset.
+    per stage offset.  The cache is keyed on the ``lags`` array, one array
+    for a model's life under constant delays, and is replaced whole when
+    ``rhs`` passes lags of other values, as a delay table does whenever the
+    stage time moves.
     """
 
     def __init__(self, traj: Trajectory, h: float):
@@ -167,7 +167,7 @@ class _StagePast:
     def lagged(self, t: float, lags: np.ndarray, sources: np.ndarray) -> np.ndarray:
         if t != self.t_stage:
             raise AssertionError("stage lookup away from the stage time")
-        if lags is not self._lags:
+        if lags is not self._lags and not np.array_equal(lags, self._lags):
             self._lags, self._plans = lags, {}
         plan = self._plans.get(self.c)
         if plan is None:

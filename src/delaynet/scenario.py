@@ -121,9 +121,9 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
                            key=lambda e: list(e.absolute_path))
     if schema_errors:
         raise ScenarioError([_locate(err) for err in schema_errors])
-    non_finite = list(_non_finite(doc, "$"))
-    if non_finite:
-        raise ScenarioError(non_finite)
+    malformed = [*_non_finite(doc, "$"), *_ragged(doc, "$")]
+    if malformed:
+        raise ScenarioError(malformed)
 
     errs: list[str] = []
     msec = doc["model"]
@@ -167,9 +167,9 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
 
     dsec = msec.get("delays", {"type": "zero"})
     try:
-        delays = _build_delays(dsec)
+        delays = _build_delays(dsec, m)
     except ValueError as err:
-        errs.append(f"model.delays: {err}")
+        errs.append(f"model.delays{'.values' if 'values' in dsec else ''}: {err}")
         raise ScenarioError(errs)
 
     try:
@@ -261,7 +261,24 @@ def _non_finite(value, path: str):
             yield from _non_finite(item, f"{path}[{k}]")
 
 
-def _build_delays(spec: dict) -> DelaySchedule:
+def _ragged(value, path: str):
+    # the schema takes a matrix as a list of vectors of any lengths, which
+    # numpy cannot make an array of
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _ragged(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        rows = [f"has length {len(item)}" if isinstance(item, list) else "is not a list"
+                for item in value]
+        k = next((k for k, row in enumerate(rows) if row != rows[0]), None)
+        if k is not None:
+            yield f"{path}: rows differ in length, row 0 {rows[0]} and row {k} {rows[k]}"
+            return
+        for k, item in enumerate(value):
+            yield from _ragged(item, f"{path}[{k}]")
+
+
+def _build_delays(spec: dict, m: int) -> DelaySchedule:
     kind = spec["type"]
     if kind == "zero":
         return DelaySchedule.zero()
@@ -270,6 +287,8 @@ def _build_delays(spec: dict) -> DelaySchedule:
     if kind == "offdiagonal":
         return DelaySchedule.offdiagonal(spec["tau"])
     values = np.asarray(spec["values"], dtype=float)
+    if values.shape != (m, m):
+        raise ValueError(f"shape {values.shape} does not match the node count {m}")
     return DelaySchedule.constant(values)
 
 

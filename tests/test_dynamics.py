@@ -264,8 +264,8 @@ def test_shared_lookups_are_made_once():
 
 def test_rhs_follows_a_coupling_whose_support_changes():
     # a ring up to t = 1, then a ramp to all-to-all at t = 1.5: each support
-    # gets its own lookups, and returning to the first one gives the first
-    # result again
+    # gives the oracle's result, and returning to the first one gives the
+    # first result again
     rng = np.random.default_rng(63)
     m, n = 4, 3
     ring = 1.5 * named_topology("ring", m)
@@ -285,6 +285,28 @@ def test_rhs_follows_a_coupling_whose_support_changes():
         np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
                                    rtol=0, atol=1e-12)
     np.testing.assert_array_equal(rhs(model, 0.5, past), first)
+
+
+def test_pairs_zero_at_t_leave_the_rhs_bitwise_unchanged():
+    # the table's pairs are the all-to-all ones; where A(t) is the ring, the
+    # pairs off the ring add exact zeros, so the result is the ring model's
+    rng = np.random.default_rng(67)
+    m, n = 4, 3
+    ring = 1.5 * named_topology("ring", m)
+    full = 1.5 * named_topology("all-to-all", m)
+    ker = mixture(dirac(0.0, weight=0.5), uniform(0.1, 0.3, weight=0.5))
+
+    def model(coupling):
+        return NetworkModel(m=m, node=chua_node(), output=linear_output(np.diag([1.0, 0.5, 0.2])),
+                            coupling=coupling, delays=DelaySchedule.offdiagonal(0.3),
+                            kernels=ker, node_spacing=1e-2)
+
+    table = model(CouplingSchedule.table([0.0, 1.0, 1.5], [ring, ring, full]))
+    constant = model(CouplingSchedule.constant(ring))
+    assert table.taps.pairs.size == m * m
+    past = smooth_past(rng, m, n)
+    for t in (0.25, 0.5, 1.0):
+        np.testing.assert_array_equal(rhs(table, t, past), rhs(constant, t, past))
 
 
 def test_rhs_with_a_delay_table_matches_oracle():
@@ -340,8 +362,8 @@ def test_negative_delay_names_its_pair():
 
 
 def test_rows_without_a_coupling_never_read_a_tap():
-    # node 2 alone reads an infinite past; the other rows are padded in the
-    # slot table and must stay finite, so the error names node 2
+    # node 2 alone reads an infinite past; the other rows have no pairs and
+    # must stay finite, so the error names node 2
     A = np.zeros((3, 3))
     A[2, 2] = 1.0
     model = NetworkModel(m=3, node=linear_node(-np.eye(1)), output=identity_output(1),
@@ -354,9 +376,9 @@ def test_rows_without_a_coupling_never_read_a_tap():
 
 
 def test_threads_sharing_a_model_get_the_single_thread_results():
-    # the support flips between neighbouring times, so threads keep replacing
-    # the model's tap table; each call reads the table once, so none mixes
-    # two of them
+    # the support flips between neighbouring times; the model is read-only
+    # after it is built, so threads interleaving their calls on it get the
+    # single-thread results
     rng = np.random.default_rng(66)
     m, n = 4, 3
     ring = 1.5 * named_topology("ring", m)

@@ -210,7 +210,8 @@ def oracle_network(m=2, coupling=None, delays=None, kernels=None, node_spacing=1
 
 
 def oracle_cases():
-    ring, full = 0.8 * named_topology("ring", 3), 0.8 * named_topology("all-to-all", 3)
+    # at m = 3 the ring is all-to-all; at m = 4 the table's support grows
+    ring, full = 0.8 * named_topology("ring", 4), 0.8 * named_topology("all-to-all", 4)
     history = HistoryFunction.table([-3.3, -1.2345, -0.517, -0.0123],
                                     [[0.2, -0.4, 1.0, 0.3], [0.7, 0.1, -0.2, 0.5],
                                      [-0.3, 0.6, 0.4, -0.1], [0.5, -0.5, 0.25, 0.0]])
@@ -223,9 +224,9 @@ def oracle_cases():
         kernels=mixture(dirac(0.0, 0.5), exponential(3.0, 0.5)), node_spacing=1e-2), \
         history, 0.01, 60
     yield "support-changes", oracle_network(
-        m=3, coupling=CouplingSchedule.table([0.3, 0.5], [ring, full]),
+        m=4, coupling=CouplingSchedule.table([0.3, 0.5], [ring, full]),
         delays=DelaySchedule.offdiagonal(0.05)), \
-        HistoryFunction.constant([0.5, -0.5, 0.25, 0.0, -0.1, 0.3]), 0.01, 80
+        HistoryFunction.constant([0.5, -0.5, 0.25, 0.0, -0.1, 0.3, 0.2, -0.6]), 0.01, 80
     yield "delay-table", oracle_network(
         delays=DelaySchedule.table([0.0, 0.61], [np.full((2, 2), 0.1), [[0.0, 0.25], [0.4, 0.0]]]),
         kernels=mixture(dirac(0.0, 0.5), dirac(0.07, 0.5))), history, 0.01, 80

@@ -262,6 +262,39 @@ def test_non_finite_numbers_exit_2_with_their_path(tmp_path, capsys, keys, value
         assert message in capsys.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("model", "coupling"), {"matrix": [[-1.0, 0.5, 0.5], [0.5, -0.5], [0.5, 0.5, -1.0]]},
+     "$.model.coupling.matrix: rows differ in length, row 0 has length 3 and row 1 has length 2"),
+    (("model", "gamma"), [[1.0, 0.0], [0.0]],
+     "$.model.gamma: rows differ in length, row 0 has length 2 and row 1 has length 1"),
+    (("history", "value"), [[0.5, 0.0], [-0.3, 0.2], [0.1]],
+     "$.history.value: rows differ in length, row 0 has length 2 and row 2 has length 1"),
+    (("certificate", "P"), [[1.0, 0.0], [0.0]],
+     "$.certificate.P: rows differ in length, row 0 has length 2 and row 1 has length 1"),
+    (("model", "delays"), {"type": "matrix", "values": [[0.0, 0.1, 0.1], [0.1, 0.0, 0.1], [0.1]]},
+     "$.model.delays.values: rows differ in length, row 0 has length 3 and row 2 has length 1"),
+    (("model", "node", "matrix"), [[0.0, 1.0], -1.0],
+     "$.model.node.matrix: rows differ in length, row 0 has length 2 and row 1 is not a list"),
+    (("model", "delays"), {"type": "matrix", "values": [[0.0, 0.1], [0.1, 0.0]]},
+     "model.delays.values: shape (2, 2) does not match the node count 3"),
+], ids=["coupling", "gamma", "history", "certificate-P", "delays", "node", "delays-size"])
+def test_ragged_or_missized_matrices_exit_2_with_their_key(tmp_path, capsys, keys, value,
+                                                          message):
+    doc = json.loads((SCENARIOS / "linear_network.json").read_text(encoding="utf-8"))
+    doc["certificate"] = {"type": "explicit", "P": [[1.0, 0.0], [0.0, 1.0]],
+                          "Delta": [1.0, 1.0], "epsilon": 0.5}
+    section = doc
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")],
+                 ["check-quad", str(path)]):
+        assert main(argv) == 2, argv[0]
+        assert f"error: {message}" in capsys.readouterr().err.splitlines()
+
+
 def test_oversized_quadrature_plan_exits_2_from_every_command(tmp_path, capsys):
     # 1.1e13 trapezoid nodes: refused by count, where allocating them failed
     doc = json.loads((SCENARIOS / "distributed_delay.json").read_text(encoding="utf-8"))
