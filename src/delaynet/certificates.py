@@ -32,6 +32,7 @@ import numpy as np
 
 from .dynamics import NetworkModel, NodeDynamics
 from .history import spd_weight
+from .kernels import DelayKernel
 
 __all__ = [
     "QuadCertificate",
@@ -196,6 +197,12 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
     the signed kernel masses.  f and g are callables of t, so gamma is a
     maximum over ``grid`` even points of [0, horizon] together with the knots
     of A inside it: a sample, exact only when f and g do not depend on t.
+
+    All T sample times are evaluated at once: f and g are each called once
+    on the (T*m, n) block of the initial state repeated T times, with t the
+    (T*m, 1) column that holds each block's time, and a table of A is read
+    at every time in one lookup.  A time whose expression holds a NaN is
+    skipped.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -205,20 +212,20 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
     m, n = model.m, model.node.dim
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 must have shape ({model.dim},)")
-    X0 = x0.reshape(m, n)
-    masses = np.array([[model.kernels[i][j].signed_mass() for j in range(m)]
-                       for i in range(m)])
+    masses = model.per_kernel(DelayKernel.signed_mass)
     knots = model.coupling.knots
     alpha = float(model.output.kappa)
     beta = float(np.max(np.abs(knots.values)))
     ts = np.concatenate([np.linspace(0.0, horizon, grid),
                          knots.times[(knots.times >= 0.0) & (knots.times <= horizon)]])
-    gamma = 0.0
-    for t in ts:
-        t = float(t)
-        coupled = (model.coupling.matrix(t) * masses) @ model.output.eval_rows(t, X0)
-        expr = model.node.eval(t, X0) + coupled
-        gamma = max(gamma, float(np.max(np.linalg.norm(expr, axis=1))))
+    t = np.repeat(ts, m)[:, None]
+    X = np.tile(x0.reshape(m, n), (ts.size, 1))
+    # a constant A broadcasts over the times instead of being stacked T times
+    A = knots.values[0] if knots.times.size == 1 else knots.eval_many(ts)
+    expr = (A * masses) @ model.output.eval_rows(t, X).reshape(ts.size, m, n)
+    expr += model.node.eval(t, X).reshape(ts.size, m, n)
+    per_time = np.max(np.linalg.norm(expr, axis=-1), axis=-1)
+    gamma = float(np.fmax.reduce(per_time, initial=0.0))
     return alpha, beta, gamma
 
 
@@ -255,8 +262,8 @@ class ProofConstants:
     def derive(cls, cert: QuadCertificate, model: NetworkModel, x0,
                horizon: float, grid: int = 201) -> "ProofConstants":
         alpha, beta, gamma = estimate_envelope_constants(model, x0, horizon, grid)
-        K = sum(model.kernels[i][j].total_variation()
-                for i in range(model.m) for j in range(model.m))
+        # a float sum pair by pair in row-major order, not numpy's pairwise sum
+        K = sum(model.per_kernel(DelayKernel.total_variation).ravel().tolist())
         delta = delta_from_cert(cert)
         eta = compute_eta(delta, alpha, beta, gamma, model.m, cert.P, K)
         return cls(delta=delta, alpha=alpha, beta=beta, gamma=gamma, K=K,

@@ -70,12 +70,13 @@ class NodeDynamics:
     ``fn(t, u)`` is batch-shaped: ``u`` has shape (..., dim), each row is one
     node state, and the result has the shape of ``u``.  The network right
     hand side calls it once on the (m, dim) block of all nodes at a float
-    ``t``.  ``check_quad`` calls it on a (k, dim) block with ``t`` a (k, 1)
-    column that gives each row its own time, so a field that depends on t
-    must broadcast t against u.  The hint,
-    when given, is a constant L with |f(t,u1) - f(t,u2)| <= L |u1 - u2| on
-    the region of interest; it is used by assumption checks and certificate
-    construction, not by integration.
+    ``t``.  ``check_quad`` calls it on a (k, dim) block of probes, and
+    ``estimate_envelope_constants`` on the (T*m, dim) block of the initial
+    state repeated at T sample times, each with ``t`` a column of per-row
+    times, so a field that depends on t must broadcast t against u.  The
+    hint, when given, is a constant L with |f(t,u1) - f(t,u2)| <= L |u1 - u2|
+    on the region of interest; it is used by assumption checks and
+    certificate construction, not by integration.
     """
 
     dim: int
@@ -99,15 +100,16 @@ class NodeDynamics:
 class OutputFunction:
     """Coupling output g(t, u) together with its declared Lipschitz bound.
 
-    ``fn(t, u)`` is batch-shaped like the node field: ``u`` has shape
-    (..., dim) and the result has the same shape.  ``kappa`` bounds
+    ``fn(t, u)`` is batch-shaped like the node field, and ``t`` is a float
+    or, from ``estimate_envelope_constants``, a column of per-row times that
+    an output depending on t must broadcast.  ``kappa`` bounds
     |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u and t, the one bound the
     growth estimate uses.  It is declared, not derived;
     ``check_assumptions`` tries to falsify it.
     """
 
     dim: int
-    fn: Callable[[float, np.ndarray], np.ndarray]
+    fn: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
     kappa: float
     name: str = "custom"
 
@@ -115,8 +117,9 @@ class OutputFunction:
         if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
 
-    def eval_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
-        """g(t, .) on a (..., dim) block, every row in one call."""
+    def eval_rows(self, t, rows: np.ndarray) -> np.ndarray:
+        """g(t, .) on a (..., dim) block, every row in one call; ``t`` is a
+        float or a column of per-row times."""
         return _apply_batch(self.fn, t, rows, "output g")
 
 
@@ -269,11 +272,12 @@ class NetworkModel:
         self.coupling = coupling
         self.delays = delays
         self.kernels = _kernel_grid(kernels, m)
-        plan_cache: dict[int, QuadraturePlan] = {}
-        self.plans = tuple(
-            tuple(plan_cache.setdefault(id(k), build_quadrature(k, tail_tol, node_spacing))
-                  for k in row)
-            for row in self.kernels)
+        slot: dict[int, int] = {}
+        self._kernel_index = np.array([[slot.setdefault(id(k), len(slot)) for k in row]
+                                       for row in self.kernels])
+        self._distinct = tuple({id(k): k for row in self.kernels for k in row}.values())
+        plans = [build_quadrature(k, tail_tol, node_spacing) for k in self._distinct]
+        self.plans = tuple(tuple(plans[s] for s in row) for row in self._kernel_index.tolist())
         self.tail_tol = float(tail_tol)
         self.node_spacing = float(node_spacing)
         self.taps = _TapTable(self)
@@ -288,6 +292,11 @@ class NetworkModel:
 
     def rhs(self, t: float, past) -> np.ndarray:
         return rhs(self, t, past)
+
+    def per_kernel(self, fn) -> np.ndarray:
+        """The number ``fn(kernel)`` for every pair, as an m x m array; fn is
+        called once per distinct kernel object."""
+        return np.array([fn(k) for k in self._distinct], dtype=float)[self._kernel_index]
 
 
 def _kernel_grid(kernels, m: int):
@@ -428,7 +437,11 @@ def chua_node(alpha: float = 9.0, beta: float = 100.0 / 7.0,
         u = np.asarray(u, dtype=float)
         x, y, z = u[..., 0], u[..., 1], u[..., 2]
         diode = m1 * x + 0.5 * (m0 - m1) * (np.abs(x + 1.0) - np.abs(x - 1.0))
-        return np.stack([alpha * (y - x - diode), x - y + z, -beta * y], axis=-1)
+        out = np.empty(u.shape)
+        out[..., 0] = alpha * (y - x - diode)
+        out[..., 1] = x - y + z
+        out[..., 2] = -beta * y
+        return out
 
     L = 0.0
     for slope in (m0, m1):
@@ -476,14 +489,23 @@ def make_node(spec: dict) -> NodeDynamics:
 def linear_output(Gamma) -> OutputFunction:
     """g(t, u) = Gamma(t) u for a matrix or a ``PiecewiseLinear`` table of
     matrices.  kappa = max over knots of |Gamma_k|_2, which bounds every t
-    exactly because the norm is convex along each piece."""
+    exactly because the norm is convex along each piece.  A table is read at
+    each row's time and each row summed on its own, so a row's value is the
+    same for a float t and a column; a constant Gamma is ``u @ Gamma.T``."""
     table = Gamma if isinstance(Gamma, PiecewiseLinear) else PiecewiseLinear.constant(Gamma)
     G = table.values
     if G.ndim != 3 or G.shape[1] != G.shape[2]:
         raise ValueError("output matrix must be square")
     kappa = max(float(np.linalg.norm(Gk, 2)) for Gk in G)
-    return OutputFunction(dim=G.shape[1], fn=lambda t, u: u @ table(t).T,
-                          kappa=kappa, name="linear")
+    if table.times.size == 1:
+        return OutputFunction(dim=G.shape[1], fn=lambda t, u: u @ G[0].T,
+                              kappa=kappa, name="linear")
+
+    def fn(t, u):
+        Gt = table.eval_many(t).reshape(np.shape(t)[:-1] + G.shape[1:]) if np.ndim(t) else table(t)
+        return (Gt * u[..., None, :]).sum(axis=-1)
+
+    return OutputFunction(dim=G.shape[1], fn=fn, kappa=kappa, name="linear")
 
 
 def identity_output(dim: int) -> OutputFunction:

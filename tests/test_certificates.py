@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from delaynet.dynamics import (
     DelaySchedule,
     NetworkModel,
     NodeDynamics,
+    OutputFunction,
     chua_node,
     identity_output,
     linear_node,
@@ -31,6 +33,9 @@ from delaynet.dynamics import (
 )
 from delaynet.history import PiecewiseLinear
 from delaynet.kernels import dirac, exponential, mixture
+from delaynet.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def contracting_node(dim=2):
@@ -337,6 +342,101 @@ def test_envelope_beta_and_gamma_take_every_knot_of_A():
     assert alpha == 1.0
     assert beta == 7.5
     assert gamma == 15.0
+
+
+def test_envelope_gamma_reads_a_gamma_table_at_each_time():
+    # f = 0 and A = [[-1, 1], [1, -1]], so node i's term is Gamma(t) (x0_j - x0_i)
+    # with Gamma(t) = s(t) I; s peaks at 4 on t = 1, between the grid points
+    # 0.99 and 1.005 of linspace(0, 3, 201), where it is 3.97 and 3.9925
+    A = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    Gamma = PiecewiseLinear([0.0, 1.0, 3.0], [np.eye(3), 4.0 * np.eye(3), np.eye(3)])
+    model = make_example(2, node=linear_node(np.zeros((3, 3))), A=A, Gamma=Gamma)
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, 6)
+    _, _, gamma = estimate_envelope_constants(model, x0, horizon=3.0)
+    assert gamma == pytest.approx(3.9925 * np.linalg.norm(x0[3:] - x0[:3]), rel=1e-12)
+    assert gamma == oracle_envelope_constants(model, x0, 3.0)[2]
+
+
+def oracle_envelope_constants(model, x0, horizon, grid=201):
+    """(alpha, beta, gamma, K) by their definitions: one time at a time over
+    the grid and the knots of A, one kernel per pair."""
+    m, n = model.m, model.n
+    X0 = np.asarray(x0, dtype=float).reshape(m, n)
+    knot_times = model.coupling.knots.times
+    masses = np.array([[model.kernels[i][j].signed_mass() for j in range(m)]
+                       for i in range(m)])
+    gamma = 0.0
+    for t in [*np.linspace(0.0, horizon, grid),
+              *knot_times[(knot_times >= 0.0) & (knot_times <= horizon)]]:
+        t = float(t)
+        coupled = (model.coupling.matrix(t) * masses) @ model.output.fn(t, X0)
+        expr = model.node.fn(t, X0) + coupled
+        gamma = max(gamma, float(np.max(np.linalg.norm(expr, axis=1))))
+    K = sum(model.kernels[i][j].total_variation() for i in range(m) for j in range(m))
+    return (model.output.kappa, float(np.max(np.abs(model.coupling.knots.values))),
+            gamma, K)
+
+
+def _counted(obj, calls, name):
+    def fn(t, u):
+        calls.append((name, np.shape(t), u.shape))
+        return obj.fn(t, u)
+    if isinstance(obj, NodeDynamics):
+        return NodeDynamics(dim=obj.dim, fn=fn, lipschitz_hint=obj.lipschitz_hint)
+    return OutputFunction(dim=obj.dim, fn=fn, kappa=obj.kappa)
+
+
+def _envelope_oracle_cases():
+    """(name, model, x0, horizon) for the batched-versus-per-time oracle."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for stem in ("chua_synchronization", "linear_network", "distributed_delay"):
+        sc = load_scenario(SCENARIOS / f"{stem}.json")
+        cases.append((stem, sc.model, sc.history.eval(0.0), sc.config.horizon))
+    ring = 10.0 * np.array([[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]])
+    off_grid = CouplingSchedule.table([0.0, 0.1234, 0.7771, 2.0],
+                                      [ring, 3.0 * ring, -0.5 * ring, ring])
+    cases.append(("coupling-table", NetworkModel(
+        m=3, node=chua_node(), output=linear_output(np.diag([1.0, 0.5, 0.2])),
+        coupling=off_grid, delays=DelaySchedule.offdiagonal(0.01),
+        kernels=mixture(dirac(0.0, 0.8), exponential(2.0, weight=-0.3))),
+        rng.uniform(-2.0, 2.0, 9), 1.5))
+    times = [0.0, 0.37, 1.1, 2.5]
+    Gamma = PiecewiseLinear(times, [rng.standard_normal((2, 2)) for _ in times])
+    cases.append(("gamma-table", make_example(
+        2, node=linear_node(rng.standard_normal((2, 2))), A=ring, Gamma=Gamma),
+        rng.uniform(-1.0, 1.0, 6), 2.0))
+    switch = NodeDynamics(dim=2, fn=lambda t, u: np.where(t > 1.0, u, -u))
+    cases.append(("t-dependent-f", make_example(1, node=switch, A=ring, Gamma=np.eye(2)),
+                  np.array([0.3, -1.2, 0.8, 0.1, -0.4, 2.0]), 2.0))
+    cases.append(("single-node-signed-masses", NetworkModel(
+        m=1, node=NodeDynamics(dim=1, fn=lambda t, u: -u + 1.0),
+        output=identity_output(1), coupling=CouplingSchedule.constant([[2.0]]),
+        delays=DelaySchedule.zero(), kernels=mixture(dirac(0.0, 1.2), dirac(0.4, -0.5))),
+        np.array([0.5]), 3.0))
+    return cases
+
+
+ENVELOPE_CASES = _envelope_oracle_cases()
+
+
+@pytest.mark.parametrize("name, model, x0, horizon", ENVELOPE_CASES,
+                         ids=[case[0] for case in ENVELOPE_CASES])
+def test_envelope_constants_match_the_per_time_oracle(name, model, x0, horizon):
+    alpha, beta, gamma, K = oracle_envelope_constants(model, x0, horizon)
+    assert estimate_envelope_constants(model, x0, horizon) == (alpha, beta, gamma)
+    consts = ProofConstants.derive(lipschitz_certificate(1.0, model.n), model, x0, horizon)
+    assert (consts.gamma, consts.K) == (gamma, K)
+
+    calls = []
+    counted = NetworkModel(m=model.m, node=_counted(model.node, calls, "f"),
+                           output=_counted(model.output, calls, "g"),
+                           coupling=model.coupling, delays=model.delays,
+                           kernels=model.kernels)
+    assert estimate_envelope_constants(counted, x0, horizon)[2] == gamma
+    rows = int(201 + np.count_nonzero(model.coupling.knots.times <= horizon)) * model.m
+    assert sorted(calls) == [("f", (rows, 1), (rows, model.n)),
+                             ("g", (rows, 1), (rows, model.n))]
 
 
 def test_compute_eta_arithmetic():

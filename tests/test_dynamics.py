@@ -527,6 +527,27 @@ def test_chua_vector_field_hand_value_and_lipschitz_hint():
             worst = max(worst, num / den)
     assert worst <= node.lipschitz_hint * (1.0 + 1e-12)
     assert worst > 0.5 * node.lipschitz_hint
+    # a block of states is evaluated row by row
+    for shape in [(5, 3), (2, 4, 3)]:
+        U = rng.uniform(-3.0, 3.0, size=shape)
+        rows = np.array([node.eval(0.0, u) for u in U.reshape(-1, 3)])
+        assert np.array_equal(node.eval(0.0, U), rows.reshape(shape))
+
+
+def test_linear_output_table_reads_each_row_at_its_own_time():
+    rng = np.random.default_rng(79)
+    times = [0.0, 0.4, 1.3]
+    Gs = [rng.standard_normal((3, 3)) for _ in times]
+    output = linear_output(PiecewiseLinear(times, Gs))
+    t = rng.uniform(-0.5, 2.0, size=(40, 1))
+    U = rng.standard_normal((40, 3))
+    got = output.eval_rows(t, U)
+    for r in range(40):
+        assert np.array_equal(got[r], output.eval_rows(float(t[r, 0]), U[r]))
+        Gt = lerp(times, Gs, float(t[r, 0]))
+        np.testing.assert_allclose(got[r], Gt @ U[r], rtol=1e-12, atol=1e-14)
+    G = rng.standard_normal((3, 3))
+    assert np.array_equal(linear_output(G).eval_rows(t, U), U @ G.T)
 
 
 def test_tanh_hopfield_node_bound():
