@@ -220,9 +220,14 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
                          knots.times[(knots.times >= 0.0) & (knots.times <= horizon)]])
     t = np.repeat(ts, m)[:, None]
     X = np.tile(x0.reshape(m, n), (ts.size, 1))
-    # a constant A broadcasts over the times instead of being stacked T times
-    A = knots.values[0] if knots.times.size == 1 else knots.eval_many(ts)
-    expr = (A * masses) @ model.output.eval_rows(t, X).reshape(ts.size, m, n)
+    # a constant A broadcasts over the times instead of being stacked T times;
+    # a table's fresh (T, m, m) stack is scaled in place
+    if knots.times.size == 1:
+        A = knots.values[0] * masses
+    else:
+        A = knots.eval_many(ts)
+        A *= masses
+    expr = A @ model.output.eval_rows(t, X).reshape(ts.size, m, n)
     expr += model.node.eval(t, X).reshape(ts.size, m, n)
     per_time = np.max(np.linalg.norm(expr, axis=-1), axis=-1)
     gamma = float(np.fmax.reduce(per_time, initial=0.0))

@@ -102,7 +102,8 @@ class OutputFunction:
 
     ``fn(t, u)`` is batch-shaped like the node field, and ``t`` is a float
     or, from ``estimate_envelope_constants``, a column of per-row times that
-    an output depending on t must broadcast.  ``kappa`` bounds
+    an output depending on t must broadcast; a ``PiecewiseLinear`` is read
+    at such a column with ``eval_many``.  ``kappa`` bounds
     |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u and t, the one bound the
     growth estimate uses.  It is declared, not derived;
     ``check_assumptions`` tries to falsify it.
@@ -502,7 +503,7 @@ def linear_output(Gamma) -> OutputFunction:
                               kappa=kappa, name="linear")
 
     def fn(t, u):
-        Gt = table.eval_many(t).reshape(np.shape(t)[:-1] + G.shape[1:]) if np.ndim(t) else table(t)
+        Gt = table.eval_many(t).reshape(np.shape(t)[:-1] + G.shape[1:])
         return (Gt * u[..., None, :]).sum(axis=-1)
 
     return OutputFunction(dim=G.shape[1], fn=fn, kappa=kappa, name="linear")

@@ -63,7 +63,11 @@ class PiecewiseLinear:
         return cls([0.0], [value])
 
     def __call__(self, t: float) -> np.ndarray:
-        """The value at time t; with one knot, the stored read-only array."""
+        """The value at a float time t; with one knot, the stored read-only
+        array.  An array of times is refused: ``eval_many`` reads them."""
+        if np.ndim(t) > 0:
+            raise ValueError(f"a table is called at one float time, got an array of "
+                             f"shape {np.shape(t)}; use eval_many for many times")
         if self.times.size == 1:
             return self.values[0]
         return self.eval_many([t])[0]

@@ -357,6 +357,18 @@ def test_envelope_gamma_reads_a_gamma_table_at_each_time():
     assert gamma == oracle_envelope_constants(model, x0, 3.0)[2]
 
 
+def test_derive_refuses_a_custom_output_that_reads_a_table_at_one_time():
+    # table(t) on the column of times would return the value at the first
+    # time only and so too small a gamma; it raises instead
+    Gamma = PiecewiseLinear([0.0, 1.0, 3.0], [np.eye(3), 4.0 * np.eye(3), np.eye(3)])
+    output = OutputFunction(dim=3, fn=lambda t, u: u @ Gamma(t).T, kappa=4.0)
+    model = NetworkModel(m=2, node=linear_node(np.zeros((3, 3))), output=output,
+                         coupling=CouplingSchedule.constant([[-1.0, 1.0], [1.0, -1.0]]),
+                         delays=DelaySchedule.zero(), kernels=dirac(0.0))
+    with pytest.raises(ValueError, match="eval_many"):
+        ProofConstants.derive(lipschitz_certificate(1.0, 3), model, np.arange(6.0), 3.0)
+
+
 def oracle_envelope_constants(model, x0, horizon, grid=201):
     """(alpha, beta, gamma, K) by their definitions: one time at a time over
     the grid and the knots of A, one kernel per pair."""

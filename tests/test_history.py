@@ -190,6 +190,10 @@ def test_table_values_are_exact_at_knots_and_held_outside():
     assert np.shares_memory(single(-5.0), single.values)
     assert not single(0.0).flags.writeable
     np.testing.assert_array_equal(single.eval_many([-1.0, 0.0, 2.0]), values[[0, 0, 0]])
+    # a call takes one float time; an array of times goes to eval_many
+    for tab in (table, single):
+        with pytest.raises(ValueError, match="eval_many"):
+            tab(np.array([[0.0], [1.0]]))
 
 
 def test_sup_deviation_scales_quadratically():
