@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NetworkModel, NodeDynamics
+from .dynamics import NetworkModel, NodeDynamics, NonFiniteDerivative
 from .history import spd_weight
 from .kernels import DelayKernel
 
@@ -201,8 +201,9 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
     All T sample times are evaluated at once: f and g are each called once
     on the (T*m, n) block of the initial state repeated T times, with t the
     (T*m, 1) column that holds each block's time, and a table of A is read
-    at every time in one lookup.  A time whose expression holds a NaN is
-    skipped.
+    at every time in one lookup.  A non-finite expression raises
+    ``NonFiniteDerivative`` naming the earliest such time and its first
+    node, since no finite gamma bounds it.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -229,8 +230,11 @@ def estimate_envelope_constants(model: NetworkModel, x0, horizon: float,
         A *= masses
     expr = A @ model.output.eval_rows(t, X).reshape(ts.size, m, n)
     expr += model.node.eval(t, X).reshape(ts.size, m, n)
-    per_time = np.max(np.linalg.norm(expr, axis=-1), axis=-1)
-    gamma = float(np.fmax.reduce(per_time, initial=0.0))
+    bad = ~np.isfinite(expr).all(axis=-1)
+    if bad.any():
+        i = int(np.argmin(np.where(bad.any(axis=1), ts, np.inf)))
+        raise NonFiniteDerivative(float(ts[i]), int(np.argmax(bad[i])))
+    gamma = float(np.max(np.linalg.norm(expr, axis=-1)))
     return alpha, beta, gamma
 
 
@@ -288,8 +292,13 @@ def lipschitz_certificate(L: float, dim: int, epsilon: float = 0.1) -> QuadCerti
 
 
 def format_certificate_report(result: QuadCheckResult, cert: QuadCertificate,
-                              constants: ProofConstants | None = None) -> str:
-    """Structured text block: verdict, probes, witness, delta, constants, eta."""
+                              constants: ProofConstants | NonFiniteDerivative | None = None
+                              ) -> str:
+    """Structured text block: verdict, probes, witness, delta, constants, eta.
+
+    ``constants`` may be the ``NonFiniteDerivative`` that left them
+    undefined; it is reported on one ``constants:`` line.
+    """
     lines = ["certificate check"]
     lines.append(f"  verdict: {'PASS' if result.passed else 'FAIL'}")
     lines.append(f"  probes: {result.probes}")
@@ -301,7 +310,9 @@ def format_certificate_report(result: QuadCheckResult, cert: QuadCertificate,
         lines.append(f"    u1={w['u1']}")
         lines.append(f"    u2={w['u2']}")
         lines.append(f"    lhs={w['lhs']:.9g} rhs={w['rhs']:.9g}")
-    if constants is not None:
+    if isinstance(constants, NonFiniteDerivative):
+        lines.append(f"  constants: {constants}")
+    elif constants is not None:
         lines.append(f"  alpha: {constants.alpha:.6g}")
         lines.append(f"  beta: {constants.beta:.6g}")
         lines.append(f"  gamma: {constants.gamma:.6g}")

@@ -5,9 +5,9 @@ Subcommands: ``run`` (integrate a scenario and write artifacts),
 (schema + structural validation, no computation), ``version``.
 
 Exit codes: 0 all requested checks passed, 2 the scenario failed
-validation, 3 a check failed (certificate, envelope, or an explicitly
-thresholded sync verdict), 4 the state blew up during integration,
-5 an input or output path could not be used.
+validation, 3 a check failed (certificate, proof constants, envelope, or
+an explicitly thresholded sync verdict), 4 the state blew up during
+integration, 5 an input or output path could not be used.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import format_certificate_report
+from .certificates import ProofConstants, format_certificate_report
 from .scenario import ScenarioError, certify, load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -126,4 +126,5 @@ def _cmd_check_quad(scenario, args) -> int:
             return EXIT_IO
     if not args.quiet:
         print(report)
-    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
+    ok = result.passed and isinstance(constants, ProofConstants)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -323,9 +323,13 @@ class _TapTable:
     plan) lookup; pairs that share one share its nodes.  Node q reads
     x_j(t - lag) with j = ``sources[q]`` and lag = tau + s, the tap's
     delay plus the node's location; ``plan`` holds the weights and
-    ``starts`` the first node of each tap.  Under constant delays the lags
-    are one read-only array, ``lags``; under a delay table ``delays`` holds
-    each tap's delays and ``lags_at`` interpolates them.
+    ``starts`` the first node of each tap.  Locations, and so lags,
+    increase along a tap, so the nodes that land before the initial
+    history's first knot are a suffix of it; a past that folds them into
+    one row weights it with ``tails``, each node's weight plus those of the
+    later nodes of its tap, summed from the tap's far end.  Under constant
+    delays the lags are one read-only array, ``lags``; under a delay table
+    ``delays`` holds each tap's delays and ``lags_at`` interpolates them.
     """
 
     def __init__(self, model: "NetworkModel"):
@@ -351,6 +355,8 @@ class _TapTable:
             rows.append(i)
             pair_tap.append(taps[lookup])
         self.sizes = np.array([len(p) for p in plans], dtype=np.intp)
+        tails = {id(p): np.cumsum(p.weights[::-1])[::-1] for p in plans}
+        self.tails = np.concatenate([tails[id(p)] for p in plans] or [np.zeros(0)])
         self.plan = QuadraturePlan(
             locations=np.concatenate([p.locations for p in plans] or [np.zeros(0)]),
             weights=np.concatenate([p.weights for p in plans] or [np.zeros(0)]),
@@ -381,12 +387,17 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     """Full network derivative at time t given an evaluator for the past.
 
     ``past(t)`` is the stacked state vector at t, and
-    ``past.lagged(t, lags, sources)`` the (N, n) block whose row q is
-    x_{sources[q]}(t - lags[q]).  Each call makes, over the model's tap
-    table, one ``lagged`` lookup, one g call, one segment sum and one
-    scatter-add of a_ij(t) times each pair's integral into row i, and calls
-    f once on the (m, n) block.  Under a coupling table g is evaluated for
-    every pair nonzero at some knot; one zero at t adds an exact zero.
+    ``past.lagged(t, taps)`` the lookup of the model's tap table: the rows
+    to hand to g, the ``QuadraturePlan`` of their weights and the first row
+    of each tap.  Unfolded, as ``Trajectory`` serves it, row q is
+    x_{sources[q]}(t - lag_q) with the table's own plan and starts; the
+    integrator's past folds each tap's nodes before the initial history's
+    first knot into one weighted row.  Each call makes one ``lagged``
+    lookup, one g call on its rows, one segment sum through the plan and
+    one scatter-add of a_ij(t) times each pair's integral into row i, and
+    calls f once on the (m, n) block.  Under a coupling table g is
+    evaluated for every pair nonzero at some knot; one zero at t adds an
+    exact zero.
     Raises ``NonFiniteDerivative`` naming the first node whose derivative
     is not finite.
     """
@@ -400,8 +411,8 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     # order, so symmetric contributions cancel before the node term is added
     coupled = np.zeros(m * n)
     if taps.pairs.size:
-        values = model.output.eval_rows(t, past.lagged(t, taps.lags_at(t), taps.sources))
-        conv = taps.plan.apply(values, taps.starts)
+        rows, plan, starts = past.lagged(t, taps)
+        conv = plan.apply(model.output.eval_rows(t, rows), starts)
         coef = model.coupling.matrix(t).take(taps.pairs)
         np.add.at(coupled, taps.cells, (coef[:, None] * conv.take(taps.pair_tap, axis=0)).ravel())
     out = model.node.eval(t, X) + coupled.reshape(m, n)

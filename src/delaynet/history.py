@@ -191,12 +191,15 @@ class Trajectory:
 
     __call__ = eval
 
-    def lagged(self, t: float, lags: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        """The (N, node_dim) block whose row q is node sources[q]'s state at
-        t - lags[q]: the lookup ``rhs`` makes for its quadrature nodes."""
-        rows = self.eval_many(t - np.asarray(lags, dtype=float))
-        return rows.reshape(rows.shape[0], self.node_count, self.node_dim)[
-            np.arange(rows.shape[0]), sources]
+    def lagged(self, t: float, taps):
+        """The lookup ``rhs`` makes for the quadrature nodes of a tap table,
+        unfolded: the (N, node_dim) block whose row q is node taps.sources[q]'s
+        state at t - lag_q, with the table's plan and segment starts."""
+        lags = taps.lags_at(t)
+        rows = self.eval_many(t - lags)
+        rows = rows.reshape(lags.size, self.node_count, self.node_dim)[
+            np.arange(lags.size), taps.sources]
+        return rows, taps.plan, taps.starts
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """States at an array of times (all <= last sample), one row each."""

@@ -12,6 +12,11 @@ delay is positive but smaller than the step.  With a fixed step, a lag seen
 from stage offset c always lands at the same sample offset and weight, so
 each (lags, c) is resolved once into a plan that every later step reuses.
 
+Quadrature nodes that land before the initial history's first knot, where
+it is constant, are folded into one weighted row per tap (see
+``_StagePast``); ``Trajectory.lagged`` serves the unfolded lookup and stays
+the oracle of the fold.
+
 Integration halts with ``BlowUpError`` as soon as a state component leaves
 [-1e12, 1e12] or turns non-finite.  A run is strictly sequential; independent
 runs may share the immutable model.
@@ -25,6 +30,7 @@ import numpy as np
 
 from .dynamics import NetworkModel, NonFiniteDerivative, rhs
 from .history import HistoryFunction, Trajectory
+from .kernels import QuadraturePlan
 
 __all__ = ["IntegratorConfig", "integrate", "BlowUpError"]
 
@@ -74,24 +80,34 @@ class IntegratorConfig:
 
 
 class _LookupPlan:
-    """The lookups of one (lags, sources) at one stage offset c, resolved
-    into the three classes of ``_StagePast``.
+    """The lookups of a tap table's nodes at one stage offset c, resolved
+    into the three classes of ``_StagePast``, and their current fold.
 
     The nodes are laid out in plan order: at-stage ones up to
     ``at_stage_end``, sub-step ones up to ``sub_step_end``, then committed
-    ones sorted by their sample offset, so that at step k the ones still
-    before t = 0 (offset < -k) form a prefix of them; ``position[q]`` is
-    node q's place in that order.  ``cols`` holds, for each at-stage and
-    sub-step node, the n flat indices of its source block in a state
-    vector, and ``initial_cols`` the same for committed ones read from the
-    initial history, row by row.  ``lo`` and ``hi`` are the flat indices,
-    relative to sample k, of the two samples a committed node blends;
-    ``hi`` equals ``lo`` at offset 0, where theta is 0, so no row after the
-    last committed sample is read.
+    ones by decreasing lag, so that their lookup times t - lag increase and
+    at step k the ones still before t = 0 (offset < -k) form a prefix of
+    them, and the ones at or before the history's first knot a prefix of
+    that; ``position[q]`` is node q's place in that order.  ``cols``
+    holds, for each at-stage and sub-step node, the n flat indices of its
+    source block in a state vector, and ``initial_cols`` the same for
+    committed ones read from the initial history, row by row.  ``lo`` and
+    ``hi`` are the flat indices, relative to sample k, of the two samples a
+    committed node blends; ``hi`` equals ``lo`` at offset 0, where theta is
+    0, so no row after the last committed sample is read.
+
+    The plan keeps one fold, of its first ``folded`` committed nodes; lags
+    increase along a tap, so those are a suffix of each tap.  The rows
+    handed to g are, tap by tap, the live nodes and then, for a tap with
+    folded nodes, one row of the history's first state.  ``rows`` picks
+    them from the lookup buffer, which holds the at-stage and sub-step
+    rows, then the folded taps' rows (``fold_cols`` in the first state),
+    then the live committed rows.  ``quadrature`` holds the rows' weights,
+    a folded row weighing ``taps.tails`` at its tap's first folded node,
+    and ``starts`` the first row of each tap.
     """
 
-    def __init__(self, lags: np.ndarray, sources: np.ndarray, c: float, h: float,
-                 node_dim: int, dim: int):
+    def __init__(self, taps, lags: np.ndarray, c: float, h: float, node_dim: int, dim: int):
         if not np.all(np.isfinite(lags) & (lags >= 0.0)):
             raise ValueError("lookup lags must be finite and nonnegative")
         r = c - lags / h
@@ -99,32 +115,72 @@ class _LookupPlan:
         sub_step = ~at_stage & (r > 0.0)
         committed = np.flatnonzero(~(at_stage | sub_step))
         order = np.concatenate([np.flatnonzero(at_stage), np.flatnonzero(sub_step),
-                                committed[np.argsort(np.floor(r[committed]), kind="stable")]])
+                                committed[np.argsort(-lags[committed], kind="stable")]])
         self.position = np.argsort(order)
         a = self.at_stage_end = int(np.count_nonzero(at_stage))
         b = self.sub_step_end = a + int(np.count_nonzero(sub_step))
         lags, r = lags[order], r[order]
-        cols = np.asarray(sources, dtype=np.intp)[order, None] * node_dim + np.arange(node_dim)
+        cols = taps.sources[order, None] * node_dim + np.arange(node_dim)
         self.cols = cols[:b]
         self.sub_step_dt = (c * h - lags[a:b])[:, None]
         offsets = np.floor(r[b:])
         theta = (r[b:] - offsets)[:, None]
         self.offsets = offsets.astype(np.intp)
-        self.committed_lags = lags[b:]
+        self.neg_lags = -lags[b:]
         self.initial_cols = np.arange(offsets.size)[:, None] * dim + cols[b:]
         self.lo = self.offsets[:, None] * dim + cols[b:]
         self.hi = self.lo + np.where(self.offsets < 0, dim, 0)[:, None]
         self.w_lo = 1.0 - theta
         self.w_hi = theta
+        self.taps = taps
+        self.node_dim = node_dim
+        self.committed_taps = np.repeat(np.arange(taps.sizes.size), taps.sizes)[order[b:]]
+        self.folded = None
+
+    def fold_count(self, t: float, t_first: float, p: int) -> int:
+        """How many of the first p committed nodes look up at or before
+        ``t_first`` from stage time t."""
+        neg = self.neg_lags
+        f = int(neg[:p].searchsorted(t_first - t, side="right"))
+        # t_first - t is rounded; settle the count on the lookup times
+        while f and t + neg[f - 1] > t_first:
+            f -= 1
+        while f < p and t + neg[f] <= t_first:
+            f += 1
+        return f
+
+    def fold(self, f: int) -> None:
+        """Lay out the rows with the first f committed nodes folded."""
+        taps, b = self.taps, self.sub_step_end
+        folded = np.bincount(self.committed_taps[:f], minlength=taps.sizes.size)
+        live = taps.sizes - folded
+        lengths = live + (folded > 0)
+        starts = np.cumsum(lengths) - lengths
+        # row j of tap i is its node j; a folded tap's last row stands at its
+        # first folded node
+        kept = np.arange(int(lengths.sum())) + np.repeat(taps.starts - starts, lengths)
+        fold_rows = (starts + live)[folded > 0]
+        firsts = kept[fold_rows]
+        rows = self.position[kept]
+        rows += np.where(rows >= b, fold_rows.size - f, 0)
+        rows[fold_rows] = b + np.arange(fold_rows.size)
+        weights = taps.plan.weights[kept]
+        weights[fold_rows] = taps.tails[firsts]
+        self.fold_cols = taps.sources[firsts, None] * self.node_dim + np.arange(self.node_dim)
+        self.fold_end = b + fold_rows.size
+        self.buffer_rows = self.fold_end + self.offsets.size - f
+        self.quadrature = QuadraturePlan(taps.plan.locations[kept], weights,
+                                         taps.plan.truncation_horizon, taps.plan.tail_mass_bound)
+        self.rows, self.starts, self.folded = rows, starts, f
 
 
 class _StagePast:
     """The past the right-hand side sees inside the RK stages of one run.
 
     One instance serves the whole run and is moved from stage to stage.
-    ``past(t)`` at the stage time is the stage vector.  ``lagged(t, lags,
-    sources)`` splits each lookup by its lag, with r = c - lag/h for the
-    stage offset c:
+    ``past(t)`` at the stage time is the stage vector.  ``lagged(t, taps)``
+    looks up every node of the tap table, splitting it by its lag, with
+    r = c - lag/h for the stage offset c:
 
     - at-stage, lag = 0: read from the stage vector;
     - sub-step, 0 < lag < c*h (r > 0), only when a delay is below the step:
@@ -135,17 +191,28 @@ class _StagePast:
       theta = r - floor(r).  Lookups still before t = 0 go to the initial
       history, which stays exact on tables; the rest blend two samples.
 
+    Before the history's first knot t_0 (t_0 = 0 for a constant history)
+    every history holds its first state, so the committed nodes landing at
+    or before t_0 all read one row.  They are folded: each tap's folded
+    nodes become one row of the first state, weighted by their weights
+    summed from the tap's far end, and g and the segment sum see the live
+    nodes plus at most one row per tap.  ``lagged`` returns those rows, the
+    ``QuadraturePlan`` of their weights and the first row of each tap.
+
     The split, offsets and weights are resolved once into a ``_LookupPlan``
-    per stage offset.  The cache is keyed on the ``lags`` array, one array
+    per stage offset, which keeps one fold and lays it out again only when
+    a node crosses t_0.  The cache is keyed on the lags array, one array
     for a model's life under constant delays, and is replaced whole when
-    ``rhs`` passes lags of other values, as a delay table does whenever the
-    stage time moves.
+    the lags take other values, as under a delay table whenever the stage
+    time moves.
     """
 
     def __init__(self, traj: Trajectory, h: float):
         self.traj = traj
         self.h = h
         self.extrapolations = 0
+        self.t_first = float(traj.initial.knots.times[0])
+        self.first_state = traj.initial.knots.values[0]
         self._lags = None
         self._plans: dict[float, _LookupPlan] = {}
 
@@ -164,34 +231,42 @@ class _StagePast:
             raise AssertionError("stage past read away from the stage time")
         return self.x_stage
 
-    def lagged(self, t: float, lags: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    def lagged(self, t: float, taps):
         if t != self.t_stage:
             raise AssertionError("stage lookup away from the stage time")
+        lags = taps.lags_at(t)
         if lags is not self._lags and not np.array_equal(lags, self._lags):
             self._lags, self._plans = lags, {}
+        traj = self.traj
         plan = self._plans.get(self.c)
         if plan is None:
             plan = self._plans[self.c] = _LookupPlan(
-                lags, sources, self.c, self.h, self.traj.node_dim, self.traj.dim)
+                taps, lags, self.c, self.h, traj.node_dim, traj.dim)
         a, b = plan.at_stage_end, plan.sub_step_end
-        out = np.empty((lags.size, self.traj.node_dim))
+        p = int(plan.offsets.searchsorted(-self.k))
+        f = plan.fold_count(t, self.t_first, p) if p else 0
+        if f != plan.folded:
+            plan.fold(f)
+        e = plan.fold_end
+        out = np.empty((plan.buffer_rows, traj.node_dim))
         if a:
             out[:a] = self.x_stage.take(plan.cols[:a])
         if b > a:
             self.extrapolations += b - a
             out[a:b] = (self.x_base.take(plan.cols[a:b])
                         + plan.sub_step_dt * self.slope.take(plan.cols[a:b]))
-        p = int(np.searchsorted(plan.offsets, -self.k))
-        if p:
+        if e > b:
+            out[b:e] = self.first_state.take(plan.fold_cols)
+        if p > f:
             # the offset puts these before t = 0; the clamp only absorbs rounding
-            rows = self.traj.initial.eval_many(np.minimum(t - plan.committed_lags[:p], 0.0))
-            out[b:b + p] = rows.take(plan.initial_cols[:p])
-        if b + p < lags.size:
-            states = self.traj.states
-            base = self.k * self.traj.dim
-            out[b + p:] = (plan.w_lo[p:] * states.take(plan.lo[p:] + base)
-                           + plan.w_hi[p:] * states.take(plan.hi[p:] + base))
-        return out.take(plan.position, axis=0)
+            rows = traj.initial.eval_many(np.minimum(t + plan.neg_lags[f:p], 0.0))
+            out[e:e + p - f] = rows.take(plan.initial_cols[f:p] - f * traj.dim)
+        if p < plan.offsets.size:
+            states = traj.states
+            base = self.k * traj.dim
+            out[e + p - f:] = (plan.w_lo[p:] * states.take(plan.lo[p:] + base)
+                               + plan.w_hi[p:] * states.take(plan.hi[p:] + base))
+        return out.take(plan.rows, axis=0), plan.quadrature, plan.starts
 
 
 def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:

@@ -27,6 +27,7 @@ from .certificates import (
     ProofConstants,
     QuadCertificate,
     check_quad,
+    delta_from_cert,
     format_certificate_report,
     lipschitz_certificate,
     probe_domain,
@@ -41,6 +42,7 @@ from .dynamics import (
     CouplingSchedule,
     DelaySchedule,
     NetworkModel,
+    NonFiniteDerivative,
     identity_output,
     linear_output,
     make_node,
@@ -370,14 +372,19 @@ def certify(scenario: Scenario, seed: int | None = None):
 
     ``seed``, when given, overrides the scenario's probe seed.  The constants
     are taken at the initial state x(0) over the configured horizon.
-    Returns (check result, proof constants, probe seed used).
+    Returns (check result, proof constants, probe seed used); when the
+    derivative frozen at x(0) is not finite the constants are missing, and
+    the ``NonFiniteDerivative`` naming the time and node stands in for them.
     """
     p = scenario.cert_params
     probe_seed = p["seed"] if seed is None else int(seed)
     result = check_quad(scenario.model.node, scenario.certificate, p["box"],
                         t_range=p["t_range"], budget=p["budget"], seed=probe_seed)
-    constants = ProofConstants.derive(scenario.certificate, scenario.model,
-                                      scenario.history.eval(0.0), scenario.config.horizon)
+    try:
+        constants = ProofConstants.derive(scenario.certificate, scenario.model,
+                                          scenario.history.eval(0.0), scenario.config.horizon)
+    except NonFiniteDerivative as err:
+        constants = err
     return result, constants, probe_seed
 
 
@@ -387,9 +394,11 @@ def run_scenario(scenario: Scenario, out_dir=None, seed: int | None = None):
     Artifacts: ``trajectory.csv`` always; ``certificate.txt`` and
     ``envelope.csv`` when a certificate is given; ``sync.csv`` when the
     network has at least two nodes.  A blow-up still writes everything that
-    can be computed from the partial trajectory.  Exit codes: 0 all checks
-    pass, 3 a requested check failed, 4 the state escaped.  The sync verdict
-    gates the exit code only when the scenario sets an explicit threshold.
+    can be computed from the partial trajectory.  Missing proof constants
+    are a ``constants`` failure, and the envelope is then skipped.  Exit
+    codes: 0 all checks pass, 3 a requested check failed, 4 the state
+    escaped.  The sync verdict gates the exit code only when the scenario
+    sets an explicit threshold.
     """
     outdir = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -416,22 +425,24 @@ def run_scenario(scenario: Scenario, out_dir=None, seed: int | None = None):
             format_certificate_report(result, scenario.certificate, constants) + "\n",
             encoding="utf-8")
         artifacts["certificate"] = str(cpath)
-
-        envelope = check_envelope(traj, constants.eta, scenario.certificate.P,
-                                  rel_tol=scenario.envelope_rel_tol)
-        epath = outdir / "envelope.csv"
-        write_envelope_csv(envelope, epath)
-        artifacts["envelope"] = str(epath)
-
+        missing = isinstance(constants, NonFiniteDerivative)
         cert_info = {"passed": bool(result.passed), "probes": result.probes,
-                     "delta": constants.delta, "eta": constants.eta,
-                     "seed": probe_seed}
-        env_info = envelope.summary()
-        env_info["state_bound_ok"] = bool(envelope.state_bound_ok)
+                     "delta": delta_from_cert(scenario.certificate),
+                     "eta": None if missing else constants.eta, "seed": probe_seed}
         if not result.passed:
             failures.append("certificate")
-        if not envelope.verdict:
-            failures.append("envelope")
+        if missing:
+            failures.append("constants")
+        else:
+            envelope = check_envelope(traj, constants.eta, scenario.certificate.P,
+                                      rel_tol=scenario.envelope_rel_tol)
+            epath = outdir / "envelope.csv"
+            write_envelope_csv(envelope, epath)
+            artifacts["envelope"] = str(epath)
+            env_info = envelope.summary()
+            env_info["state_bound_ok"] = bool(envelope.state_bound_ok)
+            if not envelope.verdict:
+                failures.append("envelope")
 
     if scenario.model.m >= 2 and traj.last_time > 0:
         window = (scenario.sync_window if scenario.sync_window is not None

@@ -123,12 +123,14 @@ class _AnalyticPast:
     def eval(self, t: float) -> np.ndarray:
         return np.sin(self.omega * float(t) + self.phase)
 
-    def lagged(self, t: float, lags, sources) -> np.ndarray:
-        """Row q is node sources[q]'s block of the profile at t - lags[q]."""
-        lags = np.asarray(lags, dtype=float)
+    def lagged(self, t: float, taps):
+        """Row q is node taps.sources[q]'s block of the profile at t - lag_q,
+        with the tap table's plan and segment starts."""
+        lags = taps.lags_at(t)
         rows = np.sin(np.outer(t - lags, self.omega) + self.phase)
-        return rows.reshape(lags.size, self.node_count, self.node_dim)[
-            np.arange(lags.size), sources]
+        rows = rows.reshape(lags.size, self.node_count, self.node_dim)[
+            np.arange(lags.size), taps.sources]
+        return rows, taps.plan, taps.starts
 
     __call__ = eval
 

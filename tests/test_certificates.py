@@ -23,6 +23,7 @@ from delaynet.dynamics import (
     DelaySchedule,
     NetworkModel,
     NodeDynamics,
+    NonFiniteDerivative,
     OutputFunction,
     chua_node,
     identity_output,
@@ -295,6 +296,20 @@ def test_envelope_constants_for_linear_coupling():
     assert alpha == pytest.approx(2.0)       # spectral norm of the output matrix
     assert beta == pytest.approx(1.0)
     assert gamma == pytest.approx(0.0, abs=0.0)   # the origin is an equilibrium
+
+
+def test_envelope_constants_refuse_a_non_finite_derivative():
+    # f is NaN from t = 1.5 on, at the node whose state is positive: no
+    # gamma bounds the frozen derivative, and the earliest such sample time
+    # and that node are named
+    node = NodeDynamics(dim=1, fn=lambda t, u: np.where((t >= 1.5) & (u > 0.0), np.nan, -u))
+    model = NetworkModel(m=2, node=node, output=identity_output(1),
+                         coupling=CouplingSchedule.constant(np.zeros((2, 2))),
+                         delays=DelaySchedule.zero(), kernels=dirac())
+    with pytest.raises(NonFiniteDerivative) as info:
+        estimate_envelope_constants(model, np.array([-1.0, 1.0]), horizon=3.0)
+    ts = np.linspace(0.0, 3.0, 201)
+    assert (info.value.t, info.value.node) == (ts[ts >= 1.5][0], 1)
 
 
 def test_envelope_gamma_hand_computed_with_signed_mass():

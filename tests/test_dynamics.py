@@ -43,10 +43,12 @@ class Past:
     def __call__(self, t):
         return self.fn(t)
 
-    def lagged(self, t, lags, sources):
+    def lagged(self, t, taps):
+        lags = taps.lags_at(t)
         self.points += len(lags)
-        return np.array([self.fn(t - lag)[j * self.n:(j + 1) * self.n]
-                         for lag, j in zip(lags, sources)])
+        rows = np.array([self.fn(t - lag)[j * self.n:(j + 1) * self.n]
+                         for lag, j in zip(lags, taps.sources)])
+        return rows, taps.plan, taps.starts
 
 
 def pairwise_rhs(model, t, past):

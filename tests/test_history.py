@@ -1,6 +1,7 @@
 """Initial history functions, trajectory storage, and the past-deviation sup."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,7 +127,11 @@ def test_lagged_reads_each_source_block_at_its_own_lag():
         traj.append(0.1 * k, rng.standard_normal(6))
     lags = np.array([0.0, 0.05, 0.3, 1.9, 3.0, 0.3])
     sources = np.array([2, 0, 1, 2, 0, 0])
-    got = traj.lagged(1.9, lags, sources)
+    taps = SimpleNamespace(lags_at=lambda t: lags, sources=sources, plan=object(),
+                           starts=np.array([0, 2]))
+    got, plan, starts = traj.lagged(1.9, taps)
+    # the unfolded lookup: every node, with the table's own plan and starts
+    assert plan is taps.plan and starts is taps.starts
     for row, lag, j in zip(got, lags, sources):
         np.testing.assert_array_equal(row, traj(1.9 - lag)[2 * j:2 * j + 2])
 

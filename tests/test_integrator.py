@@ -1,15 +1,18 @@
 """Fixed-step integration: reductions with known solutions, order, blow-up."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from delaynet import integrator
 from delaynet.dynamics import (
     CouplingSchedule,
     DelaySchedule,
     NetworkModel,
     NodeDynamics,
+    OutputFunction,
     identity_output,
     linear_node,
     linear_output,
@@ -18,7 +21,8 @@ from delaynet.dynamics import (
 )
 from delaynet.history import HistoryFunction, Trajectory
 from delaynet.integrator import BlowUpError, IntegratorConfig, integrate
-from delaynet.kernels import build_quadrature, dirac, exponential, mixture
+from delaynet.kernels import build_quadrature, dirac, exponential, mixture, uniform
+from delaynet.scenario import load_scenario
 
 
 def scalar_delay_model(a=-1.0, tau=1.0, kernel=None, **kw):
@@ -170,8 +174,8 @@ class OracleStagePast:
         assert t == self.t_stage
         return self.x_stage
 
-    def lagged(self, t, lags, sources):
-        ts = t - np.asarray(lags)
+    def lagged(self, t, taps):
+        ts = t - taps.lags_at(t)
         rows = np.empty((ts.size, self.x_stage.size))
         at_stage, committed = ts == self.t_stage, ts <= self.t_base
         between = ~(at_stage | committed)
@@ -181,7 +185,8 @@ class OracleStagePast:
         rows[between] = self.x_base + (ts[between, None] - self.t_base) * self.slope
         self.extrapolations += int(between.sum())
         n = self.traj.node_dim
-        return rows.reshape(ts.size, -1, n)[np.arange(ts.size), sources]
+        rows = rows.reshape(ts.size, -1, n)[np.arange(ts.size), taps.sources]
+        return rows, taps.plan, taps.starts
 
 
 def oracle_rk4(model, initial, h, steps):
@@ -232,6 +237,19 @@ def oracle_cases():
         kernels=mixture(dirac(0.0, 0.5), dirac(0.07, 0.5))), history, 0.01, 80
     yield "uncoupled", oracle_network(coupling=CouplingSchedule.constant(np.zeros((2, 2)))), \
         history, 0.01, 50
+    # folds: a density tail that stays before t = 0 for the whole run; a
+    # density starting at a > 0, so that each tap is only its history row
+    # until t passes tau + a; a table history whose first knot the density
+    # reaches past
+    yield "tail-before-0", oracle_network(
+        delays=DelaySchedule.constant(0.05), kernels=exponential(2.0), node_spacing=1e-2), \
+        constant, 0.01, 60
+    yield "late-uniform", oracle_network(
+        delays=DelaySchedule.offdiagonal(0.05), kernels=uniform(0.2, 0.5), node_spacing=1e-2), \
+        constant, 0.01, 80
+    yield "density-past-first-knot", oracle_network(
+        delays=DelaySchedule.constant(0.05), kernels=uniform(0.0, 4.0, 0.7), node_spacing=1e-2), \
+        history, 0.01, 60
 
 
 @pytest.mark.parametrize("name, model, initial, h, steps", oracle_cases(),
@@ -245,6 +263,27 @@ def test_integrate_matches_the_lookup_oracle(name, model, initial, h, steps):
     # a delay below h, the density's first nodes and a diagonal delay
     # shrinking to 0 land inside the step; no lag is exactly c*h for a stage
     assert (count > 0) == (name in ("below-h", "mixture-over-table", "delay-table"))
+
+
+def test_distributed_delay_hands_g_the_live_nodes_and_one_row_per_tap(monkeypatch):
+    # 4,474 quadrature nodes per right-hand side; those before t = 0 fold
+    # into one history row per tap, so g sees 4 rows at t = 0 and 768 at
+    # t = 2.  Each stage offset builds its lookup plan once and lays its
+    # fold out again only as nodes cross t = 0
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "distributed_delay.json")
+    assert int(scenario.model.taps.sizes.sum()) == 4474
+    rows, plans = [], []
+    eval_rows, build = OutputFunction.eval_rows, integrator._LookupPlan.__init__
+    monkeypatch.setattr(OutputFunction, "eval_rows",
+                        lambda self, t, u: rows.append(len(u)) or eval_rows(self, t, u))
+    monkeypatch.setattr(integrator._LookupPlan, "__init__",
+                        lambda self, *args: plans.append(args[2]) or build(self, *args))
+    integrate(scenario.model, scenario.history, scenario.config)
+    assert len(rows) == 4 * scenario.config.steps
+    assert rows[0] <= 6
+    assert max(rows) < 800
+    assert sorted(plans) == [0.0, 0.5, 1.0]
 
 
 def convolution(plan, traj, t, tau):

@@ -1,6 +1,7 @@
 """Scenario loading, the published schema, artifact writing, CLI exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import delaynet
 from delaynet import __version__
 from delaynet.cli import main
-from delaynet.dynamics import NodeDynamics
+from delaynet.dynamics import NodeDynamics, OutputFunction
 from delaynet.scenario import (
     ScenarioError,
     load_scenario,
@@ -327,8 +329,71 @@ def test_cli_check_quad_fails_on_a_non_finite_field(monkeypatch, capsys):
     assert "lhs=nan" in out
 
 
+def test_cli_check_quad_names_a_non_finite_derivative_instead_of_gamma(monkeypatch, capsys):
+    # the field is NaN at x0, so no gamma bounds the frozen derivative; the
+    # report used to print gamma: 0 and a finite eta
+    nan_node = NodeDynamics(dim=1, fn=lambda t, u: np.full_like(u, np.nan))
+    monkeypatch.setattr("delaynet.scenario.make_node", lambda spec: nan_node)
+    assert main(["check-quad", str(FIXTURES / "failing_certificate.json")]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out
+    assert "gamma:" not in out
+    assert "eta:" not in out
+    assert out.endswith("  constants: non-finite derivative at node index 0, t=0.0\n")
+
+
+def nan_output_doc(tmp_path, monkeypatch):
+    """An uncoupled network with a passing certificate whose output is NaN:
+    the run never reads g, but the frozen derivative multiplies it by 0."""
+    monkeypatch.setattr("delaynet.scenario.identity_output", lambda dim: OutputFunction(
+        dim=dim, fn=lambda t, u: np.full_like(u, np.nan), kappa=1.0))
+    doc = minimal_doc(certificate={"type": "lipschitz", "epsilon": 0.1, "budget": 50})
+    doc["model"]["coupling"] = {"matrix": [[0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "nan-output.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_cli_check_quad_fails_on_missing_constants_after_a_pass(tmp_path, monkeypatch, capsys):
+    path = nan_output_doc(tmp_path, monkeypatch)
+    assert main(["check-quad", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: PASS" in out
+    assert "gamma:" not in out
+    assert "  constants: non-finite derivative at node index 0, t=0.0\n" in out
+
+
+def test_run_with_missing_constants_skips_the_envelope_and_exits_3(tmp_path, monkeypatch):
+    scenario = load_scenario(nan_output_doc(tmp_path, monkeypatch))
+    summary, code = run_scenario(scenario, out_dir=tmp_path / "out")
+    assert code == 3
+    assert summary["failures"] == ["constants"]
+    assert summary["certificate"]["passed"] is True
+    assert summary["certificate"]["eta"] is None
+    assert summary["envelope"] is None
+    assert sorted(summary["artifacts"]) == ["certificate", "sync", "trajectory"]
+    assert not (tmp_path / "out" / "envelope.csv").exists()
+    report = (tmp_path / "out" / "certificate.txt").read_text(encoding="utf-8")
+    assert "constants: non-finite derivative at node index 0, t=0.0" in report
+
+
+def test_run_with_a_non_finite_field_blows_up_first_and_exits_4(tmp_path, monkeypatch):
+    nan_node = NodeDynamics(dim=1, fn=lambda t, u: np.full_like(u, np.nan))
+    monkeypatch.setattr("delaynet.scenario.make_node", lambda spec: nan_node)
+    scenario = load_scenario(FIXTURES / "failing_certificate.json")
+    summary, code = run_scenario(scenario, out_dir=tmp_path)
+    assert code == 4
+    assert summary["blowup"]["time"] == 0.0
+    assert summary["failures"] == ["certificate", "constants"]
+    assert summary["envelope"] is None
+
+
 def test_console_entry_point_is_installed():
+    # the subprocess imports delaynet from where this process found it, so
+    # the test also passes from a checkout that installs nothing
+    src = str(Path(delaynet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "delaynet", "version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
