@@ -4,13 +4,9 @@ A certificate (P, Delta, epsilon) asserts, for the node field f,
 
     (u1-u2)' P { [f(t,u1) - f(t,u2)] - Delta (u1-u2) } <= -epsilon |u1-u2|^2
 
-for all t and all pairs.  The checker is a randomized falsifier: it can
-exhibit a concrete counterexample but a pass only means no violation was
-found.  It tests probes in fixed-size chunks, calling f once per chunk with
-a column of per-row times, and reports the lowest-indexed probe where
-lhs <= rhs does not hold, so a non-finite side is a violation.  The probes,
-and hence the verdict and witness, are those of a probe-by-probe draw from
-the same random stream.
+for all t and all pairs.  The checker, ``check_quad``, is a randomized
+falsifier: it can exhibit a concrete counterexample but a pass only means
+no violation was found.
 
 From a certificate and a model the proof constants (delta, alpha, beta,
 gamma, K, lambda_min, |P|) and the growth exponent eta are derived; the
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NetworkModel, NodeDynamics, NonFiniteDerivative
+from .dynamics import NetworkModel, NodeDynamics, NonFiniteDerivative, _first_violation
 from .history import spd_weight
 from .kernels import DelayKernel
 
@@ -143,8 +139,8 @@ def check_quad(f: NodeDynamics, cert: QuadCertificate, box, t_range=(0.0, 10.0),
     chunk size, and a larger budget only appends probes.
 
     Returns the lowest-indexed violation with both sides evaluated, or a
-    pass with the probe count.  A probe passes only if lhs <= rhs, so the
-    equality case is admissible and a non-finite side is a violation.
+    pass with the probe count.  A probe passes only if lhs <= rhs
+    (``_first_violation``), so equality passes and a NaN side fails.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -166,9 +162,8 @@ def check_quad(f: NodeDynamics, cert: QuadCertificate, box, t_range=(0.0, 10.0),
             w = (fu[:, :n] - fu[:, n:] - Delta * d) @ P.T
             lhs = np.einsum("ij,ij->i", d, w)
             rhs = -eps * np.einsum("ij,ij->i", d, d)
-        bad = np.flatnonzero(~(lhs <= rhs))
-        if bad.size:
-            i = int(bad[0])
+        i = _first_violation(lhs, rhs)
+        if i is not None:
             return QuadCheckResult(False, start + i + 1, witness={
                 "index": start + i, "t": float(t[i, 0]), "u1": u[i, :n].tolist(),
                 "u2": u[i, n:].tolist(), "lhs": float(lhs[i]), "rhs": float(rhs[i])})

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .history import PiecewiseLinear
-from .kernels import DelayKernel, QuadraturePlan, build_quadrature, dirac
+from .kernels import DelayKernel, QuadraturePlan, _given, build_quadrature, dirac
 
 __all__ = [
     "NodeDynamics",
@@ -68,15 +68,12 @@ class NodeDynamics:
     """Isolated node vector field f(t, u) with an optional Lipschitz hint.
 
     ``fn(t, u)`` is batch-shaped: ``u`` has shape (..., dim), each row is one
-    node state, and the result has the shape of ``u``.  The network right
-    hand side calls it once on the (m, dim) block of all nodes at a float
-    ``t``.  ``check_quad`` calls it on a (k, dim) block of probes, and
-    ``estimate_envelope_constants`` on the (T*m, dim) block of the initial
-    state repeated at T sample times, each with ``t`` a column of per-row
-    times, so a field that depends on t must broadcast t against u.  The
-    hint, when given, is a constant L with |f(t,u1) - f(t,u2)| <= L |u1 - u2|
-    on the region of interest; it is used by assumption checks and
-    certificate construction, not by integration.
+    node state, and the result has the shape of ``u``.  ``t`` is a float or
+    a column of per-row times, so a field that depends on t must broadcast t
+    against u; the README's batch contract lists the callers.  The hint,
+    when given, is a constant L with |f(t,u1) - f(t,u2)| <= L |u1 - u2| on
+    the region of interest; it is used by assumption checks and certificate
+    construction, not by integration.
     """
 
     dim: int
@@ -100,12 +97,10 @@ class NodeDynamics:
 class OutputFunction:
     """Coupling output g(t, u) together with its declared Lipschitz bound.
 
-    ``fn(t, u)`` is batch-shaped like the node field, and ``t`` is a float
-    or, from ``estimate_envelope_constants``, a column of per-row times that
-    an output depending on t must broadcast; a ``PiecewiseLinear`` is read
-    at such a column with ``eval_many``.  ``kappa`` bounds
-    |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u and t, the one bound the
-    growth estimate uses.  It is declared, not derived;
+    ``fn(t, u)`` is batch-shaped like the node field, ``t`` included; a
+    ``PiecewiseLinear`` is read at a column of times with ``eval_many``.
+    ``kappa`` bounds |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u and t,
+    the one bound the growth estimate uses.  It is declared, not derived;
     ``check_assumptions`` tries to falsify it.
     """
 
@@ -273,14 +268,14 @@ class NetworkModel:
         self.coupling = coupling
         self.delays = delays
         self.kernels = _kernel_grid(kernels, m)
+        self.tail_tol = float(tail_tol)
+        self.node_spacing = float(node_spacing)
         slot: dict[int, int] = {}
         self._kernel_index = np.array([[slot.setdefault(id(k), len(slot)) for k in row]
                                        for row in self.kernels])
         self._distinct = tuple({id(k): k for row in self.kernels for k in row}.values())
-        plans = [build_quadrature(k, tail_tol, node_spacing) for k in self._distinct]
+        plans = [build_quadrature(k, self.tail_tol, self.node_spacing) for k in self._distinct]
         self.plans = tuple(tuple(plans[s] for s in row) for row in self._kernel_index.tolist())
-        self.tail_tol = float(tail_tol)
-        self.node_spacing = float(node_spacing)
         self.taps = _TapTable(self)
 
     @property
@@ -290,9 +285,6 @@ class NetworkModel:
     @property
     def dim(self) -> int:
         return self.m * self.node.dim
-
-    def rhs(self, t: float, past) -> np.ndarray:
-        return rhs(self, t, past)
 
     def per_kernel(self, fn) -> np.ndarray:
         """The number ``fn(kernel)`` for every pair, as an m x m array; fn is
@@ -487,10 +479,7 @@ def make_node(spec: dict) -> NodeDynamics:
             raise ValueError("linear node spec needs 'matrix'")
         return linear_node(spec["matrix"])
     if kind == "chua":
-        return chua_node(alpha=spec.get("alpha", 9.0),
-                         beta=spec.get("beta", 100.0 / 7.0),
-                         m0=spec.get("m0", -8.0 / 7.0),
-                         m1=spec.get("m1", -5.0 / 7.0))
+        return chua_node(**_given(spec, "alpha", "beta", "m0", "m1"))
     if kind == "tanh_hopfield":
         if "weights" not in spec:
             raise ValueError("tanh_hopfield node spec needs 'weights'")
@@ -670,68 +659,83 @@ def check_assumptions(model: NetworkModel, horizon: float, sample_budget: int = 
 
     A passing check is evidence, not proof: continuity and Lipschitz bounds
     cannot be established from finitely many samples.  A failing check comes
-    with a concrete witness.  The coupling flags and the delay signs need no
-    probe: they are decided exactly over the knots at construction.
+    with a concrete witness, its lowest-indexed failing probe.  The coupling
+    flags and the delay signs need no probe: they are decided exactly over
+    the knots at construction.  f or g is called once per probe block on its
+    stacked rows, with t a column of per-row times; a probe passes only if
+    lhs <= rhs, so a field that returns NaN or inf fails.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)
     per = max(50, sample_budget // 4)
-    report = AssumptionReport()
-    report.checks.append(_check_node_regularity(model.node, horizon, per, rng))
-    report.checks.append(_check_output_bound(model.output, horizon, per, rng))
-    return report
+    node = _check_node_regularity(model.node, horizon, per, rng)
+    g = model.output
+    output = _lipschitz_probe("output-lipschitz-bound", g.eval_rows, g.kappa, ("g", "kappa"),
+                              *_sample_points(rng, horizon, g.dim, per), rng)
+    return AssumptionReport([node, output])
 
 
-def _sample_points(rng, n, count):
-    # mix of moderate and large magnitudes so superlinear growth is caught
+def _first_violation(lhs, rhs) -> int | None:
+    """The first probe where lhs <= rhs fails, or None: the pass rule of every
+    falsifier.  Any comparison with NaN is False, so a NaN side fails."""
+    bad = np.flatnonzero(~(lhs <= rhs))
+    return int(bad[0]) if bad.size else None
+
+
+def _sample_points(rng, horizon, n, count):
+    # states mix moderate and large magnitudes so superlinear growth is caught
+    ts = rng.uniform(0.0, horizon, size=count)
     scales = 10.0 ** rng.uniform(-1.0, 2.0, size=count)
-    return rng.uniform(-1.0, 1.0, size=(count, n)) * scales[:, None]
+    return ts, rng.uniform(-1.0, 1.0, size=(count, n)) * scales[:, None]
+
+
+def _distances(a, b) -> np.ndarray:
+    # |a - b| per row by stacked (1, n) @ (n, 1) products, bit for bit the
+    # norm of each row alone (a sum along axis 1 is not); inf - inf is NaN
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = a - b
+        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def _lipschitz_probe(name, evaluate, bound, symbols, ts, u1, rng) -> AssumptionCheck:
+    """Test |h(t,u1) - h(t,u2)| <= bound |u1 - u2| with u2 = u1 plus a random
+    step, evaluating h once on the stacked u1 and u2 rows."""
+    k = ts.size
+    u2 = u1 + rng.standard_normal(u1.shape) * rng.uniform(1e-3, 2.0, size=(k, 1))
+    h = evaluate(np.tile(ts[:, None], (2, 1)), np.concatenate([u1, u2]))
+    gap = _distances(h[:k], h[k:])
+    allowed = bound * _distances(u1, u2) * (1.0 + 1e-9) + 1e-12
+    i = _first_violation(gap, allowed)
+    if i is None:
+        return AssumptionCheck(name, True, k)
+    t, (fn, const) = float(ts[i]), symbols
+    return AssumptionCheck(name, False, k, witness={
+        "t": t, "u1": u1[i].tolist(), "u2": u2[i].tolist(), "gap": float(gap[i]),
+        "allowed": float(allowed[i])},
+        detail=f"|{fn}(t,u1)-{fn}(t,u2)| = {gap[i]:.6g} exceeds {const}|u1-u2| = "
+               f"{allowed[i]:.6g} at t={t:.6g}")
 
 
 def _check_node_regularity(node: NodeDynamics, horizon, budget, rng) -> AssumptionCheck:
     name = "node-dynamics-regularity"
-    ts = rng.uniform(0.0, horizon, size=budget)
-    u1 = _sample_points(rng, node.dim, budget)
+    ts, u1 = _sample_points(rng, horizon, node.dim, budget)
     if node.lipschitz_hint is not None:
-        L = node.lipschitz_hint
-        u2 = u1 + rng.standard_normal((budget, node.dim)) * rng.uniform(1e-3, 2.0, size=(budget, 1))
-        for t, a, b in zip(ts, u1, u2):
-            gap = float(np.linalg.norm(node.eval(t, a) - node.eval(t, b)))
-            allowed = L * float(np.linalg.norm(a - b)) * (1.0 + 1e-9) + 1e-12
-            if gap > allowed:
-                return AssumptionCheck(
-                    name, False, budget,
-                    witness={"t": float(t), "u1": a.tolist(), "u2": b.tolist(),
-                             "gap": gap, "allowed": allowed},
-                    detail=f"|f(t,u1)-f(t,u2)| = {gap:.6g} exceeds L|u1-u2| = {allowed:.6g} at t={t:.6g}")
-    # continuity probe: the increment must die out with the step
-    for t, a in zip(ts[: budget // 4], u1[: budget // 4]):
-        v = rng.standard_normal(node.dim)
-        v /= np.linalg.norm(v)
-        f0 = node.eval(t, a)
-        gaps = [float(np.linalg.norm(node.eval(t, a + d * v) - f0)) for d in (1e-6, 1e-9)]
-        if gaps[0] > 1e-3 and gaps[1] > 0.5 * gaps[0]:
-            return AssumptionCheck(
-                name, False, budget,
-                witness={"t": float(t), "u": a.tolist(), "direction": v.tolist(),
-                         "gaps": gaps},
-                detail=f"f(t, .) looks discontinuous near u={a.tolist()} at t={t:.6g}")
-    return AssumptionCheck(name, True, budget)
-
-
-def _check_output_bound(output: OutputFunction, horizon, budget, rng) -> AssumptionCheck:
-    name = "output-lipschitz-bound"
-    ts = rng.uniform(0.0, horizon, size=budget)
-    u1 = _sample_points(rng, output.dim, budget)
-    u2 = u1 + rng.standard_normal((budget, output.dim)) * rng.uniform(1e-3, 2.0, size=(budget, 1))
-    for t, a, b in zip(ts, u1, u2):
-        gap = float(np.linalg.norm(output.eval_rows(t, a) - output.eval_rows(t, b)))
-        allowed = output.kappa * float(np.linalg.norm(a - b)) * (1.0 + 1e-9) + 1e-12
-        if gap > allowed:
-            return AssumptionCheck(
-                name, False, budget,
-                witness={"t": float(t), "u1": a.tolist(), "u2": b.tolist(),
-                         "gap": gap, "allowed": allowed},
-                detail=f"|g(t,u1)-g(t,u2)| = {gap:.6g} exceeds kappa|u1-u2| = {allowed:.6g} at t={t:.6g}")
-    return AssumptionCheck(name, True, budget)
+        check = _lipschitz_probe(name, node.eval, node.lipschitz_hint, ("f", "L"), ts, u1, rng)
+        if not check.ok:
+            return check
+    # continuity probe: the increment must die out with the step, so it must
+    # be at most 1e-3 over a step of 1e-6 or halve by a step of 1e-9
+    q = budget // 4
+    u, v = u1[:q], rng.standard_normal((q, node.dim))
+    v /= _distances(v, 0.0)[:, None]
+    f0, f6, f9 = node.eval(np.tile(ts[:q, None], (3, 1)),
+                           np.concatenate([u, u + 1e-6 * v, u + 1e-9 * v])).reshape(3, q, -1)
+    g6, g9 = _distances(f6, f0), _distances(f9, f0)
+    i = _first_violation(g9, np.where(g6 <= 1e-3, np.inf, 0.5 * g6))
+    if i is None:
+        return AssumptionCheck(name, True, budget)
+    return AssumptionCheck(name, False, budget, witness={
+        "t": float(ts[i]), "u": u[i].tolist(), "direction": v[i].tolist(),
+        "gaps": [float(g6[i]), float(g9[i])]},
+        detail=f"f(t, .) looks discontinuous near u={u[i].tolist()} at t={ts[i]:.6g}")

@@ -167,6 +167,11 @@ def mixture(*parts: DelayKernel) -> DelayKernel:
     return DelayKernel(atoms=tuple(atoms), density=density)
 
 
+def _given(spec: dict, *keys: str) -> dict:
+    """The entries of ``spec`` among ``keys``; an omitted one keeps its default."""
+    return {k: spec[k] for k in keys if k in spec}
+
+
 def make_kernel(spec: dict) -> DelayKernel:
     """Build a kernel from a tagged record, the form used in scenario files.
 
@@ -178,15 +183,15 @@ def make_kernel(spec: dict) -> DelayKernel:
         raise ValueError("kernel spec must be a dict with a 'type' tag")
     kind = spec["type"]
     if kind == "dirac":
-        return dirac(location=spec.get("location", 0.0), weight=spec.get("weight", 1.0))
+        return dirac(**_given(spec, "location", "weight"))
     if kind == "exponential":
         if "rate" not in spec:
             raise ValueError("exponential kernel spec needs 'rate'")
-        return exponential(rate=spec["rate"], weight=spec.get("weight", 1.0))
+        return exponential(rate=spec["rate"], **_given(spec, "weight"))
     if kind == "uniform":
         if "a" not in spec or "b" not in spec:
             raise ValueError("uniform kernel spec needs 'a' and 'b'")
-        return uniform(a=spec["a"], b=spec["b"], weight=spec.get("weight", 1.0))
+        return uniform(a=spec["a"], b=spec["b"], **_given(spec, "weight"))
     if kind == "mixture":
         components = spec.get("components")
         if not components:

@@ -50,7 +50,7 @@ from .dynamics import (
 )
 from .history import HistoryFunction, write_trajectory_csv
 from .integrator import BlowUpError, IntegratorConfig, integrate
-from .kernels import dirac, make_kernel
+from .kernels import _given, dirac, make_kernel
 
 __all__ = [
     "Scenario",
@@ -184,10 +184,7 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
     try:
         model = NetworkModel(
             m=m, node=node, output=output, coupling=coupling, delays=delays,
-            kernels=kernels,
-            tail_tol=float(qsec.get("tail_tol", 1e-10)),
-            node_spacing=float(qsec.get("node_spacing", 1e-3)),
-        )
+            kernels=kernels, **_given(qsec, "tail_tol", "node_spacing"))
     except ValueError as err:
         errs.append(f"model: {err}")
         raise ScenarioError(errs)
@@ -197,11 +194,8 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
     isec = doc["integrator"]
     config = None
     try:
-        config = IntegratorConfig(
-            method=isec.get("method", "rk4"),
-            h=float(isec["step"]),
-            horizon=float(isec["horizon"]),
-        )
+        config = IntegratorConfig(h=float(isec["step"]), horizon=float(isec["horizon"]),
+                                  **_given(isec, "method"))
     except ValueError as err:
         errs.append(f"integrator: {err}")
 
@@ -327,8 +321,7 @@ def _build_certificate(spec: dict, node, horizon: float, errs: list):
             errs.append("certificate.lipschitz: the node type carries no "
                         "Lipschitz constant; state one explicitly")
         else:
-            cert = lipschitz_certificate(float(L), node.dim,
-                                         epsilon=float(spec.get("epsilon", 0.1)))
+            cert = lipschitz_certificate(float(L), node.dim, **_given(spec, "epsilon"))
     else:
         P = np.asarray(spec["P"], dtype=float)
         if P.shape != (node.dim, node.dim):

@@ -620,6 +620,138 @@ def test_assumption_check_finds_negative_delay():
     assert report.ok, report.summary()
 
 
+def _pair(node, output):
+    return NetworkModel(m=2, node=node, output=output,
+                        coupling=CouplingSchedule.constant(np.array([[-1.0, 1.0], [1.0, -1.0]])),
+                        delays=DelaySchedule.zero(), kernels=dirac())
+
+
+def test_assumption_check_fails_a_nan_node_field():
+    # every comparison with NaN is False, so a NaN gap must fail, not pass
+    nan_field = NodeDynamics(dim=2, fn=lambda t, u: np.full(np.shape(u), np.nan),
+                             lipschitz_hint=1.0)
+    for node in (nan_field, NodeDynamics(dim=2, fn=nan_field.fn)):
+        check = check_assumptions(_pair(node, identity_output(2)), horizon=5.0, seed=0)[
+            "node-dynamics-regularity"]
+        assert not check.ok
+        assert check.witness is not None and check.detail
+
+
+def test_assumption_check_fails_an_infinite_output():
+    inf_output = OutputFunction(dim=2, fn=lambda t, u: np.full(np.shape(u), np.inf), kappa=1.0)
+    node = NodeDynamics(dim=2, fn=lambda t, u: -u, lipschitz_hint=1.0)
+    report = check_assumptions(_pair(node, inf_output), horizon=5.0, seed=0)
+    assert report["node-dynamics-regularity"].ok
+    check = report["output-lipschitz-bound"]
+    assert not check.ok
+    assert check.witness["u1"] != check.witness["u2"]
+    assert not np.isfinite(check.witness["gap"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assumption_check_finds_a_discontinuous_field(seed):
+    # a sign flip at a 1e-10 scale: the increment over a step of 1e-9 does
+    # not shrink below half the one over 1e-6, so the continuity probe fails
+    def jumpy(t, u):
+        return np.where(np.sin(1e10 * u) > 0, 1.0, -1.0)
+
+    model = _pair(NodeDynamics(dim=1, fn=jumpy), identity_output(1))
+    check = check_assumptions(model, horizon=5.0, seed=seed)["node-dynamics-regularity"]
+    assert not check.ok
+    assert "looks discontinuous" in check.detail
+    g6, g9 = check.witness["gaps"]
+    assert g6 > 1e-3 and g9 > 0.5 * g6
+    u, v = np.array(check.witness["u"]), np.array(check.witness["direction"])
+    f0 = jumpy(check.witness["t"], u)
+    assert np.linalg.norm(jumpy(0.0, u + 1e-6 * v) - f0) == g6
+
+
+def test_assumption_check_call_counts_do_not_grow_with_the_budget():
+    def counts(budget):
+        calls = {"f": 0, "g": 0}
+
+        def f(t, u):
+            calls["f"] += 1
+            return -u
+
+        def g(t, u):
+            calls["g"] += 1
+            return u
+
+        model = _pair(NodeDynamics(dim=3, fn=f, lipschitz_hint=1.0),
+                      OutputFunction(dim=3, fn=g, kappa=1.0))
+        assert check_assumptions(model, horizon=5.0, sample_budget=budget, seed=0).ok
+        return calls
+
+    assert counts(400) == counts(4000) == {"f": 2, "g": 1}
+
+
+def _probe_by_probe(model, horizon, budget, seed):
+    # check_assumptions one probe at a time, f and g called on one state at
+    # a float t: (name, ok, witness, detail) per check
+    rng = np.random.default_rng(seed)
+    per = max(50, budget // 4)
+
+    def points(n):
+        ts = rng.uniform(0.0, horizon, size=per)
+        scales = 10.0 ** rng.uniform(-1.0, 2.0, size=per)
+        return ts, rng.uniform(-1.0, 1.0, size=(per, n)) * scales[:, None]
+
+    def lipschitz(name, h, bound, fn, const, ts, u1):
+        u2 = u1 + rng.standard_normal(u1.shape) * rng.uniform(1e-3, 2.0, size=(per, 1))
+        for t, a, b in zip(ts, u1, u2):
+            gap = float(np.linalg.norm(h(t, a) - h(t, b)))
+            allowed = bound * float(np.linalg.norm(a - b)) * (1.0 + 1e-9) + 1e-12
+            if not gap <= allowed:
+                return (name, False, {"t": float(t), "u1": a.tolist(), "u2": b.tolist(),
+                                      "gap": gap, "allowed": allowed},
+                        f"|{fn}(t,u1)-{fn}(t,u2)| = {gap:.6g} exceeds {const}|u1-u2| = "
+                        f"{allowed:.6g} at t={t:.6g}")
+        return (name, True, None, "")
+
+    def node_check():
+        node, name = model.node, "node-dynamics-regularity"
+        ts, u1 = points(node.dim)
+        if node.lipschitz_hint is not None:
+            check = lipschitz(name, node.eval, node.lipschitz_hint, "f", "L", ts, u1)
+            if not check[1]:
+                return check
+        directions = rng.standard_normal((per // 4, node.dim))
+        for t, a, v in zip(ts, u1, directions):
+            v = v / np.linalg.norm(v)
+            f0 = node.eval(t, a)
+            gaps = [float(np.linalg.norm(node.eval(t, a + d * v) - f0)) for d in (1e-6, 1e-9)]
+            if not (gaps[0] <= 1e-3 or gaps[1] <= 0.5 * gaps[0]):
+                return (name, False, {"t": float(t), "u": a.tolist(),
+                                      "direction": v.tolist(), "gaps": gaps},
+                        f"f(t, .) looks discontinuous near u={a.tolist()} at t={t:.6g}")
+        return (name, True, None, "")
+
+    node = node_check()
+    g = model.output
+    return [node, lipschitz("output-lipschitz-bound", g.eval_rows, g.kappa, "g", "kappa",
+                            *points(g.dim))]
+
+
+def _jumpy(t, u):
+    return np.where(np.sin(1e10 * u) > 0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("node, output", [
+    (chua_node(), identity_output(3)),
+    (NodeDynamics(dim=3, fn=chua_node().fn, lipschitz_hint=5.0), identity_output(3)),
+    (chua_node(), OutputFunction(dim=3, fn=lambda t, u: u * np.abs(u), kappa=1.0)),
+    (NodeDynamics(dim=3, fn=_jumpy), OutputFunction(dim=3, fn=lambda t, u: 3.0 * u, kappa=2.9)),
+], ids=["chua", "chua-small-L", "square-output", "jumpy-node"])
+def test_assumption_checks_match_probe_by_probe_testing(node, output):
+    # elementwise fields, so batching leaves every value bit for bit as is
+    model = _pair(node, output)
+    for seed in (0, 1):
+        report = check_assumptions(model, horizon=5.0, sample_budget=1000, seed=seed)
+        assert [(c.name, c.ok, c.witness, c.detail) for c in report.checks] == \
+            _probe_by_probe(model, 5.0, 1000, seed)
+
+
 def test_coupling_table_breaking_a_demanded_flag_is_rejected():
     # row sums and off-diagonal entries are affine between knots, so the
     # flags are decided at the knots; one bad interior knot is enough
