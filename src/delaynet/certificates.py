@@ -126,7 +126,7 @@ def probe_domain(box, t_range, n: int) -> tuple[np.ndarray, np.ndarray, float, f
 
 
 def check_quad(f: NodeDynamics, cert: QuadCertificate, box, t_range=(0.0, 10.0),
-               budget: int = 1000, seed: int = 0) -> QuadCheckResult:
+               budget: int = 2000, seed: int = 0) -> QuadCheckResult:
     """Probe the certificate inequality at random (t, u1, u2) triples.
 
     Each probe is t = uniform(t0, t1), u1 = uniform(lo, hi), u2 =

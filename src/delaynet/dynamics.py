@@ -322,6 +322,8 @@ class _TapTable:
     later nodes of its tap, summed from the tap's far end.  Under constant
     delays the lags are one read-only array, ``lags``; under a delay table
     ``delays`` holds each tap's delays and ``lags_at`` interpolates them.
+    Under a constant A, ``coef`` holds each pair's a_ij, read-only; under a
+    coupling table it is None and ``rhs`` reads A(t).
     """
 
     def __init__(self, model: "NetworkModel"):
@@ -360,6 +362,10 @@ class _TapTable:
         self.pairs = np.array(pairs, dtype=np.intp)
         self.cells = (np.array(rows, dtype=np.intp)[:, None] * n + np.arange(n)).ravel()
         self.pair_tap = np.array(pair_tap, dtype=np.intp)
+        self.coef = None
+        if model.coupling.knots.times.size == 1:
+            self.coef = model.coupling.knots.values[0].take(self.pairs)
+            self.coef.flags.writeable = False
         delays = np.array(delays, dtype=float).reshape(len(plans), table.times.size)
         if table.times.size > 1 and plans:
             self.delays, self.lags = PiecewiseLinear(table.times, delays.T), None
@@ -386,27 +392,31 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     integrator's past folds each tap's nodes before the initial history's
     first knot into one weighted row.  Each call makes one ``lagged``
     lookup, one g call on its rows, one segment sum through the plan and
-    one scatter-add of a_ij(t) times each pair's integral into row i, and
-    calls f once on the (m, n) block.  Under a coupling table g is
-    evaluated for every pair nonzero at some knot; one zero at t adds an
-    exact zero.
+    one in-order ``np.bincount`` of a_ij times each pair's integral into
+    row i, and calls f once on the (m, n) block.  Under a constant A the
+    a_ij are the tap table's ``coef``, read once at construction.  Under a
+    coupling table A(t) is read at each call, and g is evaluated for every
+    pair nonzero at some knot; one zero at t adds an exact zero.
     Raises ``NonFiniteDerivative`` naming the first node whose derivative
     is not finite.
     """
     m, n = model.m, model.node.dim
     x_now = np.asarray(past(t), dtype=float).ravel()
-    if x_now.shape != (model.dim,):
-        raise ValueError(f"past evaluator returned shape {x_now.shape}, expected ({model.dim},)")
+    if x_now.shape != (m * n,):
+        raise ValueError(f"past evaluator returned shape {x_now.shape}, expected ({m * n},)")
     X = x_now.reshape(m, n)
     taps = model.taps
-    # np.add.at adds pair by pair in order: each row sums its couplings in j
-    # order, so symmetric contributions cancel before the node term is added
-    coupled = np.zeros(m * n)
     if taps.pairs.size:
         rows, plan, starts = past.lagged(t, taps)
         conv = plan.apply(model.output.eval_rows(t, rows), starts)
-        coef = model.coupling.matrix(t).take(taps.pairs)
-        np.add.at(coupled, taps.cells, (coef[:, None] * conv.take(taps.pair_tap, axis=0)).ravel())
+        coef = taps.coef if taps.coef is not None else model.coupling.matrix(t).take(taps.pairs)
+        # bincount adds pair by pair in order, from 0.0: each row sums its
+        # couplings in j order, so symmetric contributions cancel before
+        # the node term is added
+        coupled = np.bincount(taps.cells, (coef[:, None] * conv.take(taps.pair_tap, axis=0)).ravel(),
+                              m * n)
+    else:
+        coupled = np.zeros(m * n)
     out = model.node.eval(t, X) + coupled.reshape(m, n)
     finite = np.isfinite(out)
     if not finite.all():

@@ -185,6 +185,23 @@ class Trajectory:
         self._states[self._n] = x
         self._n += 1
 
+    def _reserve(self, size: int) -> None:
+        """Hold room for exactly ``size`` samples (at least those recorded),
+        so a writer that knows its sample count never grows the record."""
+        size = max(size, self._n)
+        times, states = np.empty(size), np.empty((size, self.dim))
+        times[: self._n] = self.times
+        states[: self._n] = self.states
+        self._times, self._states = times, states
+
+    def _push(self, t: float, x: np.ndarray) -> None:
+        """``append`` without its checks, into room held by ``_reserve``: t
+        must advance and x be a finite float vector of length dim."""
+        n = self._n
+        self._times[n] = t
+        self._states[n] = x
+        self._n = n + 1
+
     def eval(self, t: float) -> np.ndarray:
         """State at time t <= last sample; exact at samples, initial for t <= 0."""
         return self.eval_many([t])[0]

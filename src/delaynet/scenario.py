@@ -62,10 +62,8 @@ __all__ = [
     "scenario_schema",
 ]
 
-_DEFAULT_ENVELOPE_RTOL = 1e-6
 _DEFAULT_SYNC_THRESHOLD = 1e-3
 _DEFAULT_PROBE_BOX = 5.0
-_DEFAULT_PROBE_BUDGET = 2000
 
 
 class ScenarioError(ValueError):
@@ -92,7 +90,7 @@ class Scenario:
     config: IntegratorConfig
     certificate: QuadCertificate | None
     cert_params: dict
-    envelope_rel_tol: float
+    envelope_params: dict
     sync_threshold: float | None
     sync_window: float | None
     output_dir: str
@@ -217,7 +215,8 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
         config=config,
         certificate=certificate,
         cert_params=cert_params,
-        envelope_rel_tol=float(dsec.get("envelope_rel_tol", _DEFAULT_ENVELOPE_RTOL)),
+        envelope_params=({"rel_tol": float(dsec["envelope_rel_tol"])}
+                         if "envelope_rel_tol" in dsec else {}),
         sync_threshold=(float(dsec["sync_threshold"])
                         if "sync_threshold" in dsec else None),
         sync_window=(float(dsec["sync_window"]) if "sync_window" in dsec else None),
@@ -353,9 +352,9 @@ def _build_certificate(spec: dict, node, horizon: float, errs: list):
         errs.append(f"certificate.{err}")
     params = {
         "box": box,
-        "budget": int(spec.get("budget", _DEFAULT_PROBE_BUDGET)),
         "t_range": t_range,
         "seed": int(spec.get("seed", 0)),
+        **_given(spec, "budget"),
     }
     return cert, params
 
@@ -372,7 +371,7 @@ def certify(scenario: Scenario, seed: int | None = None):
     p = scenario.cert_params
     probe_seed = p["seed"] if seed is None else int(seed)
     result = check_quad(scenario.model.node, scenario.certificate, p["box"],
-                        t_range=p["t_range"], budget=p["budget"], seed=probe_seed)
+                        t_range=p["t_range"], seed=probe_seed, **_given(p, "budget"))
     try:
         constants = ProofConstants.derive(scenario.certificate, scenario.model,
                                           scenario.history.eval(0.0), scenario.config.horizon)
@@ -428,7 +427,7 @@ def run_scenario(scenario: Scenario, out_dir=None, seed: int | None = None):
             failures.append("constants")
         else:
             envelope = check_envelope(traj, constants.eta, scenario.certificate.P,
-                                      rel_tol=scenario.envelope_rel_tol)
+                                      **scenario.envelope_params)
             epath = outdir / "envelope.csv"
             write_envelope_csv(envelope, epath)
             artifacts["envelope"] = str(epath)

@@ -264,6 +264,37 @@ def test_shared_lookups_are_made_once():
     np.testing.assert_allclose(got, pairwise_rhs(model, 1.0, past), rtol=0, atol=1e-12)
 
 
+def test_rhs_sums_each_row_pair_by_pair_in_j_order_bitwise():
+    # an asymmetric A whose rows take three to five couplings of unequal
+    # sizes, so the order of a row's sum shows in its last bits; pairs
+    # (0, 1) and (3, 1) share one tap, whose integral feeds two rows
+    m, n, w = 5, 2, 0.7
+    rng = np.random.default_rng(5)
+    A = rng.uniform(-2.0, 2.0, (m, m)) * (rng.random((m, m)) < 0.8)
+    D = rng.uniform(0.0, 0.5, (m, m))
+    D[3, 1] = D[0, 1]
+    A[0, 1] = A[3, 1] = 0.4
+    node = NodeDynamics(dim=n, fn=lambda t, u: -0.5 * u + u * u * u)
+    output = OutputFunction(dim=n, fn=lambda t, u: u - 0.1 * u * u * u, kappa=1.0)
+    past = Past(lambda t: np.sin(np.arange(m * n) + 0.3 * t), n)
+    t = 1.25
+    X = past(t).reshape(m, n)
+    want = np.empty((m, n))
+    for i in range(m):
+        acc = np.zeros(n)
+        for j in range(m):
+            if A[i, j] != 0.0:
+                lagged = past.fn(t - D[i, j]).reshape(m, n)[j]
+                acc = acc + A[i, j] * (w * output.fn(t, lagged))
+        want[i] = node.fn(t, X[i]) + acc
+    for coupling in (CouplingSchedule.constant(A), CouplingSchedule.table([t, t + 1.0], [A, A])):
+        model = NetworkModel(m, node, output, coupling, DelaySchedule.constant(D),
+                             dirac(0.0, weight=w))
+        assert (model.taps.coef is None) == (coupling.knots.times.size > 1)
+        assert model.taps.sizes.size == np.count_nonzero(A) - 1
+        assert rhs(model, t, past).tobytes() == want.tobytes()
+
+
 def test_rhs_follows_a_coupling_whose_support_changes():
     # a ring up to t = 1, then a ramp to all-to-all at t = 1.5: each support
     # gives the oracle's result, and returning to the first one gives the

@@ -134,6 +134,50 @@ def test_blow_up_detected_with_partial_trajectory():
     assert np.all(np.isfinite(err.trajectory.states))
 
 
+def burst_model(burst):
+    """Single uncoupled node whose field is 0 before t = 0.0085 and
+    ``burst(u)`` from then on: with h = 0.002 the first four steps stay
+    put and the fifth starts at 0 and bursts at its last three stages."""
+    node = NodeDynamics(dim=1, fn=lambda t, u: np.where(t < 0.0085, 0.0 * u, burst(u)))
+    return NetworkModel(m=1, node=node, output=identity_output(1),
+                        coupling=CouplingSchedule.constant(np.zeros((1, 1))),
+                        delays=DelaySchedule.zero(), kernels=dirac())
+
+
+@pytest.mark.parametrize("burst, reason", [
+    # k2 = 1e308, k3 = -1e308: 2 k2 = inf and 2 k3 = -inf sum to NaN
+    (lambda u: np.where(u < 1e300, 1e308, -1e308), "non-finite state component"),
+    (lambda u: np.full_like(u, 1e308), "non-finite state component"),
+    # 0.5 + (0.002 / 6) * 6 * 1.2e15, finite
+    (lambda u: np.full_like(u, 1.2e15), "state magnitude 2.000e+12 exceeds 1e+12"),
+], ids=["nan", "inf", "magnitude"])
+def test_each_escape_halts_with_its_reason_after_the_last_good_sample(burst, reason):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        integrate(burst_model(burst), HistoryFunction.constant([0.5]),
+                  IntegratorConfig(method="rk4", h=0.002, horizon=0.02))
+    err = info.value
+    assert err.reason == reason
+    assert err.time == 5 * 0.002
+    np.testing.assert_array_equal(err.trajectory.times, np.arange(5) * 0.002)
+    np.testing.assert_array_equal(err.trajectory.states, np.full((5, 1), 0.5))
+
+
+def test_a_run_record_still_checks_and_grows_on_append():
+    traj = integrate(decaying_node_model(), HistoryFunction.constant([1.0]),
+                     IntegratorConfig(method="rk4", h=0.1, horizon=0.5))
+    assert len(traj) == 6
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite state"):
+            traj.append(0.6, np.array([bad]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        traj.append(0.5, np.array([0.0]))
+    traj.append(0.6, np.array([0.25]))
+    traj.append(0.7, np.array([0.125]))
+    assert len(traj) == 8
+    assert traj.eval(0.65)[0] == pytest.approx(0.1875)
+    assert traj.eval(0.5)[0] == pytest.approx(math.exp(-0.5), abs=1e-6)
+
+
 def test_stage_lookups_inside_step_are_counted():
     h = 0.002
     fast = scalar_delay_model(a=-1.0, tau=0.0005)
@@ -273,17 +317,23 @@ def test_distributed_delay_hands_g_the_live_nodes_and_one_row_per_tap(monkeypatc
     scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                              / "distributed_delay.json")
     assert int(scenario.model.taps.sizes.sum()) == 4474
-    rows, plans = [], []
+    rows, plans, layouts = [], [], []
     eval_rows, build = OutputFunction.eval_rows, integrator._LookupPlan.__init__
+    lay_out = integrator._LookupPlan._layout
     monkeypatch.setattr(OutputFunction, "eval_rows",
                         lambda self, t, u: rows.append(len(u)) or eval_rows(self, t, u))
     monkeypatch.setattr(integrator._LookupPlan, "__init__",
                         lambda self, *args: plans.append(args[2]) or build(self, *args))
+    monkeypatch.setattr(integrator._LookupPlan, "_layout",
+                        lambda self, f: layouts.append(f) or lay_out(self, f))
     integrate(scenario.model, scenario.history, scenario.config)
     assert len(rows) == 4 * scenario.config.steps
     assert rows[0] <= 6
     assert max(rows) < 800
     assert sorted(plans) == [0.0, 0.5, 1.0]
+    # the three offsets share one node order and step through the same fold
+    # counts, so each layout is built about once, not once per offset (1,145)
+    assert len(layouts) <= 400
 
 
 def convolution(plan, traj, t, tau):

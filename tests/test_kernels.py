@@ -194,3 +194,15 @@ def test_signed_density_weights_integrate_signed():
     plan = build_quadrature(ker, tail_tol=1e-10, node_spacing=1e-3)
     val = float(plan.apply(np.ones(len(plan))))
     assert val == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_single_node_segments_apply_as_reduceat_bitwise():
+    rng = np.random.default_rng(3)
+    plan = QuadraturePlan(np.arange(5.0), rng.standard_normal(5), 4.0, 0.0)
+    values = rng.standard_normal((5, 3))
+    values[2, 1] = -0.0
+    starts = np.arange(5)
+    got = plan.apply(values, starts)
+    want = np.add.reduceat(plan.weights[:, None] * values, starts, axis=0)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -397,3 +397,32 @@ def test_console_entry_point_is_installed():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_omitted_probe_budget_and_envelope_tolerance_are_the_functions_defaults(
+        tmp_path, monkeypatch):
+    import inspect
+
+    from delaynet import scenario as scenario_module
+    from delaynet.certificates import check_quad
+    from delaynet.diagnostics import check_envelope
+
+    tolerances = []
+
+    def spy(*args, **kwargs):
+        report = check_envelope(*args, **kwargs)
+        tolerances.append(report.rel_tol)
+        return report
+
+    monkeypatch.setattr(scenario_module, "check_envelope", spy)
+    doc = minimal_doc(certificate={"type": "lipschitz", "epsilon": 0.1})
+    summary, code = run_scenario(scenario_from_dict(doc), out_dir=tmp_path / "defaults")
+    assert code == 0
+    assert summary["certificate"]["probes"] == 2000
+    assert inspect.signature(check_quad).parameters["budget"].default == 2000
+    assert tolerances == [inspect.signature(check_envelope).parameters["rel_tol"].default]
+    doc["certificate"]["budget"] = 30
+    doc["diagnostics"] = {"envelope_rel_tol": 1e-3}
+    summary, code = run_scenario(scenario_from_dict(doc), out_dir=tmp_path / "given")
+    assert summary["certificate"]["probes"] == 30
+    assert tolerances[-1] == 1e-3

@@ -1,0 +1,128 @@
+"""Interleaved in-process A/B timing of ``integrate`` in two delaynet checkouts.
+
+    python tools/ab_inprocess.py A B [--rounds N] [--scale S] [--scenario STEM ...]
+
+A and B are checkout roots; each one's ``src/delaynet`` is loaded into this
+process under its own package name, so both sides share one interpreter, one
+numpy and one host phase.  Each round integrates every chosen bundled
+scenario once with each side, the side that goes first alternating by round,
+and checks that the two trajectories are bitwise equal.  Per scenario and in
+total it prints the median time of each side, the median of the paired ratios
+B/A and the number of rounds B was faster.  ``--scale`` shortens every
+horizon, for a quick check.
+
+A shared host can change speed by tens of percent over minutes, so
+processes run minutes apart can differ by more than the change under test;
+pairs taken seconds apart inside one process share the host's phase.  Import
+and compile time are outside what this script times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = ("chua_synchronization", "linear_network", "distributed_delay", "chua_uncoupled")
+
+
+def load_package(checkout: Path, name: str):
+    """Import ``checkout/src/delaynet`` as the top-level package ``name``."""
+    init = Path(checkout).resolve() / "src" / "delaynet" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+@contextlib.contextmanager
+def _as_delaynet(package):
+    """Let ``package`` answer to the name ``delaynet``, under which the
+    scenario reader finds its packaged schema."""
+    saved = sys.modules.get("delaynet")
+    sys.modules["delaynet"] = package
+    try:
+        yield
+    finally:
+        if saved is None:
+            del sys.modules["delaynet"]
+        else:
+            sys.modules["delaynet"] = saved
+
+
+def load_case(package, stem: str, scale: float):
+    """The scenario's model, history and config, the horizon cut by ``scale``
+    to a whole number of steps."""
+    with _as_delaynet(package):
+        scenario = package.load_scenario(ROOT / "scenarios" / f"{stem}.json")
+    config = scenario.config
+    if scale < 1.0:
+        steps = max(1, round(config.steps * scale))
+        config = dataclasses.replace(config, horizon=steps * config.h)
+    return scenario.model, scenario.history, config
+
+
+def _bitwise(a, b) -> bool:
+    """Same shape and same bytes: -0.0 differs from 0.0, and NaN equals itself."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def timed(package, case):
+    start = time.perf_counter()
+    traj = package.integrate(*case)
+    return time.perf_counter() - start, traj
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", type=Path, help="checkout root of side A (the baseline)")
+    parser.add_argument("b", type=Path, help="checkout root of side B (the change)")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="fraction of each scenario's horizon to integrate")
+    parser.add_argument("--scenario", action="append", choices=BUNDLED,
+                        help="a bundled scenario stem; repeat for several (default: all)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or not 0.0 < args.scale <= 1.0:
+        parser.error("--rounds must be >= 1 and --scale in (0, 1]")
+    stems = args.scenario or list(BUNDLED)
+    sides = (load_package(args.a, "delaynet_ab_a"), load_package(args.b, "delaynet_ab_b"))
+    cases = {stem: [load_case(p, stem, args.scale) for p in sides] for stem in stems}
+
+    times = {stem: ([], []) for stem in stems}
+    for r in range(args.rounds):
+        for stem in stems:
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            trajs = [None, None]
+            for s in order:
+                dt, trajs[s] = timed(sides[s], cases[stem][s])
+                times[stem][s].append(dt)
+            ta, tb = trajs
+            if not (_bitwise(ta.times, tb.times) and _bitwise(ta.states, tb.states)
+                    and ta.stage_extrapolation_count == tb.stage_extrapolation_count):
+                print(f"{stem}: trajectories differ in round {r}", file=sys.stderr)
+                return 1
+
+    rows = [(stem, *times[stem]) for stem in stems]
+    rows.append(("total", [sum(t) for t in zip(*(times[s][0] for s in stems))],
+                 [sum(t) for t in zip(*(times[s][1] for s in stems))]))
+    print(f"{'scenario':<22}{'A median s':>12}{'B median s':>12}{'B/A':>8}  B faster")
+    for name, ta, tb in rows:
+        ratio = statistics.median(b / a for a, b in zip(ta, tb))
+        wins = sum(b < a for a, b in zip(ta, tb))
+        print(f"{name:<22}{statistics.median(ta):>12.4f}{statistics.median(tb):>12.4f}"
+              f"{ratio:>8.3f}  {wins}/{len(ta)}")
+    print("bitwise equal: yes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
