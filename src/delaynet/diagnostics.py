@@ -167,12 +167,12 @@ def sync_report(traj: Trajectory, threshold: float, window: float) -> SyncReport
     if not 0 < window <= traj.last_time:
         raise ValueError("window must lie within the trajectory span")
     times = traj.times.copy()
-    blocks = traj.states.reshape(len(traj), traj.node_count, traj.node_dim)
-    m = traj.node_count
-    dist = np.zeros(len(traj))
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist = np.maximum(dist, np.linalg.norm(blocks[:, i] - blocks[:, j], axis=1))
+    X = np.ascontiguousarray(traj.states.reshape(len(traj), traj.node_count, traj.node_dim).T)
+    squared = np.zeros(len(traj))
+    for i in range(traj.node_count - 1):  # node i against each j > i: (n, m - 1 - i, T)
+        gaps = np.square(X[:, i:i + 1] - X[:, i + 1:])
+        np.maximum(squared, gaps.sum(axis=0).max(axis=0), out=squared)
+    dist = np.sqrt(squared)  # sqrt is monotone: the root of the largest square
     mask = times >= times[-1] - window
     mean = float(np.mean(dist[mask]))
     return SyncReport(times=times, distance=dist, threshold=float(threshold),

@@ -76,7 +76,7 @@ class ScenarioError(ValueError):
 
 def scenario_schema() -> dict:
     """The published JSON schema, as packaged."""
-    text = resources.files("delaynet").joinpath("schemas/scenario.json").read_text("utf-8")
+    text = resources.files(__package__).joinpath("schemas/scenario.json").read_text("utf-8")
     return json.loads(text)
 
 

@@ -201,6 +201,24 @@ def test_sync_distance_permutation_invariant():
     np.testing.assert_array_equal(r1.distance, r2.distance)
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (5, 3), (30, 3), (4, 9)])
+def test_sync_distance_is_the_pair_by_pair_maximum(m, n):
+    rng = np.random.default_rng(m)
+    states = [rng.standard_normal(m * n) * 10.0 ** rng.integers(-3, 4) for _ in range(40)]
+    report = sync_report(manual_traj(states, node_count=m, node_dim=n),
+                         threshold=1.0, window=1.0)
+    blocks = np.array(states).reshape(len(states), m, n)
+    want = np.zeros(len(states))
+    for i in range(m):
+        for j in range(i + 1, m):
+            want = np.maximum(want, np.linalg.norm(blocks[:, i] - blocks[:, j], axis=1))
+    if n < 8:
+        # np.linalg.norm adds fewer than 8 squares in order, as sync_report does
+        assert report.distance.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(report.distance, want, rtol=1e-14, atol=0.0)
+
+
 def test_sync_requires_two_nodes_and_valid_window():
     traj = manual_traj([[1.0], [2.0]])
     with pytest.raises(ValueError):

@@ -567,6 +567,83 @@ def test_chua_vector_field_hand_value_and_lipschitz_hint():
         assert np.array_equal(node.eval(0.0, U), rows.reshape(shape))
 
 
+CHUA = dict(alpha=9.0, beta=100.0 / 7.0, m0=-8.0 / 7.0, m1=-5.0 / 7.0)
+
+
+def chua_by_the_diode_formula(u, alpha, beta, m0, m1):
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    diode = m1 * x + 0.5 * (m0 - m1) * (np.abs(x + 1.0) - np.abs(x - 1.0))
+    return np.stack([alpha * (y - x - diode), x - y + z, -beta * y], axis=-1)
+
+
+def chua_region_jacobian(alpha, beta, slope):
+    return np.array([[-alpha * (1.0 + slope), alpha, 0.0],
+                     [1.0, -1.0, 1.0],
+                     [0.0, -beta, 0.0]])
+
+
+@pytest.mark.parametrize("rows", [3, 30, 2048])
+@pytest.mark.parametrize("params", [CHUA, dict(alpha=15.6, beta=28.0, m0=-1.143, m1=-0.714)],
+                         ids=["default", "double-scroll"])
+def test_chua_field_matches_the_diode_formula(rows, params):
+    # x on the diode's corners, just inside and outside them, and deep in
+    # both regions; a (3, 3) block takes them three at a time
+    corners = np.array([-1.0, 1.0, -0.5, 0.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                        np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0), -3.0, 2.5])
+    rng = np.random.default_rng(rows)
+    node = chua_node(**params)
+    a, b, m0, m1 = params["alpha"], params["beta"], params["m0"], params["m1"]
+    for start in range(len(corners)):
+        U = rng.uniform(-4.0, 4.0, size=(rows, 3))
+        k = min(rows, len(corners))
+        U[:k, 0] = np.roll(corners, -start)[:k]
+        got = node.eval(0.0, U)
+        want = chua_by_the_diode_formula(U, **params)
+        # each component is accurate relative to the size of its terms
+        x, y = np.abs(U[:, 0]), np.abs(U[:, 1])
+        scale = np.stack([a * (y + (1.0 + abs(m1)) * x + abs(m0 - m1)),
+                          np.abs(U).sum(axis=1), b * y], axis=-1)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_chua_region_jacobians_match_central_differences():
+    node = chua_node()
+    h = 1e-4
+    rng = np.random.default_rng(5)
+    for slope, xs in ((CHUA["m0"], [-0.6, 0.0, 0.4]), (CHUA["m1"], [-2.5, 1.7, 4.0])):
+        J = chua_region_jacobian(CHUA["alpha"], CHUA["beta"], slope)
+        for x in xs:
+            u = np.array([x, *rng.uniform(-2.0, 2.0, size=2)])
+            steps = h * np.eye(3)
+            fd = (node.eval(0.0, u + steps) - node.eval(0.0, u - steps)).T / (2.0 * h)
+            np.testing.assert_allclose(fd, J, rtol=1e-9, atol=1e-9)
+
+
+def test_chua_lipschitz_hint_is_the_larger_region_norm():
+    hint = max(float(np.linalg.norm(chua_region_jacobian(CHUA["alpha"], CHUA["beta"], s), 2))
+               for s in (CHUA["m0"], CHUA["m1"]))
+    assert chua_node().lipschitz_hint == hint == 16.97537500135668
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_a_non_finite_chua_state_gives_a_non_finite_row_and_names_its_node(bad, component):
+    node = chua_node()
+    rng = np.random.default_rng(8)
+    U = rng.uniform(-3.0, 3.0, size=(4, 3))
+    U[2, component] = bad
+    with np.errstate(invalid="ignore"):
+        got = node.eval(0.0, U)
+    assert not np.isfinite(got[2]).all()
+    assert np.array_equal(got[[0, 1, 3]], node.eval(0.0, U[[0, 1, 3]]))
+    model = NetworkModel(m=4, node=node, output=identity_output(3),
+                         coupling=CouplingSchedule.constant(np.zeros((4, 4))),
+                         delays=DelaySchedule.zero(), kernels=dirac())
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteDerivative) as exc:
+        rhs(model, 0.0, Past(lambda s: U.ravel(), 3))
+    assert exc.value.node == 2
+
+
 def test_linear_output_table_reads_each_row_at_its_own_time():
     rng = np.random.default_rng(79)
     times = [0.0, 0.4, 1.3]

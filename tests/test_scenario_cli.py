@@ -1,5 +1,6 @@
 """Scenario loading, the published schema, artifact writing, CLI exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -49,6 +50,28 @@ def test_bundled_scenarios_load(path):
     scenario = load_scenario(path)
     assert scenario.model.m >= 2
     assert scenario.config.horizon > 0
+
+
+def test_a_scenario_loads_with_the_package_imported_under_another_name(monkeypatch):
+    # None in sys.modules makes `import delaynet` fail, so nothing can reach
+    # the schema through the name "delaynet"
+    init = Path(delaynet.__file__)
+    spec = importlib.util.spec_from_file_location(
+        "delaynet_renamed", init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    with monkeypatch.context() as patch:
+        patch.setitem(sys.modules, "delaynet", None)
+        patch.setitem(sys.modules, "delaynet_renamed", package)
+        try:
+            spec.loader.exec_module(package)
+            scenario = package.load_scenario(SCENARIOS / "linear_network.json")
+            schema = package.scenario_schema()
+        finally:
+            for key in [k for k in sys.modules if k.startswith("delaynet_renamed.")]:
+                del sys.modules[key]
+    assert schema == delaynet.scenario_schema()
+    want = load_scenario(SCENARIOS / "linear_network.json")
+    assert scenario.model.m == want.model.m and scenario.config.steps == want.config.steps
 
 
 @pytest.mark.parametrize("name, fragment", [

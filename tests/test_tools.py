@@ -1,29 +1,59 @@
 """The developer scripts under tools/."""
 
 import importlib.util
+import shutil
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ab_inprocess_compares_a_checkout_with_itself(capsys):
+def _run_ab(a: Path, b: Path, rounds: int) -> int:
     spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
-    start = time.perf_counter()
     try:
-        rc = ab.main([str(ROOT), str(ROOT), "--rounds", "2", "--scale", "0.02",
-                      "--scenario", "linear_network"])
+        return ab.main([str(a), str(b), "--rounds", str(rounds), "--scale", "0.02",
+                        "--scenario", "linear_network"])
     finally:
         for name in ("delaynet_ab_a", "delaynet_ab_b"):
             for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
                 del sys.modules[key]
+
+
+def test_ab_inprocess_compares_a_checkout_with_itself(capsys):
+    start = time.perf_counter()
+    rc = _run_ab(ROOT, ROOT, 2)
     assert time.perf_counter() - start < 2.0
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:4] == ["scenario", "A", "median", "s"]
     assert lines[1].split()[0] == "linear_network" and lines[1].endswith("/2")
     assert lines[2].split()[0] == "total"
+    assert lines[-2].split() == ["linear_network", "0", "yes"]
     assert lines[-1] == "bitwise equal: yes"
+
+
+def test_ab_inprocess_keeps_timing_when_the_sides_differ(tmp_path, capsys):
+    # side B is this checkout with the last state of every run nudged by 1e-9
+    package = tmp_path / "src" / "delaynet"
+    shutil.copytree(ROOT / "src" / "delaynet", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "__init__.py", "a", encoding="utf-8") as init:
+        init.write("\n_exact_integrate = integrate\n\n\n"
+                   "def integrate(*args):\n"
+                   "    traj = _exact_integrate(*args)\n"
+                   "    traj.states[-1, 0] += 1e-9\n"
+                   "    return traj\n")
+    rc = _run_ab(ROOT, tmp_path, 3)
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[0] == "linear_network" and lines[1].endswith("/3")
+    assert lines[2].split()[0] == "total" and lines[2].endswith("/3")
+    stem, gap, bitwise = lines[-2].split()
+    assert stem == "linear_network" and bitwise == "no"
+    assert float(gap) == pytest.approx(1e-9, rel=1e-3)
+    assert lines[-1] == "bitwise equal: no"
