@@ -6,8 +6,9 @@ an output map applied to delayed states, and one delay measure per node pair:
     d/dt x_i(t) = f(t, x_i(t)) + sum_j a_ij(t) * I_ij(t),
     I_ij(t) = integral over s >= 0 of g(t, x_j(t - tau_ij(t) - s)) dK_ij(s).
 
-The integral is evaluated through the pair's quadrature plan, so the right
-hand side only ever queries the past at finitely many shifted times.
+The integral is a weighted sum over the pair's nodes, so the right hand side
+only queries the past at finitely many shifted times: quadrature nodes, or
+for a linear output exact nodes on auxiliary states (``_TapTable``).
 
 A(t), tau(t) and a linear output's Gamma(t) are piecewise-linear tables
 (``history.PiecewiseLinear``), a constant being one knot.  A table is affine
@@ -28,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .history import PiecewiseLinear
-from .kernels import DelayKernel, QuadraturePlan, _given, build_quadrature, dirac
+from .kernels import (DelayKernel, ExponentialDensity, QuadraturePlan, _given, build_quadrature,
+                      dirac)
 
 __all__ = [
     "NodeDynamics",
@@ -101,13 +103,16 @@ class OutputFunction:
     ``PiecewiseLinear`` is read at a column of times with ``eval_many``.
     ``kappa`` bounds |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u and t,
     the one bound the growth estimate uses.  It is declared, not derived;
-    ``check_assumptions`` tries to falsify it.
+    ``check_assumptions`` tries to falsify it.  ``linear`` declares g(t, .)
+    linear in u, as for the built-in outputs; the integrator then reads each
+    density through auxiliary states (``_TapTable``), exact only if it is.
     """
 
     dim: int
     fn: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
     kappa: float
     name: str = "custom"
+    linear: bool = False
 
     def __post_init__(self):
         if not self.kappa >= 0:
@@ -305,70 +310,25 @@ def _kernel_grid(kernels, m: int):
     return grid
 
 
-class _TapTable:
-    """The coupling of a model resolved into flat arrays, once.
+class _Nodes:
+    """Lookup nodes, tap by tap: node q reads block ``sources[q]`` of a state
+    vector at lag tau + ``plan.locations[q]``, tau its tap's delay, weighing
+    ``plan.weights[q]``; ``starts`` holds each tap's first node.  Under
+    constant delays the lags are one read-only array, ``lags``; under a
+    delay table ``lags_at`` interpolates each tap's ``delays``."""
 
-    The pairs, ``pairs`` in row-major order with their ``pair_tap``, are
-    every (i, j) nonzero at some knot of A whose plan has nodes; ``cells``
-    holds, pair by pair, the flat indices of row i in an (m, n) block.  A
-    tap is one distinct (source j, the pair's delays at every delay knot,
-    plan) lookup; pairs that share one share its nodes.  Node q reads
-    x_j(t - lag) with j = ``sources[q]`` and lag = tau + s, the tap's
-    delay plus the node's location; ``plan`` holds the weights and
-    ``starts`` the first node of each tap.  Locations, and so lags,
-    increase along a tap, so the nodes that land before the initial
-    history's first knot are a suffix of it; a past that folds them into
-    one row weights it with ``tails``, each node's weight plus those of the
-    later nodes of its tap, summed from the tap's far end.  Under constant
-    delays the lags are one read-only array, ``lags``; under a delay table
-    ``delays`` holds each tap's delays and ``lags_at`` interpolates them.
-    Under a constant A, ``coef`` holds each pair's a_ij, read-only; under a
-    coupling table it is None and ``rhs`` reads A(t).
-    """
-
-    def __init__(self, model: "NetworkModel"):
-        m, n = model.m, model.n
-        support = np.flatnonzero((model.coupling.knots.values != 0.0).any(axis=0))
-        table = model.delays.table_for(m)
-        taus = table.values.reshape(table.times.size, m * m)[:, support].T.tolist()
-        taps: dict[tuple[int, tuple[float, ...], int], int] = {}
-        sources, delays, plans = [], [], []
-        pairs, rows, pair_tap = [], [], []
-        for a, tau in zip(support.tolist(), taus):
-            i, j = divmod(a, m)
-            plan = model.plans[i][j]
-            if not len(plan):
-                continue
-            lookup = (j, tuple(tau), id(plan))
-            if lookup not in taps:
-                taps[lookup] = len(plans)
-                sources.append(j)
-                delays.append(tau)
-                plans.append(plan)
-            pairs.append(a)
-            rows.append(i)
-            pair_tap.append(taps[lookup])
+    def __init__(self, plans, sources, delays: np.ndarray, times: np.ndarray):
         self.sizes = np.array([len(p) for p in plans], dtype=np.intp)
-        tails = {id(p): np.cumsum(p.weights[::-1])[::-1] for p in plans}
-        self.tails = np.concatenate([tails[id(p)] for p in plans] or [np.zeros(0)])
+        self.starts = np.cumsum(self.sizes) - self.sizes
         self.plan = QuadraturePlan(
             locations=np.concatenate([p.locations for p in plans] or [np.zeros(0)]),
             weights=np.concatenate([p.weights for p in plans] or [np.zeros(0)]),
             truncation_horizon=max((p.truncation_horizon for p in plans), default=0.0),
             tail_mass_bound=max((p.tail_mass_bound for p in plans), default=0.0))
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.sources = np.repeat(np.array(sources, dtype=np.intp), self.sizes)
+        self.sources = np.array(sources, dtype=np.intp)
         self.sources.flags.writeable = False
-        self.pairs = np.array(pairs, dtype=np.intp)
-        self.cells = (np.array(rows, dtype=np.intp)[:, None] * n + np.arange(n)).ravel()
-        self.pair_tap = np.array(pair_tap, dtype=np.intp)
-        self.coef = None
-        if model.coupling.knots.times.size == 1:
-            self.coef = model.coupling.knots.values[0].take(self.pairs)
-            self.coef.flags.writeable = False
-        delays = np.array(delays, dtype=float).reshape(len(plans), table.times.size)
-        if table.times.size > 1 and plans:
-            self.delays, self.lags = PiecewiseLinear(table.times, delays.T), None
+        if times.size > 1 and plans:
+            self.delays, self.lags = PiecewiseLinear(times, delays.T), None
         else:
             self.delays = None
             self.lags = np.repeat(delays[:, 0], self.sizes) + self.plan.locations
@@ -381,19 +341,100 @@ class _TapTable:
         return np.repeat(self.delays(t), self.sizes) + self.plan.locations
 
 
+class _TapTable(_Nodes):
+    """The coupling of a model resolved into flat arrays, once.
+
+    The pairs, ``pairs`` with their ``pair_tap``, are every (i, j) nonzero
+    at some knot of A whose plan has nodes, row by row, each row's self
+    pair after its other pairs in j order; ``cells`` holds, pair by pair,
+    the flat indices of row i in an (m, n) block.  A tap is one distinct
+    (source j, the pair's delays at every delay knot, plan) lookup; pairs
+    that share one share its nodes.  As ``_Nodes`` the table holds every
+    tap's quadrature nodes, each reading block j of the state.  Under a
+    constant A, ``coef`` holds each pair's a_ij as a read-only column;
+    under a coupling table it is None and ``rhs`` reads A(t).
+
+    ``lookups`` holds the nodes the integrator reads.  For a linear output
+    each density becomes n auxiliary state columns following block j,
+    ``aux_cols`` naming the state column each follows and ``aux_rates`` its
+    rate r, 0 for a running integral.  An exponential density (rate r,
+    weight w) is the filter z' = r (x_j - z), z(t) = integral over s >= 0
+    of r e^{-rs} x_j(t - s) ds, read by one node of weight w at the tap's
+    delay; a uniform one on [a, b] is the running integral G' = x_j, read
+    by nodes at tau + a and tau + b weighing +-w/(b - a).  Taps of one
+    source share each filter rate and the integral; auxiliary block c is
+    block m + c of the extended state.  As g is linear, g of a filtered
+    state is the filtered g, so these nodes are exact, also under a delay
+    table.  Otherwise ``lookups`` is the table itself.
+    """
+
+    def __init__(self, model: "NetworkModel"):
+        m, n = model.m, model.n
+        support = np.flatnonzero((model.coupling.knots.values != 0.0).any(axis=0))
+        row, col = np.divmod(support, m)
+        support = support[np.lexsort((row == col, row))]
+        table = model.delays.table_for(m)
+        taus = table.values.reshape(table.times.size, m * m)[:, support].T.tolist()
+        taps: dict[tuple[int, tuple[float, ...], int], int] = {}
+        sources, delays, plans, kernels, pairs, rows, pair_tap = [], [], [], [], [], [], []
+        for a, tau in zip(support.tolist(), taus):
+            i, j = divmod(a, m)
+            plan = model.plans[i][j]
+            if not len(plan):
+                continue
+            lookup = (j, tuple(tau), id(plan))
+            if lookup not in taps:
+                taps[lookup] = len(plans)
+                sources.append(j)
+                delays.append(tau)
+                plans.append(plan)
+                kernels.append(model.kernels[i][j])
+            pairs.append(a)
+            rows.append(i)
+            pair_tap.append(taps[lookup])
+        delays = np.array(delays, dtype=float).reshape(len(plans), table.times.size)
+        super().__init__(plans, np.repeat(sources, [len(p) for p in plans]), delays, table.times)
+        self.pairs = np.array(pairs, dtype=np.intp)
+        self.cells = (np.array(rows, dtype=np.intp)[:, None] * n + np.arange(n)).ravel()
+        self.pair_tap = np.array(pair_tap, dtype=np.intp)
+        self.coef = None
+        if model.coupling.knots.times.size == 1:
+            self.coef = model.coupling.knots.values[0].take(self.pairs)[:, None]
+            self.coef.flags.writeable = False
+        self.lookups, self.aux_cols, self.aux_rates = self, np.zeros(0, np.intp), np.zeros(0)
+        # a density whose whole mass is below tail_tol has no nodes, as in its plan
+        dense = [k.density if len(p) > len(k.atoms) else None for k, p in zip(kernels, plans)]
+        if not model.output.linear or not any(dense):
+            return
+        blocks: dict[tuple[int, float], int] = {}
+        chain, chain_sources = [], []
+        for j, k, d in zip(sources, kernels, dense):
+            nodes = [(loc, w, j) for loc, w in k.atoms]
+            if d is not None:
+                c = blocks.setdefault((j, getattr(d, "rate", 0.0)), m + len(blocks))
+                nodes += ([(0.0, d.weight, c)] if isinstance(d, ExponentialDensity) else
+                          [(d.a, d.weight / (d.b - d.a), c), (d.b, -d.weight / (d.b - d.a), c)])
+            locations, weights, node_sources = zip(*nodes)
+            chain.append(QuadraturePlan(locations, weights, max(locations), 0.0))
+            chain_sources += node_sources
+        self.lookups = _Nodes(chain, chain_sources, delays, table.times)
+        j, rate = np.array(list(blocks)).T
+        self.aux_cols = (j.astype(np.intp)[:, None] * n + np.arange(n)).ravel()
+        self.aux_rates = np.repeat(rate, n)
+
+
 def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     """Full network derivative at time t given an evaluator for the past.
 
     ``past(t)`` is the stacked state vector at t, and
     ``past.lagged(t, taps)`` the lookup of the model's tap table: the rows
     to hand to g, the ``QuadraturePlan`` of their weights and the first row
-    of each tap.  Unfolded, as ``Trajectory`` serves it, row q is
-    x_{sources[q]}(t - lag_q) with the table's own plan and starts; the
-    integrator's past folds each tap's nodes before the initial history's
-    first knot into one weighted row.  Each call makes one ``lagged``
-    lookup, one g call on its rows, one segment sum through the plan and
-    one in-order ``np.bincount`` of a_ij times each pair's integral into
-    row i, and calls f once on the (m, n) block.  Under a constant A the
+    of each tap.  As ``Trajectory`` serves it, row q is x_{sources[q]}(t -
+    lag_q), a quadrature node, with the table's plan and starts; the
+    integrator's past serves ``taps.lookups``.  Each call makes one
+    ``lagged`` lookup, one g call on its rows, one segment sum through the
+    plan and one in-order ``np.bincount`` of a_ij times each pair's integral
+    into row i, and calls f once on the (m, n) block.  Under a constant A the
     a_ij are the tap table's ``coef``, read once at construction.  Under a
     coupling table A(t) is read at each call, and g is evaluated for every
     pair nonzero at some knot; one zero at t adds an exact zero.
@@ -409,12 +450,13 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     if taps.pairs.size:
         rows, plan, starts = past.lagged(t, taps)
         conv = plan.apply(model.output.eval_rows(t, rows), starts)
-        coef = taps.coef if taps.coef is not None else model.coupling.matrix(t).take(taps.pairs)
+        coef = taps.coef
+        if coef is None:
+            coef = model.coupling.matrix(t).take(taps.pairs)[:, None]
         # bincount adds pair by pair in order, from 0.0: each row sums its
-        # couplings in j order, so symmetric contributions cancel before
-        # the node term is added
-        coupled = np.bincount(taps.cells, (coef[:, None] * conv.take(taps.pair_tap, axis=0)).ravel(),
-                              m * n)
+        # couplings, the self pair last, so symmetric contributions cancel
+        # before the node term is added
+        coupled = np.bincount(taps.cells, (coef * conv.take(taps.pair_tap, axis=0)).ravel(), m * n)
     else:
         coupled = np.zeros(m * n)
     out = model.node.eval(t, X) + coupled.reshape(m, n)
@@ -433,7 +475,8 @@ def linear_node(B) -> NodeDynamics:
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("linear node matrix must be square")
     L = float(np.linalg.norm(B, 2))
-    return NodeDynamics(dim=B.shape[0], fn=lambda t, u: u @ B.T,
+    B_T = np.ascontiguousarray(B.T)
+    return NodeDynamics(dim=B.shape[0], fn=lambda t, u: u @ B_T,
                         lipschitz_hint=L, name="linear")
 
 
@@ -475,7 +518,9 @@ def tanh_hopfield_node(W, bias=None) -> NodeDynamics:
     if b.shape != (W.shape[0],):
         raise ValueError("bias length must match the weight matrix")
     L = 1.0 + float(np.linalg.norm(W, 2))
-    return NodeDynamics(dim=W.shape[0], fn=lambda t, u: -u + np.tanh(u) @ W.T + b,
+    W_T = np.ascontiguousarray(W.T)
+    # tanh(u) W' - u rounds as -u + tanh(u) W'
+    return NodeDynamics(dim=W.shape[0], fn=lambda t, u: np.tanh(u) @ W_T - u + b,
                         lipschitz_hint=L, name="tanh_hopfield")
 
 
@@ -509,18 +554,19 @@ def linear_output(Gamma) -> OutputFunction:
         raise ValueError("output matrix must be square")
     kappa = max(float(np.linalg.norm(Gk, 2)) for Gk in G)
     if table.times.size == 1:
-        return OutputFunction(dim=G.shape[1], fn=lambda t, u: u @ G[0].T,
-                              kappa=kappa, name="linear")
+        G_T = np.ascontiguousarray(G[0].T)
+        return OutputFunction(dim=G.shape[1], fn=lambda t, u: u @ G_T,
+                              kappa=kappa, name="linear", linear=True)
 
     def fn(t, u):
         Gt = table.eval_many(t).reshape(np.shape(t)[:-1] + G.shape[1:])
         return (Gt * u[..., None, :]).sum(axis=-1)
 
-    return OutputFunction(dim=G.shape[1], fn=fn, kappa=kappa, name="linear")
+    return OutputFunction(dim=G.shape[1], fn=fn, kappa=kappa, name="linear", linear=True)
 
 
 def identity_output(dim: int) -> OutputFunction:
-    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=1.0, name="identity")
+    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=1.0, name="identity", linear=True)
 
 
 def named_topology(name: str, m: int) -> np.ndarray:

@@ -123,6 +123,41 @@ class HistoryFunction:
             raise ValueError(f"history is only defined for t <= 0, got t={np.max(ts)}")
         return self.knots.eval_many(ts)
 
+    def auxiliary(self, cols: np.ndarray, rates: np.ndarray):
+        """The function of times ts <= 0 whose row holds, per state column
+        ``cols[c]``, its filter z(u) = integral over s >= 0 of r e^{-rs}
+        x(u - s) ds for r = ``rates[c]`` > 0, or its running integral G(u) =
+        -integral from u to 0 of x for r = 0, exactly: on a piece from v of
+        slope beta, z(u) = x(u) - beta/r + (z(v) - x(v) + beta/r) e^{-r(u - v)}
+        and G(u) = G(v) + (u - v)(x(v) + x(u))/2; a constant x0 gives z = x0
+        and G(u) = u x0."""
+        times, X = self.knots.times, self.knots.values[:, cols]
+        r = np.where(rates > 0.0, rates, 1.0)
+        # piece k starts at knot k - 1; pieces 0 (up to the first knot) and
+        # K + 1 (from the last knot to 0) are flat
+        starts, x0 = np.append(times[:1], times), np.vstack([X[:1], X])
+        flat = np.zeros((1, X.shape[1]))
+        beta = np.vstack([flat, np.diff(X, axis=0) / np.diff(times)[:, None], flat])
+        z, G = [X[0], X[0]], [flat[0], flat[0]]
+        for k in range(1, times.size):
+            dt = times[k] - times[k - 1]
+            z.append(X[k] - beta[k] / r + (z[-1] - X[k - 1] + beta[k] / r) * np.exp(-r * dt))
+            G.append(G[-1] + dt * (X[k - 1] + X[k]) / 2.0)
+        z, G = np.array(z), np.array(G) - (G[-1] - times[-1] * X[-1])
+        # on piece k a column is p0 + p1 du + p2 du^2 + p3 e^{-r du}, du = u - starts[k]
+        p = np.where(rates > 0.0, [x0 - beta / r, beta, 0.0 * beta, z - x0 + beta / r],
+                     [G, x0, beta / 2.0, 0.0 * beta])
+        neg_r = -r
+
+        def rows(ts) -> np.ndarray:
+            ts = np.ravel(ts)
+            k = times.searchsorted(ts)
+            du = (ts - starts[k])[:, None]
+            p0, p1, p2, p3 = p[:, k]
+            return p0 + du * (p1 + du * p2) + p3 * np.exp(neg_r * np.maximum(du, 0.0))
+
+        return rows
+
 
 class Trajectory:
     """Computed solution samples on [0, T] in front of an initial history.
@@ -143,7 +178,7 @@ class Trajectory:
         self.node_count = node_count
         self.node_dim = node_dim
         self._times = np.empty(1024)
-        self._states = np.empty((1024, dim))
+        self._states = self._record = np.empty((1024, dim))
         self._n = 1
         self._times[0] = 0.0
         self._states[0] = initial.eval(0.0)
@@ -180,26 +215,29 @@ class Trajectory:
             raise ValueError(f"non-finite state at t={t}")
         if self._n == self._times.size:
             self._times = np.concatenate([self._times, np.empty(self._times.size)])
-            self._states = np.vstack([self._states, np.empty_like(self._states)])
+            self._states = self._record = np.vstack([self._states, np.empty_like(self._states)])
         self._times[self._n] = t
         self._states[self._n] = x
         self._n += 1
 
-    def _reserve(self, size: int) -> None:
+    def _reserve(self, size: int, hidden: int = 0) -> None:
         """Hold room for exactly ``size`` samples (at least those recorded),
-        so a writer that knows its sample count never grows the record."""
+        so a writer that knows its sample count never grows the record; the
+        rows of ``_record`` get ``hidden`` columns after the state, unset,
+        which ``_push`` writes and ``states`` leaves out."""
         size = max(size, self._n)
-        times, states = np.empty(size), np.empty((size, self.dim))
+        times, record = np.empty(size), np.empty((size, self.dim + hidden))
         times[: self._n] = self.times
-        states[: self._n] = self.states
-        self._times, self._states = times, states
+        record[: self._n, : self.dim] = self.states
+        self._times, self._record, self._states = times, record, record[:, : self.dim]
 
     def _push(self, t: float, x: np.ndarray) -> None:
         """``append`` without its checks, into room held by ``_reserve``: t
-        must advance and x be a finite float vector of length dim."""
+        must advance and x be a float vector of the record's row length
+        whose state part is finite."""
         n = self._n
         self._times[n] = t
-        self._states[n] = x
+        self._record[n] = x
         self._n = n + 1
 
     def eval(self, t: float) -> np.ndarray:
@@ -209,9 +247,9 @@ class Trajectory:
     __call__ = eval
 
     def lagged(self, t: float, taps):
-        """The lookup ``rhs`` makes for the quadrature nodes of a tap table,
-        unfolded: the (N, node_dim) block whose row q is node taps.sources[q]'s
-        state at t - lag_q, with the table's plan and segment starts."""
+        """The lookup ``rhs`` makes for the quadrature nodes of a tap table:
+        the (N, node_dim) block whose row q is node taps.sources[q]'s state
+        at t - lag_q, with the table's plan and segment starts."""
         lags = taps.lags_at(t)
         rows = self.eval_many(t - lags)
         rows = rows.reshape(lags.size, self.node_count, self.node_dim)[

@@ -12,15 +12,19 @@ delay is positive but smaller than the step.  With a fixed step, a lag seen
 from stage offset c always lands at the same sample offset and weight, so
 each (lags, c) is resolved once into a plan that every later step reuses.
 
-Work is done once per run, step or (step, offset), not once per stage.
-Quadrature nodes that land before the initial history's first knot, where
-it is constant, are folded into one weighted row per tap, and plans with
-the same node order share the layouts of their folds (see ``_StagePast``);
-``Trajectory.lagged`` serves the unfolded lookup and stays the oracle of
-the fold.  Two stages at the same offset of one step, as RK4's second and
-third, start from the same state with the same first slope, so they share
-every lookup but the at-stage ones.  Once every committed lookup lands at
-or after t = 0, a stage only blends samples.
+For an output linear in u, the tap table turns each density into auxiliary
+states, exponential filters and running integrals of the states they
+follow (``_TapTable``), and the lookups read a few exact nodes per tap.
+The auxiliary states extend every stage vector and record row and advance
+by the same RK4 stages as the state; their history follows exactly from
+the initial one (``HistoryFunction.auxiliary``).  They stay out of
+``Trajectory.states`` and the blow-up guard.  A custom output reads every
+quadrature node.
+
+Two stages at the same offset of one step, as RK4's second and third,
+start from the same state with the same first slope, so they share every
+lookup but the at-stage ones.  Once every committed lookup lands at or
+after t = 0, a stage only blends samples.
 
 Each step makes one magnitude test of the new state, which also catches
 NaN and inf, and one unchecked write into a record sized for the whole
@@ -37,7 +41,6 @@ import numpy as np
 
 from .dynamics import NetworkModel, NonFiniteDerivative, rhs
 from .history import HistoryFunction, Trajectory
-from .kernels import QuadraturePlan
 
 __all__ = ["IntegratorConfig", "integrate", "BlowUpError"]
 
@@ -86,45 +89,28 @@ class IntegratorConfig:
         return round(self.horizon / self.h)
 
 
-# fold layouts one run keeps, shared by its plans of one node order: the
-# stage offsets of neighbouring steps revisit the same few fold counts
-_LAYOUTS_KEPT = 8
-
-
 class _LookupPlan:
-    """The lookups of a tap table's nodes at one stage offset c, resolved
-    into the three classes of ``_StagePast``, and their current fold.
+    """The lookups of a node set at one stage offset c, resolved into the
+    three classes of ``_StagePast``.
 
     The nodes are laid out in plan order: at-stage ones up to
     ``at_stage_end``, sub-step ones up to ``sub_step_end``, then committed
-    ones by decreasing lag, so that their lookup times t - lag increase and
-    at step k the ones still before t = 0 (offset < -k) form a prefix of
-    them, and the ones at or before the history's first knot a prefix of
-    that; ``position[q]`` is node q's place in that order.  From step
-    ``steady`` on that prefix is empty.  ``at_cols`` and ``sub_cols`` hold,
-    for each at-stage and sub-step node, the n flat indices of its source
-    block in a state vector, and ``initial_cols`` the same for committed
-    ones read from the initial history, row by row.  ``blend_cols`` holds
-    the flat indices, relative to sample k, of the two samples a committed
-    node blends, and ``blend_weights`` their weights (1 - theta, theta);
-    the second sample is the first at offset 0, where theta is 0, so no row
-    after the last committed sample is read.
+    ones by decreasing lag, so that their lookup times increase and at step
+    k the ones still before t = 0 (offset < -k) form a prefix of them, empty
+    from step ``steady`` on; ``position[q]`` is node q's place in that
+    order.  ``at_cols`` and ``sub_cols`` hold, for each at-stage and
+    sub-step node, the n flat indices of its source block in a record row,
+    and ``initial_cols`` the same for committed ones read from the initial
+    history, row by row.  ``blend_cols`` holds the flat indices, relative
+    to sample k, of the two samples a committed node blends, with weights
+    ``blend_weights`` (1 - theta, theta); the second is the first at offset
+    0, where theta is 0, so no row after the last committed one is read.
+    When every theta is 0, a node reads one sample, ``blend_cols[0]``, and
+    ``blend_weights`` is None.  ``buffer`` holds the lookups in plan order,
+    filled at step ``buffer_step``."""
 
-    The plan keeps one fold, of its first ``folded`` committed nodes; lags
-    increase along a tap, so those are a suffix of each tap.  The rows
-    handed to g are, tap by tap, the live nodes and then, for a tap with
-    folded nodes, one row of the history's first state.  ``rows`` picks
-    them from the lookup buffer, which holds the at-stage and sub-step
-    rows, then the folded taps' rows (``fold_cols`` in the first state),
-    then the live committed rows.  ``quadrature`` holds the rows' weights,
-    a folded row weighing ``taps.tails`` at its tap's first folded node,
-    and ``starts`` the first row of each tap.  A layout depends only on the
-    node order and the fold count, so plans of one order share it.
-    ``buffer`` is the last lookup buffer, filled for ``buffer_tag``, the
-    (step, fold count) it was filled at.
-    """
-
-    def __init__(self, taps, lags: np.ndarray, c: float, h: float, node_dim: int, dim: int):
+    def __init__(self, lags: np.ndarray, sources: np.ndarray, c: float, h: float,
+                 node_dim: int, dim: int):
         if not np.all(np.isfinite(lags) & (lags >= 0.0)):
             raise ValueError("lookup lags must be finite and nonnegative")
         r = c - lags / h
@@ -137,7 +123,7 @@ class _LookupPlan:
         a = self.at_stage_end = int(np.count_nonzero(at_stage))
         b = self.sub_step_end = a + int(np.count_nonzero(sub_step))
         lags, r = lags[order], r[order]
-        cols = taps.sources[order, None] * node_dim + np.arange(node_dim)
+        cols = sources[order, None] * node_dim + np.arange(node_dim)
         self.at_cols, self.sub_cols = cols[:a], cols[a:b]
         self.sub_step_dt = (c * h - lags[a:b])[:, None]
         offsets = np.floor(r[b:])
@@ -147,178 +133,93 @@ class _LookupPlan:
         self.neg_lags = -lags[b:]
         self.initial_cols = np.arange(offsets.size)[:, None] * dim + cols[b:]
         lo = self.offsets[:, None] * dim + cols[b:]
-        self.blend_cols = np.stack([lo, lo + np.where(self.offsets < 0, dim, 0)[:, None]])
-        self.blend_weights = np.stack([1.0 - theta, theta])
-        self.taps = taps
-        self.node_dim = node_dim
-        self.committed_taps = np.repeat(np.arange(taps.sizes.size), taps.sizes)[order[b:]]
-        self.layout_key = (b, order.tobytes())
-        self.folded = None
-        self.buffer = self.buffer_tag = None
-
-    def fold_count(self, t: float, t_first: float, p: int) -> int:
-        """How many of the first p committed nodes look up at or before
-        ``t_first`` from stage time t."""
-        neg = self.neg_lags
-        f = int(neg[:p].searchsorted(t_first - t, side="right"))
-        # t_first - t is rounded; settle the count on the lookup times
-        while f and t + neg[f - 1] > t_first:
-            f -= 1
-        while f < p and t + neg[f] <= t_first:
-            f += 1
-        return f
-
-    def fold(self, f: int, layouts: dict) -> None:
-        """Take the layout with the first f committed nodes folded, from
-        ``layouts`` when a plan of the same node order laid it out lately."""
-        key = (self.layout_key, f)
-        layout = layouts.get(key)
-        if layout is None:
-            layout = layouts[key] = self._layout(f)
-            if len(layouts) > _LAYOUTS_KEPT:
-                del layouts[next(iter(layouts))]
-        (self.rows, self.starts, self.quadrature, self.fold_cols, self.fold_end,
-         self.buffer_rows) = layout
-        self.folded = f
-
-    def _layout(self, f: int) -> tuple:
-        """The rows, starts, quadrature, fold columns, fold end and buffer
-        length with the first f committed nodes folded."""
-        taps, b = self.taps, self.sub_step_end
-        folded = np.bincount(self.committed_taps[:f], minlength=taps.sizes.size)
-        live = taps.sizes - folded
-        lengths = live + (folded > 0)
-        starts = np.cumsum(lengths) - lengths
-        # row j of tap i is its node j; a folded tap's last row stands at its
-        # first folded node
-        kept = np.arange(int(lengths.sum())) + np.repeat(taps.starts - starts, lengths)
-        fold_rows = (starts + live)[folded > 0]
-        firsts = kept[fold_rows]
-        rows = self.position[kept]
-        rows += np.where(rows >= b, fold_rows.size - f, 0)
-        rows[fold_rows] = b + np.arange(fold_rows.size)
-        weights = taps.plan.weights[kept]
-        weights[fold_rows] = taps.tails[firsts]
-        fold_cols = taps.sources[firsts, None] * self.node_dim + np.arange(self.node_dim)
-        fold_end = b + fold_rows.size
-        quadrature = QuadraturePlan(taps.plan.locations[kept], weights,
-                                    taps.plan.truncation_horizon, taps.plan.tail_mass_bound)
-        return rows, starts, quadrature, fold_cols, fold_end, fold_end + self.offsets.size - f
+        self.blend_cols, self.blend_weights = lo[None], None
+        if theta.any():
+            self.blend_cols = np.stack([lo, lo + np.where(self.offsets < 0, dim, 0)[:, None]])
+            self.blend_weights = np.stack([1.0 - theta, theta])
+        self.buffer = np.empty((lags.size, node_dim))
+        self.buffer_step = None
 
 
 class _StagePast:
     """The past the right-hand side sees inside the RK stages of one run.
 
     One instance serves the whole run and is moved from stage to stage.
-    ``past(t)`` at the stage time is the stage vector.  ``lagged(t, taps)``
-    looks up every node of the tap table, splitting it by its lag, with
-    r = c - lag/h for the stage offset c:
+    Stage vectors and record rows carry the auxiliary columns after the
+    state; ``past(t)`` at the stage time is the stage vector's state part.
+    ``lagged(t, taps)`` looks up every node of ``taps.lookups``, splitting
+    it by its lag, with r = c - lag/h for the stage offset c:
 
     - at-stage, lag = 0: read from the stage vector;
     - sub-step, 0 < lag < c*h (r > 0), only when a delay is below the step:
-      extrapolated linearly from the committed state at the step start with
+      extrapolated linearly from the committed row at the step start with
       the step's first slope, and counted;
     - committed, the rest: from stage time (k + c)h the lookup lands at
       (k + r)h, between samples k + floor(r) and the next one, with weight
-      theta = r - floor(r).  Lookups still before t = 0 go to the initial
-      history, which stays exact on tables; the rest blend two samples.
+      theta = r - floor(r).  Lookups still before t = 0 read ``initial``,
+      the initial history with its auxiliary states, exact on tables; the
+      rest blend two samples.
 
-    Before the history's first knot t_0 (t_0 = 0 for a constant history)
-    every history holds its first state, so the committed nodes landing at
-    or before t_0 all read one row.  They are folded: each tap's folded
-    nodes become one row of the first state, weighted by their weights
-    summed from the tap's far end, and g and the segment sum see the live
-    nodes plus at most one row per tap.  ``lagged`` returns those rows, the
-    ``QuadraturePlan`` of their weights and the first row of each tap.
-
-    The split, offsets and weights are resolved once into a ``_LookupPlan``
-    per stage offset, which keeps one fold and takes another layout only
-    when a node crosses t_0; the last few layouts are shared across the
-    plans of one node order, as the stage offsets of neighbouring steps
-    reach the same fold counts.  The cache is keyed on the lags array, one
-    array for a model's life under constant delays, and is replaced whole
-    when the lags take other values, as under a delay table whenever the
-    stage time moves.
-
-    Every stage of one step starts from the step's start state with the
-    step's first slope, so a second stage at the same offset, as RK4's
-    third, makes the same sub-step, history and committed lookups as the
-    first: it keeps the plan's buffer and rewrites only its at-stage rows,
-    still counting its sub-step ones.
+    ``lagged`` returns the rows in node order, the nodes' ``plan`` and
+    ``starts``.  The split, offsets and weights are resolved once into a
+    ``_LookupPlan`` per stage offset, in a cache keyed on the lags array:
+    one array for a model's life under constant delays, replaced whole
+    when the lags change, as under a delay table at every stage time.  A
+    second stage at one step and offset, as RK4's third, rewrites only the
+    at-stage rows of the plan's buffer, still counting its sub-step ones.
     """
 
-    def __init__(self, traj: Trajectory, h: float):
-        self.traj = traj
-        self.h = h
-        self.extrapolations = 0
-        self.t_first = float(traj.initial.knots.times[0])
-        self.first_state = traj.initial.knots.values[0]
-        self._lags = None
-        self._plans: dict[float, _LookupPlan] = {}
-        self._layouts: dict = {}
+    def __init__(self, traj: Trajectory, h: float, initial):
+        self.traj, self.h, self.initial, self.extrapolations = traj, h, initial, 0
+        self.dim, self.record_dim = traj.dim, traj._record.shape[1]
+        self._lags, self._plans = None, {}
 
     def move(self, k: int, c: float, t_stage: float, x_stage: np.ndarray,
              x_base: np.ndarray, slope: np.ndarray | None) -> None:
-        """Enter the stage at offset c of step k, whose start state is x_base."""
-        self.k = k
-        self.c = c
-        self.t_stage = t_stage
-        self.x_stage = x_stage
-        self.x_base = x_base
-        self.slope = slope
+        """Enter the stage at offset c of step k, whose start row is x_base."""
+        self.k, self.c, self.t_stage, self.x_stage, self.x_base, self.slope = (
+            k, c, t_stage, x_stage, x_base, slope)
 
     def __call__(self, t: float) -> np.ndarray:
         if t != self.t_stage:
             raise AssertionError("stage past read away from the stage time")
-        return self.x_stage
+        return self.x_stage[:self.dim]
 
     def lagged(self, t: float, taps):
         if t != self.t_stage:
             raise AssertionError("stage lookup away from the stage time")
-        lags = taps.lags_at(t)
+        nodes = taps.lookups
+        lags = nodes.lags_at(t)
         if lags is not self._lags and not np.array_equal(lags, self._lags):
             self._lags, self._plans = lags, {}
-        traj = self.traj
         plan = self._plans.get(self.c)
         if plan is None:
             plan = self._plans[self.c] = _LookupPlan(
-                taps, lags, self.c, self.h, traj.node_dim, traj.dim)
-        k = self.k
-        if k >= plan.steady:
-            p = f = 0
-        else:
-            p = int(plan.offsets.searchsorted(-k))
-            f = plan.fold_count(t, self.t_first, p) if p else 0
-        if f != plan.folded:
-            plan.fold(f, self._layouts)
-        a, b, e = plan.at_stage_end, plan.sub_step_end, plan.fold_end
-        out = plan.buffer
+                lags, nodes.sources, self.c, self.h, self.traj.node_dim, self.record_dim)
+        k, a, b, out = self.k, plan.at_stage_end, plan.sub_step_end, plan.buffer
         # a second stage at this step and offset keeps all but the at-stage rows
-        if plan.buffer_tag != (k, f):
-            if out is None or len(out) != plan.buffer_rows:
-                out = plan.buffer = np.empty((plan.buffer_rows, traj.node_dim))
-            plan.buffer_tag = (k, f)
+        if plan.buffer_step != k:
+            plan.buffer_step = k
             if b > a:
                 out[a:b] = (self.x_base.take(plan.sub_cols)
                             + plan.sub_step_dt * self.slope.take(plan.sub_cols))
-            if e > b:
-                out[b:e] = self.first_state.take(plan.fold_cols)
-            if p > f:
+            p = int(plan.offsets.searchsorted(-k)) if k < plan.steady else 0
+            if p:
                 # the offset puts these before t = 0; the clamp only absorbs rounding
-                rows = traj.initial.eval_many(np.minimum(t + plan.neg_lags[f:p], 0.0))
-                out[e:e + p - f] = rows.take(plan.initial_cols[f:p] - f * traj.dim)
+                rows = self.initial(np.minimum(t + plan.neg_lags[:p], 0.0))
+                out[b:b + p] = rows.take(plan.initial_cols[:p])
             if p < plan.offsets.size:
-                base = k * traj.dim
-                if p:
-                    terms = plan.blend_weights[:, p:] * traj._states.take(
-                        plan.blend_cols[:, p:] + base)
+                rows = self.traj._record.take(
+                    (plan.blend_cols[:, p:] if p else plan.blend_cols) + k * self.record_dim)
+                if plan.blend_weights is None:
+                    out[b + p:] = rows[0]
                 else:
-                    terms = plan.blend_weights * traj._states.take(plan.blend_cols + base)
-                np.add(terms[0], terms[1], out=out[e + p - f:])
+                    terms = (plan.blend_weights[:, p:] if p else plan.blend_weights) * rows
+                    np.add(terms[0], terms[1], out=out[b + p:])
         if a:
             out[:a] = self.x_stage.take(plan.at_cols)
         self.extrapolations += b - a
-        return out.take(plan.rows, axis=0), plan.quadrature, plan.starts
+        return out.take(plan.position, axis=0), nodes.plan, nodes.starts
 
 
 def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:
@@ -329,16 +230,23 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     attached when the state escapes.
     """
     traj = Trajectory(initial, node_count=model.m, node_dim=model.node.dim)
-    traj._reserve(config.steps + 1)
+    dim, cols, rates = traj.dim, model.taps.aux_cols, model.taps.aux_rates
+    traj._reserve(config.steps + 1, hidden=cols.size)
     traj.stage_extrapolation_count = 0
+    auxiliary = initial.auxiliary(cols, rates) if cols.size else None
+    if cols.size:
+        traj._record[0, dim:] = auxiliary([0.0])[0]
+    # z' = r (x - z) for a filter, G' = x for a running integral
+    gain, keep = np.where(rates > 0.0, rates, 1.0), (rates > 0.0).astype(float)
     stages, divisor = _TABLEAUS[config.method]
     h = config.h
     shifts = [(c, c * h, a * h) for c, a, _ in stages]
     weights = [b for _, _, b in stages]
     scale = h / divisor
-    past = _StagePast(traj, h)
-    x = traj.states[0].copy()
-    _guard_state(0.0, x, traj)
+    past = _StagePast(traj, h, (lambda ts: np.hstack([initial.eval_many(ts), auxiliary(ts)]))
+                      if cols.size else initial.eval_many)
+    x = traj._record[0].copy()
+    _guard_state(0.0, x[:dim], traj)
     for k in range(config.steps):
         t = k * h
         ks: list[np.ndarray] = []
@@ -348,7 +256,11 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
                     past.move(k, c, t + ch, x + ah * ks[-1], x, ks[0])
                 else:
                     past.move(k, 0.0, t, x, x, None)
-                ks.append(rhs(model, past.t_stage, past))
+                slope = rhs(model, past.t_stage, past)
+                if cols.size:
+                    y = past.x_stage
+                    slope = np.concatenate((slope, gain * (y.take(cols) - keep * y[dim:])))
+                ks.append(slope)
         except NonFiniteDerivative as exc:
             raise BlowUpError(t, traj, str(exc)) from exc
         traj.stage_extrapolation_count = past.extrapolations
@@ -358,8 +270,8 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
             incr = term if incr is None else incr + term
         x_next = x + scale * incr
         t_next = (k + 1) * h
-        if not np.abs(x_next).max() <= BLOWUP_THRESHOLD:
-            _guard_state(t_next, x_next, traj)
+        if not np.abs(x_next[:dim]).max() <= BLOWUP_THRESHOLD:
+            _guard_state(t_next, x_next[:dim], traj)
         traj._push(t_next, x_next)
         x = x_next
     return traj

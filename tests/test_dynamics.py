@@ -267,7 +267,8 @@ def test_shared_lookups_are_made_once():
 def test_rhs_sums_each_row_pair_by_pair_in_j_order_bitwise():
     # an asymmetric A whose rows take three to five couplings of unequal
     # sizes, so the order of a row's sum shows in its last bits; pairs
-    # (0, 1) and (3, 1) share one tap, whose integral feeds two rows
+    # (0, 1) and (3, 1) share one tap, whose integral feeds two rows.  A row
+    # adds its off-diagonal pairs in j order, then its self pair
     m, n, w = 5, 2, 0.7
     rng = np.random.default_rng(5)
     A = rng.uniform(-2.0, 2.0, (m, m)) * (rng.random((m, m)) < 0.8)
@@ -282,7 +283,7 @@ def test_rhs_sums_each_row_pair_by_pair_in_j_order_bitwise():
     want = np.empty((m, n))
     for i in range(m):
         acc = np.zeros(n)
-        for j in range(m):
+        for j in [j for j in range(m) if j != i] + [i]:
             if A[i, j] != 0.0:
                 lagged = past.fn(t - D[i, j]).reshape(m, n)[j]
                 acc = acc + A[i, j] * (w * output.fn(t, lagged))
@@ -658,6 +659,21 @@ def test_linear_output_table_reads_each_row_at_its_own_time():
         np.testing.assert_allclose(got[r], Gt @ U[r], rtol=1e-12, atol=1e-14)
     G = rng.standard_normal((3, 3))
     assert np.array_equal(linear_output(G).eval_rows(t, U), U @ G.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_built_in_linear_maps_round_a_row_alone_as_in_a_block(n):
+    # u @ M with a C-ordered M rounds each row of a block as that row alone,
+    # up to n = 3 with the BLAS this was written against; with a strided
+    # M.T about 1,300 of these 2,081 rows differ in their last bits at n = 2
+    # and 3
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    U = 10.0 * rng.standard_normal((2081, n))
+    for fn in (linear_node(M).eval, tanh_hopfield_node(M).eval, linear_output(M).eval_rows):
+        block = fn(0.0, U)
+        assert np.array_equal(block, np.array([fn(0.0, u) for u in U]))
+        assert np.array_equal(block, np.concatenate([fn(0.0, U[r:r + 1]) for r in range(len(U))]))
 
 
 def test_tanh_hopfield_node_bound():

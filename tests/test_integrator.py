@@ -1,5 +1,6 @@
 """Fixed-step integration: reductions with known solutions, order, blow-up."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -13,15 +14,24 @@ from delaynet.dynamics import (
     NetworkModel,
     NodeDynamics,
     OutputFunction,
+    chua_node,
     identity_output,
     linear_node,
     linear_output,
+    make_example,
     named_topology,
     rhs,
 )
-from delaynet.history import HistoryFunction, Trajectory
+from delaynet.history import HistoryFunction, PiecewiseLinear, Trajectory
 from delaynet.integrator import BlowUpError, IntegratorConfig, integrate
-from delaynet.kernels import build_quadrature, dirac, exponential, mixture, uniform
+from delaynet.kernels import (
+    ExponentialDensity,
+    build_quadrature,
+    dirac,
+    exponential,
+    mixture,
+    uniform,
+)
 from delaynet.scenario import load_scenario
 
 
@@ -249,29 +259,35 @@ def oracle_rk4(model, initial, h, steps):
     return traj, count
 
 
-def oracle_network(m=2, coupling=None, delays=None, kernels=None, node_spacing=1e-3):
+def oracle_network(m=2, coupling=None, delays=None, kernels=None, node_spacing=1e-3,
+                   output=None):
     node = linear_node([[-0.5, 1.0], [-1.0, -0.5]])
     if coupling is None:
         coupling = CouplingSchedule.constant(0.8 * named_topology("ring", m))
-    return NetworkModel(m=m, node=node, output=linear_output([[1.0, 0.2], [0.0, 0.5]]),
+    return NetworkModel(m=m, node=node, output=output or linear_output([[1.0, 0.2], [0.0, 0.5]]),
                         coupling=coupling, delays=delays or DelaySchedule.offdiagonal(0.3),
                         kernels=kernels or dirac(), node_spacing=node_spacing)
+
+
+# a g that is not linear keeps the integrator on the quadrature nodes
+CURVED = OutputFunction(dim=2, fn=lambda t, u: np.tanh(u) + 0.2 * u, kappa=1.2)
+TABLE_HISTORY = HistoryFunction.table([-3.3, -1.2345, -0.517, -0.0123],
+                                      [[0.2, -0.4, 1.0, 0.3], [0.7, 0.1, -0.2, 0.5],
+                                       [-0.3, 0.6, 0.4, -0.1], [0.5, -0.5, 0.25, 0.0]])
 
 
 def oracle_cases():
     # at m = 3 the ring is all-to-all; at m = 4 the table's support grows
     ring, full = 0.8 * named_topology("ring", 4), 0.8 * named_topology("all-to-all", 4)
-    history = HistoryFunction.table([-3.3, -1.2345, -0.517, -0.0123],
-                                    [[0.2, -0.4, 1.0, 0.3], [0.7, 0.1, -0.2, 0.5],
-                                     [-0.3, 0.6, 0.4, -0.1], [0.5, -0.5, 0.25, 0.0]])
+    history = TABLE_HISTORY
     constant = HistoryFunction.constant([0.5, -0.5, 0.25, 0.0])
     yield "on-grid", oracle_network(delays=DelaySchedule.offdiagonal(0.3)), constant, 0.01, 100
     yield "off-grid", oracle_network(delays=DelaySchedule.constant(0.373)), constant, 0.01, 100
     yield "below-h", oracle_network(delays=DelaySchedule.constant(0.0007)), constant, 0.002, 100
     yield "mixture-over-table", oracle_network(
         delays=DelaySchedule.constant(np.array([[0.0, 0.05], [0.137, 0.0]])),
-        kernels=mixture(dirac(0.0, 0.5), exponential(3.0, 0.5)), node_spacing=1e-2), \
-        history, 0.01, 60
+        kernels=mixture(dirac(0.0, 0.5), exponential(3.0, 0.5)), node_spacing=1e-2,
+        output=CURVED), history, 0.01, 60
     yield "support-changes", oracle_network(
         m=4, coupling=CouplingSchedule.table([0.3, 0.5], [ring, full]),
         delays=DelaySchedule.offdiagonal(0.05)), \
@@ -281,19 +297,19 @@ def oracle_cases():
         kernels=mixture(dirac(0.0, 0.5), dirac(0.07, 0.5))), history, 0.01, 80
     yield "uncoupled", oracle_network(coupling=CouplingSchedule.constant(np.zeros((2, 2)))), \
         history, 0.01, 50
-    # folds: a density tail that stays before t = 0 for the whole run; a
-    # density starting at a > 0, so that each tap is only its history row
-    # until t passes tau + a; a table history whose first knot the density
-    # reaches past
+    # quadrature nodes under a custom g: a density tail that stays before
+    # t = 0 for the whole run; a density starting at a > 0, read from the
+    # history alone until t passes tau + a; a table history whose first knot
+    # the density reaches past
     yield "tail-before-0", oracle_network(
-        delays=DelaySchedule.constant(0.05), kernels=exponential(2.0), node_spacing=1e-2), \
-        constant, 0.01, 60
+        delays=DelaySchedule.constant(0.05), kernels=exponential(2.0), node_spacing=1e-2,
+        output=CURVED), constant, 0.01, 60
     yield "late-uniform", oracle_network(
-        delays=DelaySchedule.offdiagonal(0.05), kernels=uniform(0.2, 0.5), node_spacing=1e-2), \
-        constant, 0.01, 80
+        delays=DelaySchedule.offdiagonal(0.05), kernels=uniform(0.2, 0.5), node_spacing=1e-2,
+        output=CURVED), constant, 0.01, 80
     yield "density-past-first-knot", oracle_network(
-        delays=DelaySchedule.constant(0.05), kernels=uniform(0.0, 4.0, 0.7), node_spacing=1e-2), \
-        history, 0.01, 60
+        delays=DelaySchedule.constant(0.05), kernels=uniform(0.0, 4.0, 0.7), node_spacing=1e-2,
+        output=CURVED), history, 0.01, 60
 
 
 @pytest.mark.parametrize("name, model, initial, h, steps", oracle_cases(),
@@ -309,31 +325,211 @@ def test_integrate_matches_the_lookup_oracle(name, model, initial, h, steps):
     assert (count > 0) == (name in ("below-h", "mixture-over-table", "delay-table"))
 
 
-def test_distributed_delay_hands_g_the_live_nodes_and_one_row_per_tap(monkeypatch):
-    # 4,474 quadrature nodes per right-hand side; those before t = 0 fold
-    # into one history row per tap, so g sees 4 rows at t = 0 and 768 at
-    # t = 2.  Each stage offset builds its lookup plan once and lays its
-    # fold out again only as nodes cross t = 0
+def history_aux(history, key, u):
+    """The auxiliary state of the whole history at u <= 0: for key
+    ("filter", r), integral over v <= u of r e^{-r(u - v)} x(v) dv, summed
+    piece by piece with the antiderivative e^{-r(u - v)} (x(v) - beta/r)
+    on a piece of slope beta; for ("integral", 0), -integral from u to 0
+    of x by the trapezoid rule on the knots, exact for a piecewise-linear x."""
+    times = np.append(history.knots.times, 0.0)
+    X = np.vstack([history.knots.values, history.knots.values[-1:]])
+    kind, r = key
+    if kind == "integral":
+        pts = np.concatenate([[u], times[times > u]])
+        x = history.eval_many(pts)
+        return -(np.diff(pts)[:, None] * (x[1:] + x[:-1]) / 2.0).sum(axis=0)
+    z = X[0] * math.exp(-r * (u - min(u, times[0])))
+    for v0, v1, x0, x1 in zip(times[:-1], times[1:], X[:-1], X[1:]):
+        if v0 >= u:
+            break
+        beta = (x1 - x0) / (v1 - v0) if v1 > v0 else 0.0 * x0
+        e = min(v1, u)
+        z = (z + math.exp(-r * (u - e)) * (x0 + beta * (e - v0) - beta / r)
+             - math.exp(-r * (u - v0)) * (x0 - beta / r))
+    return z
+
+
+def chain_oracle(model, initial, h, steps):
+    """Classical RK4 of the network extended by one auxiliary block per
+    density kind on every node: the filter z' = r (x - z) of each rate and
+    the running integral G' = x.  A pair reads its atoms from x, an
+    exponential density as w g(z_j(t - tau)) and a uniform one as
+    w/(b - a) (g(G_j(t - tau - a)) - g(G_j(t - tau - b))).  Lookups follow
+    the stage rule on the extended record, with the extended history before
+    t = 0.  Returns (states, extrapolation count)."""
+    m, n = model.m, model.n
+    dim = m * n
+    keys = sorted({("filter", k.density.rate) if isinstance(k.density, ExponentialDensity)
+                   else ("integral", 0.0) for row in model.kernels for k in row if k.density})
+    block = {key: dim * (1 + b) for b, key in enumerate(keys)}
+    record = [np.concatenate([initial.eval(0.0)] + [history_aux(initial, key, 0.0)
+                                                    for key in keys])]
+    count = 0
+
+    def derivative(t, look):
+        y = look(t)
+        X, A = y[:dim].reshape(m, n), model.coupling.matrix(t)
+        out = model.node.fn(t, X)
+        for i in range(m):
+            for j in range(m):
+                if A[i, j] == 0.0:
+                    continue
+                tau, kernel = model.delays.value(i, j, t), model.kernels[i][j]
+                acc = sum(w * model.output.fn(t, look(t - tau - loc)[j * n:(j + 1) * n])
+                          for loc, w in kernel.atoms)
+                d = kernel.density
+                if isinstance(d, ExponentialDensity):
+                    c = block["filter", d.rate] + j * n
+                    acc = acc + d.weight * model.output.fn(t, look(t - tau)[c:c + n])
+                elif d is not None:
+                    c = block["integral", 0.0] + j * n
+                    G = look(t - tau - d.a)[c:c + n] - look(t - tau - d.b)[c:c + n]
+                    acc = acc + d.weight / (d.b - d.a) * model.output.fn(t, G)
+                out[i] = out[i] + A[i, j] * acc
+        aux = [key[1] * (y[:dim] - y[block[key]:block[key] + dim]) if key[0] == "filter"
+               else y[:dim] for key in keys]
+        return np.concatenate([out.ravel()] + aux)
+
+    for k in range(steps):
+        t, y, ks = k * h, record[-1], []
+        for c, a in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
+            y_stage = y + (a * h) * ks[-1] if ks else y
+
+            def look(u, t_stage=t + c * h, y_stage=y_stage):
+                nonlocal count
+                if u == t_stage:
+                    return y_stage
+                if u > t:
+                    count += 1
+                    return y + (u - t) * ks[0]
+                if u <= 0.0:
+                    return np.concatenate([initial.eval(u)]
+                                          + [history_aux(initial, key, u) for key in keys])
+                q = u / h
+                lo = min(int(math.floor(q)), k)
+                w = q - lo
+                return record[lo] if w == 0.0 else (1.0 - w) * record[lo] + w * record[lo + 1]
+
+            ks.append(derivative(t + c * h, look))
+        record.append(y + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]))
+    return np.array(record)[:, :dim], count
+
+
+def chain_cases():
+    constant = HistoryFunction.constant([0.5, -0.5, 0.25, 0.0])
+    gamma_table = linear_output(PiecewiseLinear([0.0, 0.4], [[[1.0, 0.2], [0.0, 0.5]],
+                                                             [[0.5, 0.0], [0.3, 1.0]]]))
+    yield "table-history", oracle_network(
+        delays=DelaySchedule.constant(np.array([[0.0, 0.05], [0.137, 0.0]])),
+        kernels=mixture(dirac(0.0, 0.5), exponential(3.0, 0.5))), TABLE_HISTORY, 0.01, 60
+    yield "delay-table", oracle_network(
+        delays=DelaySchedule.table([0.0, 0.61], [np.full((2, 2), 0.1), [[0.0, 0.25], [0.4, 0.0]]]),
+        kernels=mixture(dirac(0.07, 0.5), exponential(2.0, 0.5)), output=gamma_table), \
+        TABLE_HISTORY, 0.01, 80
+    yield "late-uniform", oracle_network(
+        delays=DelaySchedule.offdiagonal(0.05), kernels=uniform(0.2, 0.5)), TABLE_HISTORY, 0.01, 80
+    yield "below-h", oracle_network(
+        delays=DelaySchedule.constant(0.0007),
+        kernels=mixture(dirac(0.0, 0.3), exponential(5.0, 0.7))), constant, 0.002, 100
+    yield "filters-and-integral", oracle_network(
+        delays=DelaySchedule.constant(np.array([[0.0, 0.03], [0.02, 0.0]])),
+        kernels=[[exponential(3.0), uniform(0.1, 0.3, 0.8)],
+                 [uniform(0.0, 0.2), exponential(1.5, 0.6)]]), TABLE_HISTORY, 0.01, 60
+
+
+@pytest.mark.parametrize("name, model, initial, h, steps", chain_cases(),
+                         ids=[case[0] for case in chain_cases()])
+def test_linear_output_densities_match_the_extended_rk4_oracle(name, model, initial, h, steps):
+    assert model.taps.lookups is not model.taps
+    traj = integrate(model, initial, IntegratorConfig(method="rk4", h=h, horizon=steps * h))
+    want, count = chain_oracle(model, initial, h, steps)
+    assert traj.states.shape == want.shape
+    assert np.max(np.abs(traj.states - want)) <= 1e-12
+    # the filter read at a lag below h, and the diagonal delay shrinking to
+    # 0, land inside the step
+    inside = name in ("below-h", "delay-table")
+    assert (count > 0) == (traj.stage_extrapolation_count > 0) == inside
+
+
+def test_exponential_chain_converges_at_second_order_to_the_closed_form():
+    # x' = -integral of 40 e^{-40 s} x(t - 1 - s) ds, history 1: x = 1 - t on
+    # [0, 1], then x(2) = -(1/2 + 1/40 - (1 - e^{-40})/1600).  The lookups at
+    # half steps interpolate linearly, so the error falls 4x per halving
+    exact = -(0.5 + 1.0 / 40.0 - (1.0 - math.exp(-40.0)) / 1600.0)
+    model = scalar_delay_model(a=-1.0, tau=1.0, kernel=exponential(40.0))
+    errors = [abs(integrate(model, HistoryFunction.constant([1.0]),
+                            IntegratorConfig(h=h, horizon=2.0)).states[-1, 0] - exact)
+              for h in (4e-3, 2e-3, 1e-3)]
+    assert errors[2] <= 2e-7
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, errors
+
+
+def test_uniform_running_integral_converges_at_second_order_to_the_closed_form():
+    # x' = -integral over [0.25, 1.25] of x(t - 0.25 - s) ds, history 1: the
+    # lags run over [0.5, 1.5], so x = 1 - t on [0, 0.5]; on [0.5, 1] the
+    # integral is 1 - (t - 1/2)^2/2, and x(1) = 1/48
+    model = scalar_delay_model(a=-1.0, tau=0.25, kernel=uniform(0.25, 1.25))
+    errors = [abs(integrate(model, HistoryFunction.constant([1.0]),
+                            IntegratorConfig(h=h, horizon=1.0)).states[-1, 0] - 1.0 / 48.0)
+              for h in (4e-3, 2e-3, 1e-3)]
+    assert errors[2] <= 2e-7
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, errors
+
+
+def test_distributed_delay_hands_g_the_same_few_rows_at_every_stage(monkeypatch):
+    # 4,474 quadrature nodes per right-hand side; with its linear output the
+    # model reads each exponential density through one filtered state, so
+    # g sees 6 rows at every stage: per ring pair the atom at 0 and the
+    # filter, per self pair its atom.  Each stage offset builds its lookup
+    # plan once
     scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                              / "distributed_delay.json")
     assert int(scenario.model.taps.sizes.sum()) == 4474
-    rows, plans, layouts = [], [], []
+    rows, plans = [], []
     eval_rows, build = OutputFunction.eval_rows, integrator._LookupPlan.__init__
-    lay_out = integrator._LookupPlan._layout
     monkeypatch.setattr(OutputFunction, "eval_rows",
                         lambda self, t, u: rows.append(len(u)) or eval_rows(self, t, u))
     monkeypatch.setattr(integrator._LookupPlan, "__init__",
                         lambda self, *args: plans.append(args[2]) or build(self, *args))
-    monkeypatch.setattr(integrator._LookupPlan, "_layout",
-                        lambda self, f: layouts.append(f) or lay_out(self, f))
-    integrate(scenario.model, scenario.history, scenario.config)
-    assert len(rows) == 4 * scenario.config.steps
-    assert rows[0] <= 6
-    assert max(rows) < 800
+    traj = integrate(scenario.model, scenario.history, scenario.config)
+    assert rows == [6] * (4 * scenario.config.steps)
     assert sorted(plans) == [0.0, 0.5, 1.0]
-    # the three offsets share one node order and step through the same fold
-    # counts, so each layout is built about once, not once per offset (1,145)
-    assert len(layouts) <= 400
+    # the two filters ride in the record, out of the states
+    assert traj.states.shape == (scenario.config.steps + 1, 4)
+    assert traj._record.shape == (scenario.config.steps + 1, 8)
+
+
+def test_distributed_delay_filter_agrees_with_a_fine_trapezoid():
+    # the scenario's g declared not linear reads the trapezoid nodes of each
+    # density, here at a 2e-3 spacing, where the filter reads one exact node
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "distributed_delay.json")
+    model = scenario.model
+    config = IntegratorConfig(method="rk4", h=1e-3, horizon=0.5)
+    trapezoid = NetworkModel(model.m, model.node, dataclasses.replace(model.output, linear=False),
+                             model.coupling, model.delays, model.kernels, node_spacing=2e-3)
+    assert trapezoid.taps.lookups is trapezoid.taps
+    exact = integrate(model, scenario.history, config).states
+    quadrature = integrate(trapezoid, scenario.history, config).states
+    assert 0.0 < np.max(np.abs(exact - quadrature)) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [0.05, 10.0])
+@pytest.mark.parametrize("tau", [0.0, 0.01])
+@pytest.mark.parametrize("topology, m", [("all-to-all", 3), ("all-to-all", 5), ("ring", 5)])
+def test_synchronized_nodes_stay_bitwise_synchronized(topology, m, tau, c):
+    # every row adds its off-diagonal couplings in j order and its self pair
+    # last, so on the manifold each row computes the same sum of the same
+    # terms and no rounding difference seeds a transverse perturbation
+    model = make_example(3, node=chua_node(), Gamma=np.eye(3), tau=tau, topology=topology,
+                         c=c, m=m)
+    traj = integrate(model, HistoryFunction.constant(np.tile([0.7, -0.1, -0.6], m)),
+                     IntegratorConfig(method="rk4", h=2e-3, horizon=2.0))
+    nodes = traj.states.reshape(len(traj), m, 3)
+    assert np.all(np.abs(nodes).max(axis=(1, 2)) > 0.1)
+    assert np.array_equal(nodes, np.broadcast_to(nodes[:, :1], nodes.shape))
 
 
 def convolution(plan, traj, t, tau):

@@ -30,9 +30,16 @@ def test_ab_inprocess_compares_a_checkout_with_itself(capsys):
     assert time.perf_counter() - start < 2.0
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[:4] == ["scenario", "A", "median", "s"]
+    assert lines[0].split() == ["scenario", "A", "median", "s", "A", "us/rhs", "B", "median", "s",
+                                "B", "us/rhs", "B/A", "B", "faster"]
     assert lines[1].split()[0] == "linear_network" and lines[1].endswith("/2")
     assert lines[2].split()[0] == "total"
+    # 2% of linear-network's 5,000 steps, 4 right-hand sides each; the
+    # median is printed to 0.1 ms, 0.25 us per right-hand side
+    for row in lines[1:3]:
+        _, a_s, a_us, b_s, b_us = row.split()[:5]
+        assert float(a_us) == pytest.approx(1e6 * float(a_s) / 400, abs=0.15)
+        assert float(b_us) == pytest.approx(1e6 * float(b_s) / 400, abs=0.15)
     assert lines[-2].split() == ["linear_network", "0", "yes"]
     assert lines[-1] == "bitwise equal: yes"
 

@@ -8,9 +8,11 @@ numpy and one host phase.  A checkout whose scenario reader finds its schema
 by the fixed name ``delaynet`` needs a ``delaynet`` on ``PYTHONPATH``.  Each
 round integrates every chosen bundled scenario once with each side, the side
 that goes first alternating by round, and compares the two trajectories.
-Per scenario and in total it prints the median time of each side, the median
-of the paired ratios B/A and the number of rounds B was faster; then, per
-scenario, the largest absolute state difference over all rounds.  It exits 1
+Per scenario and in total it prints the median time of each side, each next
+to the microseconds per right-hand side it makes (the median over the
+right-hand sides of a run: steps times stages), the median of the paired
+ratios B/A and the number of rounds B was faster; then, per scenario, the
+largest absolute state difference over all rounds.  It exits 1
 when any scenario's trajectories are not bitwise equal, after timing every
 round.  ``--scale`` shortens every horizon, for a quick check.
 
@@ -34,6 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = ("chua_synchronization", "linear_network", "distributed_delay", "chua_uncoupled")
+STAGES = {"euler": 1, "rk4": 4}
 
 
 def load_package(checkout: Path, name: str):
@@ -107,14 +110,17 @@ def main(argv=None) -> int:
                             and ta.stage_extrapolation_count == tb.stage_extrapolation_count)
             gaps[stem] = max(gaps[stem], _largest_gap(ta, tb))
 
-    rows = [(stem, *times[stem]) for stem in stems]
+    calls = {stem: cases[stem][0][2].steps * STAGES[cases[stem][0][2].method] for stem in stems}
+    rows = [(stem, *times[stem], calls[stem]) for stem in stems]
     rows.append(("total", [sum(t) for t in zip(*(times[s][0] for s in stems))],
-                 [sum(t) for t in zip(*(times[s][1] for s in stems))]))
-    print(f"{'scenario':<22}{'A median s':>12}{'B median s':>12}{'B/A':>8}  B faster")
-    for name, ta, tb in rows:
+                 [sum(t) for t in zip(*(times[s][1] for s in stems))], sum(calls.values())))
+    print(f"{'scenario':<22}{'A median s':>12}{'A us/rhs':>10}{'B median s':>12}{'B us/rhs':>10}"
+          f"{'B/A':>8}  B faster")
+    for name, ta, tb, n in rows:
         ratio = statistics.median(b / a for a, b in zip(ta, tb))
         wins = sum(b < a for a, b in zip(ta, tb))
-        print(f"{name:<22}{statistics.median(ta):>12.4f}{statistics.median(tb):>12.4f}"
+        ma, mb = statistics.median(ta), statistics.median(tb)
+        print(f"{name:<22}{ma:>12.4f}{1e6 * ma / n:>10.2f}{mb:>12.4f}{1e6 * mb / n:>10.2f}"
               f"{ratio:>8.3f}  {wins}/{len(ta)}")
     print(f"{'scenario':<22}{'max |B-A|':>12}  bitwise")
     for stem in stems:
