@@ -55,6 +55,13 @@ __all__ = [
 
 _FLAG_TOL = 1e-12
 
+# the fewest steps a density must span to be read through an auxiliary
+# state, or else it keeps its quadrature nodes: an exponential's mean 1/r,
+# as RK4 is stable on its filter only up to r h = 2.79 (Euler up to 2); a
+# uniform's width b - a, as the two lookups of its running integral each
+# err by up to h^2 |x'| / 8 and their difference is divided by b - a
+_FILTER_STEPS, _INTEGRAL_STEPS = 1.0, 16.0
+
 
 class NonFiniteDerivative(ValueError):
     """The network derivative at node ``node`` and time ``t`` is not finite."""
@@ -103,16 +110,16 @@ class OutputFunction:
     ``PiecewiseLinear`` is read at a column of times with ``eval_many``.
     ``kappa`` bounds |g(t,u1) - g(t,u2)| / |u1 - u2| uniformly in u and t,
     the one bound the growth estimate uses.  It is declared, not derived;
-    ``check_assumptions`` tries to falsify it.  ``linear`` declares g(t, .)
-    linear in u, as for the built-in outputs; the integrator then reads each
-    density through auxiliary states (``_TapTable``), exact only if it is.
+    ``check_assumptions`` tries to falsify it.
     """
 
     dim: int
     fn: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
     kappa: float
     name: str = "custom"
-    linear: bool = False
+    # set by the built-in outputs alone, which are linear in u: the
+    # integrator may read their densities through auxiliary states
+    _linear: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if not self.kappa >= 0:
@@ -122,6 +129,10 @@ class OutputFunction:
         """g(t, .) on a (..., dim) block, every row in one call; ``t`` is a
         float or a column of per-row times."""
         return _apply_batch(self.fn, t, rows, "output g")
+
+    def _as_linear(self) -> "OutputFunction":
+        object.__setattr__(self, "_linear", True)
+        return self
 
 
 def _apply_batch(fn, t, u: np.ndarray, what: str) -> np.ndarray:
@@ -352,20 +363,8 @@ class _TapTable(_Nodes):
     that share one share its nodes.  As ``_Nodes`` the table holds every
     tap's quadrature nodes, each reading block j of the state.  Under a
     constant A, ``coef`` holds each pair's a_ij as a read-only column;
-    under a coupling table it is None and ``rhs`` reads A(t).
-
-    ``lookups`` holds the nodes the integrator reads.  For a linear output
-    each density becomes n auxiliary state columns following block j,
-    ``aux_cols`` naming the state column each follows and ``aux_rates`` its
-    rate r, 0 for a running integral.  An exponential density (rate r,
-    weight w) is the filter z' = r (x_j - z), z(t) = integral over s >= 0
-    of r e^{-rs} x_j(t - s) ds, read by one node of weight w at the tap's
-    delay; a uniform one on [a, b] is the running integral G' = x_j, read
-    by nodes at tau + a and tau + b weighing +-w/(b - a).  Taps of one
-    source share each filter rate and the integral; auxiliary block c is
-    block m + c of the extended state.  As g is linear, g of a filtered
-    state is the filtered g, so these nodes are exact, also under a delay
-    table.  Otherwise ``lookups`` is the table itself.
+    under a coupling table it is None and ``rhs`` reads A(t).  ``chain(h)``
+    gives the nodes the integrator reads at step h.
     """
 
     def __init__(self, model: "NetworkModel"):
@@ -401,26 +400,49 @@ class _TapTable(_Nodes):
         if model.coupling.knots.times.size == 1:
             self.coef = model.coupling.knots.values[0].take(self.pairs)[:, None]
             self.coef.flags.writeable = False
-        self.lookups, self.aux_cols, self.aux_rates = self, np.zeros(0, np.intp), np.zeros(0)
-        # a density whose whole mass is below tail_tol has no nodes, as in its plan
-        dense = [k.density if len(p) > len(k.atoms) else None for k, p in zip(kernels, plans)]
-        if not model.output.linear or not any(dense):
-            return
+        self._chain = (model.output._linear, m, n, list(zip(sources, kernels, plans)),
+                       delays, table.times)
+
+    def chain(self, h: float):
+        """The nodes the integrator reads at step h, the state column each
+        auxiliary column follows, and its rate r, 0 for a running integral.
+
+        For a linear output each density that spans enough steps, an
+        exponential's mean 1/r ``_FILTER_STEPS`` or a uniform's width b - a
+        ``_INTEGRAL_STEPS``, becomes n auxiliary state columns following
+        block j.  An exponential density (rate r, weight w) is the filter
+        z' = r (x_j - z), z(t) = integral over s >= 0 of r e^{-rs}
+        x_j(t - s) ds, read by one node of weight w at the tap's delay; a
+        uniform one on [a, b] is the running integral G' = x_j, read by
+        nodes at tau + a and tau + b weighing +-w/(b - a).  Taps of one
+        source share each filter rate and the integral; auxiliary block c
+        is block m + c of the extended state.  As g is linear, g of a
+        filtered state is the filtered g, so these nodes are exact, also
+        under a delay table.  Every other tap reads its quadrature nodes,
+        and with no auxiliary column the nodes are the table itself."""
+        linear, m, n, taps, delays, times = self._chain
         blocks: dict[tuple[int, float], int] = {}
-        chain, chain_sources = [], []
-        for j, k, d in zip(sources, kernels, dense):
-            nodes = [(loc, w, j) for loc, w in k.atoms]
-            if d is not None:
-                c = blocks.setdefault((j, getattr(d, "rate", 0.0)), m + len(blocks))
-                nodes += ([(0.0, d.weight, c)] if isinstance(d, ExponentialDensity) else
-                          [(d.a, d.weight / (d.b - d.a), c), (d.b, -d.weight / (d.b - d.a), c)])
+        plans, sources = [], []
+        for j, k, p in taps:
+            d, filtered = k.density, isinstance(k.density, ExponentialDensity)
+            # a density whose whole mass is below tail_tol has no nodes, as in its plan
+            if not linear or len(p) == len(k.atoms) or (1.0 / d.rate if filtered else d.b - d.a) < (
+                    _FILTER_STEPS if filtered else _INTEGRAL_STEPS) * h:
+                plans.append(p)
+                sources += [j] * len(p)
+                continue
+            c = blocks.setdefault((j, getattr(d, "rate", 0.0)), m + len(blocks))
+            nodes = [(loc, w, j) for loc, w in k.atoms] + (
+                [(0.0, d.weight, c)] if filtered else
+                [(d.a, d.weight / (d.b - d.a), c), (d.b, -d.weight / (d.b - d.a), c)])
             locations, weights, node_sources = zip(*nodes)
-            chain.append(QuadraturePlan(locations, weights, max(locations), 0.0))
-            chain_sources += node_sources
-        self.lookups = _Nodes(chain, chain_sources, delays, table.times)
+            plans.append(QuadraturePlan(locations, weights, max(locations), 0.0))
+            sources += node_sources
+        if not blocks:
+            return self, np.zeros(0, np.intp), np.zeros(0)
         j, rate = np.array(list(blocks)).T
-        self.aux_cols = (j.astype(np.intp)[:, None] * n + np.arange(n)).ravel()
-        self.aux_rates = np.repeat(rate, n)
+        return (_Nodes(plans, sources, delays, times),
+                (j.astype(np.intp)[:, None] * n + np.arange(n)).ravel(), np.repeat(rate, n))
 
 
 def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
@@ -556,17 +578,17 @@ def linear_output(Gamma) -> OutputFunction:
     if table.times.size == 1:
         G_T = np.ascontiguousarray(G[0].T)
         return OutputFunction(dim=G.shape[1], fn=lambda t, u: u @ G_T,
-                              kappa=kappa, name="linear", linear=True)
+                              kappa=kappa, name="linear")._as_linear()
 
     def fn(t, u):
         Gt = table.eval_many(t).reshape(np.shape(t)[:-1] + G.shape[1:])
         return (Gt * u[..., None, :]).sum(axis=-1)
 
-    return OutputFunction(dim=G.shape[1], fn=fn, kappa=kappa, name="linear", linear=True)
+    return OutputFunction(dim=G.shape[1], fn=fn, kappa=kappa, name="linear")._as_linear()
 
 
 def identity_output(dim: int) -> OutputFunction:
-    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=1.0, name="identity", linear=True)
+    return OutputFunction(dim=dim, fn=lambda t, u: u, kappa=1.0, name="identity")._as_linear()
 
 
 def named_topology(name: str, m: int) -> np.ndarray:

@@ -12,9 +12,9 @@ delay is positive but smaller than the step.  With a fixed step, a lag seen
 from stage offset c always lands at the same sample offset and weight, so
 each (lags, c) is resolved once into a plan that every later step reuses.
 
-For an output linear in u, the tap table turns each density into auxiliary
-states, exponential filters and running integrals of the states they
-follow (``_TapTable``), and the lookups read a few exact nodes per tap.
+For an output linear in u, the tap table turns each density that spans a
+few steps into auxiliary states, exponential filters and running integrals
+of the states they follow (``_TapTable.chain``), read by a few exact nodes.
 The auxiliary states extend every stage vector and record row and advance
 by the same RK4 stages as the state; their history follows exactly from
 the initial one (``HistoryFunction.auxiliary``).  They stay out of
@@ -147,8 +147,9 @@ class _StagePast:
     One instance serves the whole run and is moved from stage to stage.
     Stage vectors and record rows carry the auxiliary columns after the
     state; ``past(t)`` at the stage time is the stage vector's state part.
-    ``lagged(t, taps)`` looks up every node of ``taps.lookups``, splitting
-    it by its lag, with r = c - lag/h for the stage offset c:
+    ``lagged(t, taps)`` looks up every node of ``nodes``, the tap table's
+    nodes at step h, splitting it by its lag, with r = c - lag/h for the
+    stage offset c:
 
     - at-stage, lag = 0: read from the stage vector;
     - sub-step, 0 < lag < c*h (r > 0), only when a delay is below the step:
@@ -169,8 +170,9 @@ class _StagePast:
     at-stage rows of the plan's buffer, still counting its sub-step ones.
     """
 
-    def __init__(self, traj: Trajectory, h: float, initial):
-        self.traj, self.h, self.initial, self.extrapolations = traj, h, initial, 0
+    def __init__(self, traj: Trajectory, h: float, initial, nodes):
+        self.traj, self.h, self.initial, self.nodes = traj, h, initial, nodes
+        self.extrapolations = 0
         self.dim, self.record_dim = traj.dim, traj._record.shape[1]
         self._lags, self._plans = None, {}
 
@@ -188,7 +190,7 @@ class _StagePast:
     def lagged(self, t: float, taps):
         if t != self.t_stage:
             raise AssertionError("stage lookup away from the stage time")
-        nodes = taps.lookups
+        nodes = self.nodes
         lags = nodes.lags_at(t)
         if lags is not self._lags and not np.array_equal(lags, self._lags):
             self._lags, self._plans = lags, {}
@@ -230,7 +232,8 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     attached when the state escapes.
     """
     traj = Trajectory(initial, node_count=model.m, node_dim=model.node.dim)
-    dim, cols, rates = traj.dim, model.taps.aux_cols, model.taps.aux_rates
+    nodes, cols, rates = model.taps.chain(config.h)
+    dim = traj.dim
     traj._reserve(config.steps + 1, hidden=cols.size)
     traj.stage_extrapolation_count = 0
     auxiliary = initial.auxiliary(cols, rates) if cols.size else None
@@ -244,7 +247,7 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     weights = [b for _, _, b in stages]
     scale = h / divisor
     past = _StagePast(traj, h, (lambda ts: np.hstack([initial.eval_many(ts), auxiliary(ts)]))
-                      if cols.size else initial.eval_many)
+                      if cols.size else initial.eval_many, nodes)
     x = traj._record[0].copy()
     _guard_state(0.0, x[:dim], traj)
     for k in range(config.steps):

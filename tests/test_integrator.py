@@ -1,6 +1,5 @@
 """Fixed-step integration: reductions with known solutions, order, blow-up."""
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -349,18 +348,28 @@ def history_aux(history, key, u):
     return z
 
 
+def spans_steps(density, h):
+    """Whether a density is read through an auxiliary state at step h: an
+    exponential's mean 1/r spans a step, a uniform's width 16 steps."""
+    if isinstance(density, ExponentialDensity):
+        return 1.0 / density.rate >= h
+    return density.b - density.a >= 16.0 * h
+
+
 def chain_oracle(model, initial, h, steps):
     """Classical RK4 of the network extended by one auxiliary block per
     density kind on every node: the filter z' = r (x - z) of each rate and
     the running integral G' = x.  A pair reads its atoms from x, an
     exponential density as w g(z_j(t - tau)) and a uniform one as
-    w/(b - a) (g(G_j(t - tau - a)) - g(G_j(t - tau - b))).  Lookups follow
-    the stage rule on the extended record, with the extended history before
-    t = 0.  Returns (states, extrapolation count)."""
+    w/(b - a) (g(G_j(t - tau - a)) - g(G_j(t - tau - b))); a density too
+    short for ``spans_steps`` reads the pair's quadrature nodes from x.
+    Lookups follow the stage rule on the extended record, with the extended
+    history before t = 0.  Returns (states, extrapolation count)."""
     m, n = model.m, model.n
     dim = m * n
     keys = sorted({("filter", k.density.rate) if isinstance(k.density, ExponentialDensity)
-                   else ("integral", 0.0) for row in model.kernels for k in row if k.density})
+                   else ("integral", 0.0) for row in model.kernels for k in row
+                   if k.density and spans_steps(k.density, h)})
     block = {key: dim * (1 + b) for b, key in enumerate(keys)}
     record = [np.concatenate([initial.eval(0.0)] + [history_aux(initial, key, 0.0)
                                                     for key in keys])]
@@ -375,13 +384,15 @@ def chain_oracle(model, initial, h, steps):
                 if A[i, j] == 0.0:
                     continue
                 tau, kernel = model.delays.value(i, j, t), model.kernels[i][j]
+                d, plan = kernel.density, model.plans[i][j]
+                chained = d is None or spans_steps(d, h)
+                nodes = kernel.atoms if chained else zip(plan.locations, plan.weights)
                 acc = sum(w * model.output.fn(t, look(t - tau - loc)[j * n:(j + 1) * n])
-                          for loc, w in kernel.atoms)
-                d = kernel.density
-                if isinstance(d, ExponentialDensity):
+                          for loc, w in nodes)
+                if chained and isinstance(d, ExponentialDensity):
                     c = block["filter", d.rate] + j * n
                     acc = acc + d.weight * model.output.fn(t, look(t - tau)[c:c + n])
-                elif d is not None:
+                elif chained and d is not None:
                     c = block["integral", 0.0] + j * n
                     G = look(t - tau - d.a)[c:c + n] - look(t - tau - d.b)[c:c + n]
                     acc = acc + d.weight / (d.b - d.a) * model.output.fn(t, G)
@@ -435,12 +446,19 @@ def chain_cases():
         delays=DelaySchedule.constant(np.array([[0.0, 0.03], [0.02, 0.0]])),
         kernels=[[exponential(3.0), uniform(0.1, 0.3, 0.8)],
                  [uniform(0.0, 0.2), exponential(1.5, 0.6)]]), TABLE_HISTORY, 0.01, 60
+    # a filter faster than the step (r h = 1.5) and a uniform 7 steps wide
+    # keep their quadrature nodes beside a filter and an integral
+    yield "too-fast-or-narrow", oracle_network(
+        delays=DelaySchedule.constant(np.array([[0.0, 0.03], [0.02, 0.0]])),
+        kernels=[[exponential(3.0), mixture(dirac(0.02, 0.4), exponential(150.0, 0.6))],
+                 [uniform(0.05, 0.12, 0.8), uniform(0.0, 0.3)]], node_spacing=1e-2), \
+        TABLE_HISTORY, 0.01, 60
 
 
 @pytest.mark.parametrize("name, model, initial, h, steps", chain_cases(),
                          ids=[case[0] for case in chain_cases()])
 def test_linear_output_densities_match_the_extended_rk4_oracle(name, model, initial, h, steps):
-    assert model.taps.lookups is not model.taps
+    assert model.taps.chain(h)[0] is not model.taps
     traj = integrate(model, initial, IntegratorConfig(method="rk4", h=h, horizon=steps * h))
     want, count = chain_oracle(model, initial, h, steps)
     assert traj.states.shape == want.shape
@@ -478,6 +496,35 @@ def test_uniform_running_integral_converges_at_second_order_to_the_closed_form()
         assert 3.5 <= coarse / fine <= 4.5, errors
 
 
+@pytest.mark.parametrize("rate, chained, bound", [(1000.0, True, 2e-7), (5000.0, False, 2.5e-4)])
+def test_a_filter_serves_rates_up_to_one_over_h_and_quadrature_the_faster(rate, chained, bound):
+    # the model above at rate r: x(2) = -(1/2 + 1/r - (1 - e^{-r})/r^2).  RK4
+    # is unstable on a filter once r h > 2.79, so at h = 1e-3 an exponential
+    # of rate 5,000 keeps its 6 trapezoid nodes and their error
+    exact = -(0.5 + 1.0 / rate - (1.0 - math.exp(-rate)) / rate ** 2)
+    model = scalar_delay_model(a=-1.0, tau=1.0, kernel=exponential(rate))
+    assert (model.taps.chain(1e-3)[0] is not model.taps) == chained
+    x = integrate(model, HistoryFunction.constant([1.0]), IntegratorConfig(h=1e-3, horizon=2.0))
+    assert abs(x.states[-1, 0] - exact) <= bound
+
+
+@pytest.mark.parametrize("steps, chained, bound", [(1.5, False, 1e-7), (16.5, True, 1e-6)])
+def test_a_running_integral_serves_uniforms_16_steps_wide_and_quadrature_the_narrower(
+        steps, chained, bound):
+    # x' = -(1/W) integral over [0, W] of x(t - 1/4 - s) ds, history 1: x = 1 - t
+    # on [0, 1/4]; the window integral is 1 - v^2/(2W) for v = t - 1/4 in
+    # [0, W], then 1 - v + W/2, so x(1/2) = 3/4 - W + W^2/6 - (1 + W/2)(1/4 - W)
+    # + (1/16 - W^2)/2.  Read through G, whose two lookups err by up to
+    # h^2/8 |x'| each, the window would err by 7e-6 at W = 1.5h
+    h = 1e-3
+    W = steps * h
+    exact = 0.75 - W + W * W / 6.0 - (1.0 + W / 2.0) * (0.25 - W) + (0.0625 - W * W) / 2.0
+    model = scalar_delay_model(a=-1.0, tau=0.25, kernel=uniform(0.0, W))
+    assert (model.taps.chain(h)[0] is not model.taps) == chained
+    x = integrate(model, HistoryFunction.constant([1.0]), IntegratorConfig(h=h, horizon=0.5))
+    assert abs(x.states[-1, 0] - exact) <= bound
+
+
 def test_distributed_delay_hands_g_the_same_few_rows_at_every_stage(monkeypatch):
     # 4,474 quadrature nodes per right-hand side; with its linear output the
     # model reads each exponential density through one filtered state, so
@@ -502,15 +549,16 @@ def test_distributed_delay_hands_g_the_same_few_rows_at_every_stage(monkeypatch)
 
 
 def test_distributed_delay_filter_agrees_with_a_fine_trapezoid():
-    # the scenario's g declared not linear reads the trapezoid nodes of each
+    # the scenario's g as a custom output reads the trapezoid nodes of each
     # density, here at a 2e-3 spacing, where the filter reads one exact node
     scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                              / "distributed_delay.json")
     model = scenario.model
     config = IntegratorConfig(method="rk4", h=1e-3, horizon=0.5)
-    trapezoid = NetworkModel(model.m, model.node, dataclasses.replace(model.output, linear=False),
-                             model.coupling, model.delays, model.kernels, node_spacing=2e-3)
-    assert trapezoid.taps.lookups is trapezoid.taps
+    custom = OutputFunction(dim=model.n, fn=model.output.fn, kappa=model.output.kappa)
+    trapezoid = NetworkModel(model.m, model.node, custom, model.coupling, model.delays,
+                             model.kernels, node_spacing=2e-3)
+    assert trapezoid.taps.chain(config.h)[0] is trapezoid.taps
     exact = integrate(model, scenario.history, config).states
     quadrature = integrate(trapezoid, scenario.history, config).states
     assert 0.0 < np.max(np.abs(exact - quadrature)) <= 1e-6
