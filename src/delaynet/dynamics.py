@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .history import PiecewiseLinear
-from .kernels import (DelayKernel, ExponentialDensity, QuadraturePlan, _given, build_quadrature,
-                      dirac)
+from .kernels import (DelayKernel, ExponentialDensity, QuadraturePlan, _floats, _given,
+                      build_quadrature, dirac)
 
 __all__ = [
     "NodeDynamics",
@@ -136,9 +136,10 @@ class OutputFunction:
 
 
 def _apply_batch(fn, t, u: np.ndarray, what: str) -> np.ndarray:
-    out = np.asarray(fn(t, u), dtype=float)
-    if out.shape != np.shape(u):
-        raise ValueError(f"{what} returned shape {out.shape}, expected {np.shape(u)}")
+    out = _floats(fn(t, u))
+    shape = u.shape if isinstance(u, np.ndarray) else np.shape(u)
+    if out.shape != shape:
+        raise ValueError(f"{what} returned shape {out.shape}, expected {shape}")
     return out
 
 
@@ -360,8 +361,11 @@ class _TapTable(_Nodes):
     pair after its other pairs in j order; ``cells`` holds, pair by pair,
     the flat indices of row i in an (m, n) block.  A tap is one distinct
     (source j, the pair's delays at every delay knot, plan) lookup; pairs
-    that share one share its nodes.  As ``_Nodes`` the table holds every
-    tap's quadrature nodes, each reading block j of the state.  Under a
+    that share one share its nodes.  Taps are in lookup order, the order
+    ``_LookupPlan`` gives single nodes: lag 0 first, then by decreasing lag
+    of their first node at the first delay knot, ties in pair order.  As
+    ``_Nodes`` the table holds every tap's quadrature nodes, each reading
+    block j of the state.  Under a
     constant A, ``coef`` holds each pair's a_ij as a read-only column;
     under a coupling table it is None and ``rhs`` reads A(t).  ``chain(h)``
     gives the nodes the integrator reads at step h.
@@ -374,28 +378,27 @@ class _TapTable(_Nodes):
         support = support[np.lexsort((row == col, row))]
         table = model.delays.table_for(m)
         taus = table.values.reshape(table.times.size, m * m)[:, support].T.tolist()
-        taps: dict[tuple[int, tuple[float, ...], int], int] = {}
-        sources, delays, plans, kernels, pairs, rows, pair_tap = [], [], [], [], [], [], []
+        index: dict[tuple[int, tuple[float, ...], int], int] = {}
+        taps, pairs, rows, pair_tap = [], [], [], []
         for a, tau in zip(support.tolist(), taus):
             i, j = divmod(a, m)
             plan = model.plans[i][j]
             if not len(plan):
                 continue
             lookup = (j, tuple(tau), id(plan))
-            if lookup not in taps:
-                taps[lookup] = len(plans)
-                sources.append(j)
-                delays.append(tau)
-                plans.append(plan)
-                kernels.append(model.kernels[i][j])
+            if lookup not in index:
+                index[lookup] = len(taps)
+                taps.append((tau[0] + plan.locations[0], j, tau, plan, model.kernels[i][j]))
             pairs.append(a)
             rows.append(i)
-            pair_tap.append(taps[lookup])
+            pair_tap.append(index[lookup])
+        order = sorted(range(len(taps)), key=lambda q: (taps[q][0] != 0.0, -taps[q][0]))
+        sources, delays, plans, kernels = ([taps[q][f] for q in order] for f in range(1, 5))
         delays = np.array(delays, dtype=float).reshape(len(plans), table.times.size)
         super().__init__(plans, np.repeat(sources, [len(p) for p in plans]), delays, table.times)
         self.pairs = np.array(pairs, dtype=np.intp)
         self.cells = (np.array(rows, dtype=np.intp)[:, None] * n + np.arange(n)).ravel()
-        self.pair_tap = np.array(pair_tap, dtype=np.intp)
+        self.pair_tap = np.argsort(order).take(np.array(pair_tap, dtype=np.intp))
         self.coef = None
         if model.coupling.knots.times.size == 1:
             self.coef = model.coupling.knots.values[0].take(self.pairs)[:, None]
@@ -453,7 +456,8 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     to hand to g, the ``QuadraturePlan`` of their weights and the first row
     of each tap.  As ``Trajectory`` serves it, row q is x_{sources[q]}(t -
     lag_q), a quadrature node, with the table's plan and starts; the
-    integrator's past serves ``taps.lookups``.  Each call makes one
+    integrator's past serves the nodes of ``taps.chain(h)``, which g must
+    not write into.  Each call makes one
     ``lagged`` lookup, one g call on its rows, one segment sum through the
     plan and one in-order ``np.bincount`` of a_ij times each pair's integral
     into row i, and calls f once on the (m, n) block.  Under a constant A the
@@ -464,7 +468,7 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     is not finite.
     """
     m, n = model.m, model.node.dim
-    x_now = np.asarray(past(t), dtype=float).ravel()
+    x_now = _floats(past(t)).ravel()
     if x_now.shape != (m * n,):
         raise ValueError(f"past evaluator returned shape {x_now.shape}, expected ({m * n},)")
     X = x_now.reshape(m, n)
@@ -523,7 +527,7 @@ def chua_node(alpha: float = 9.0, beta: float = 100.0 / 7.0,
     bend = alpha * (m0 - m1)
 
     def fn(t, u):
-        u = np.asarray(u, dtype=float)
+        u = _floats(u)
         out = u @ outer_T
         out[..., 0] -= bend * np.minimum(np.maximum(u[..., 0], -1.0), 1.0)  # np.clip, faster
         return out

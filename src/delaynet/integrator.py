@@ -98,16 +98,18 @@ class _LookupPlan:
     ones by decreasing lag, so that their lookup times increase and at step
     k the ones still before t = 0 (offset < -k) form a prefix of them, empty
     from step ``steady`` on; ``position[q]`` is node q's place in that
-    order.  ``at_cols`` and ``sub_cols`` hold, for each at-stage and
-    sub-step node, the n flat indices of its source block in a record row,
-    and ``initial_cols`` the same for committed ones read from the initial
-    history, row by row.  ``blend_cols`` holds the flat indices, relative
-    to sample k, of the two samples a committed node blends, with weights
-    ``blend_weights`` (1 - theta, theta); the second is the first at offset
-    0, where theta is 0, so no row after the last committed one is read.
-    When every theta is 0, a node reads one sample, ``blend_cols[0]``, and
-    ``blend_weights`` is None.  ``buffer`` holds the lookups in plan order,
-    filled at step ``buffer_step``."""
+    order, None when it is the node order, as for single-node taps in
+    lookup order (``_TapTable``) with no lag below the step.  ``at_cols``
+    and ``sub_cols`` hold, for each at-stage and sub-step node, the n flat
+    indices of its source block in a record row, and ``initial_cols`` the
+    same for committed ones read from the initial history, row by row.
+    ``blend_cols`` holds the flat indices, relative to sample k, of the two
+    samples a committed node blends, with weights ``blend_weights`` (1 -
+    theta, theta); the second is the first at offset 0, where theta is 0,
+    so no row after the last committed one is read.  When every theta is 0,
+    a node reads one sample, ``blend_cols[0]``, and ``blend_weights`` is
+    None.  ``buffer`` holds the lookups in plan order,
+    filled at step ``buffer_step``, and ``rows`` is a read-only view of it."""
 
     def __init__(self, lags: np.ndarray, sources: np.ndarray, c: float, h: float,
                  node_dim: int, dim: int):
@@ -119,7 +121,7 @@ class _LookupPlan:
         committed = np.flatnonzero(~(at_stage | sub_step))
         order = np.concatenate([np.flatnonzero(at_stage), np.flatnonzero(sub_step),
                                 committed[np.argsort(-lags[committed], kind="stable")]])
-        self.position = np.argsort(order)
+        self.position = None if np.array_equal(order, np.arange(order.size)) else np.argsort(order)
         a = self.at_stage_end = int(np.count_nonzero(at_stage))
         b = self.sub_step_end = a + int(np.count_nonzero(sub_step))
         lags, r = lags[order], r[order]
@@ -138,13 +140,16 @@ class _LookupPlan:
             self.blend_cols = np.stack([lo, lo + np.where(self.offsets < 0, dim, 0)[:, None]])
             self.blend_weights = np.stack([1.0 - theta, theta])
         self.buffer = np.empty((lags.size, node_dim))
+        self.rows = self.buffer.view()
+        self.rows.flags.writeable = False
         self.buffer_step = None
 
 
 class _StagePast:
     """The past the right-hand side sees inside the RK stages of one run.
 
-    One instance serves the whole run and is moved from stage to stage.
+    One instance serves the whole run; ``integrate`` sets its step k, start
+    row x_base, first slope, stage offset c, t_stage and x_stage.
     Stage vectors and record rows carry the auxiliary columns after the
     state; ``past(t)`` at the stage time is the stage vector's state part.
     ``lagged(t, taps)`` looks up every node of ``nodes``, the tap table's
@@ -161,11 +166,13 @@ class _StagePast:
       the initial history with its auxiliary states, exact on tables; the
       rest blend two samples.
 
-    ``lagged`` returns the rows in node order, the nodes' ``plan`` and
-    ``starts``.  The split, offsets and weights are resolved once into a
-    ``_LookupPlan`` per stage offset, in a cache keyed on the lags array:
-    one array for a model's life under constant delays, replaced whole
-    when the lags change, as under a delay table at every stage time.  A
+    ``lagged`` returns the rows in node order, the plan's read-only
+    ``rows`` themselves when no permutation is needed, and the nodes'
+    ``plan`` and ``starts``.  The split, offsets and weights are resolved
+    once into a ``_LookupPlan`` per stage offset, in a cache keyed on the
+    lags array: one array for a model's life under constant delays,
+    replaced whole when the lags change, as under a delay table at every
+    stage time.  A
     second stage at one step and offset, as RK4's third, rewrites only the
     at-stage rows of the plan's buffer, still counting its sub-step ones.
     """
@@ -176,12 +183,6 @@ class _StagePast:
         self.dim, self.record_dim = traj.dim, traj._record.shape[1]
         self._lags, self._plans = None, {}
 
-    def move(self, k: int, c: float, t_stage: float, x_stage: np.ndarray,
-             x_base: np.ndarray, slope: np.ndarray | None) -> None:
-        """Enter the stage at offset c of step k, whose start row is x_base."""
-        self.k, self.c, self.t_stage, self.x_stage, self.x_base, self.slope = (
-            k, c, t_stage, x_stage, x_base, slope)
-
     def __call__(self, t: float) -> np.ndarray:
         if t != self.t_stage:
             raise AssertionError("stage past read away from the stage time")
@@ -191,7 +192,7 @@ class _StagePast:
         if t != self.t_stage:
             raise AssertionError("stage lookup away from the stage time")
         nodes = self.nodes
-        lags = nodes.lags_at(t)
+        lags = nodes.lags if nodes.delays is None else nodes.lags_at(t)
         if lags is not self._lags and not np.array_equal(lags, self._lags):
             self._lags, self._plans = lags, {}
         plan = self._plans.get(self.c)
@@ -221,7 +222,8 @@ class _StagePast:
         if a:
             out[:a] = self.x_stage.take(plan.at_cols)
         self.extrapolations += b - a
-        return out.take(plan.position, axis=0), nodes.plan, nodes.starts
+        rows = plan.rows if plan.position is None else out.take(plan.position, axis=0)
+        return rows, nodes.plan, nodes.starts
 
 
 def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:
@@ -253,17 +255,16 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     for k in range(config.steps):
         t = k * h
         ks: list[np.ndarray] = []
+        past.k, past.x_base, past.slope = k, x, None
         try:
             for c, ch, ah in shifts:
-                if ks:
-                    past.move(k, c, t + ch, x + ah * ks[-1], x, ks[0])
-                else:
-                    past.move(k, 0.0, t, x, x, None)
+                past.c, past.t_stage = c, t + ch
+                y = past.x_stage = x + ah * ks[-1] if ks else x
                 slope = rhs(model, past.t_stage, past)
                 if cols.size:
-                    y = past.x_stage
                     slope = np.concatenate((slope, gain * (y.take(cols) - keep * y[dim:])))
                 ks.append(slope)
+                past.slope = ks[0]
         except NonFiniteDerivative as exc:
             raise BlowUpError(t, traj, str(exc)) from exc
         traj.stage_extrapolation_count = past.extrapolations

@@ -14,7 +14,7 @@ concurrent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,13 @@ __all__ = [
 # a density plan larger than this is refused before it is allocated; the
 # bundled scenarios use 2,236 nodes per plan
 _MAX_DENSITY_NODES = 1_000_000
+
+_FLOAT = np.dtype(float)
+
+
+def _floats(a) -> np.ndarray:
+    """``a`` as a float64 array: a float64 ndarray itself, anything else converted."""
+    return a if type(a) is np.ndarray and a.dtype is _FLOAT else np.asarray(a, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,8 @@ class QuadraturePlan:
     weights: np.ndarray
     truncation_horizon: float
     tail_mass_bound: float
+    _column: np.ndarray = field(init=False, repr=False, compare=False)
+    _unit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         locations = np.asarray(self.locations, dtype=float)
@@ -223,6 +232,8 @@ class QuadraturePlan:
         weights.flags.writeable = False
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_column", weights[:, None])
+        object.__setattr__(self, "_unit", bool(np.all(weights == 1.0)))
 
     def __len__(self) -> int:
         return self.locations.size
@@ -234,10 +245,19 @@ class QuadraturePlan:
         increasing indices ``starts``, the first 0 and all below
         ``len(self)``, and the result holds one weighted sum per segment on
         axis 0.  Without ``starts`` the whole plan is one segment and that
-        axis is dropped.
+        axis is dropped.  With every weight 1.0 the product is skipped, as
+        1.0 * x is x bit for bit (-0.0, inf and quiet NaN too), and segments
+        of one node each, as in a Dirac-only model, return ``values`` itself.
         """
-        values = np.asarray(values, dtype=float)
-        terms = self.weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+        values = _floats(values)
+        if len(values) != self.weights.size:
+            raise ValueError(f"{len(values)} node values for a plan of {len(self)} nodes")
+        if self._unit:
+            terms = values
+        elif values.ndim == 2:
+            terms = self._column * values
+        else:
+            terms = self.weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
         if starts is not None:
             # a segment of one node is its own sum
             if len(starts) == len(terms):

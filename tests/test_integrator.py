@@ -580,6 +580,90 @@ def test_synchronized_nodes_stay_bitwise_synchronized(topology, m, tau, c):
     assert np.array_equal(nodes, np.broadcast_to(nodes[:, :1], nodes.shape))
 
 
+def spy_lookup_plans(monkeypatch, force_permutation=False):
+    """Record (stage offset, permutation kept) for every lookup plan built;
+    with ``force_permutation`` a plan in node order takes an explicit
+    ``arange`` in place of no permutation."""
+    seen, build = [], integrator._LookupPlan.__init__
+
+    def spy(self, lags, *args):
+        build(self, lags, *args)
+        if force_permutation and self.position is None:
+            self.position = np.arange(lags.size)
+        seen.append((args[1], self.position is not None))
+
+    monkeypatch.setattr(integrator._LookupPlan, "__init__", spy)
+    return seen
+
+
+def dirac_only_models():
+    # one atom per kernel, every delay 0 or at least the step
+    yield make_example(3, node=chua_node(), Gamma=np.eye(3), tau=0.01, topology="all-to-all",
+                       c=1.0, m=4)
+    yield make_example(1, node=linear_node([[0.0, 1.0], [-1.0, -0.5]]),
+                       A=named_topology("all-to-all", 3), Gamma=np.eye(2))
+    yield oracle_network(m=3, delays=DelaySchedule.constant(
+        np.array([[0.0, 0.05, 0.02], [0.03, 0.0, 0.05], [0.02, 0.04, 0.01]])),
+        kernels=dirac(0.015))
+
+
+@pytest.mark.parametrize("model", dirac_only_models())
+def test_taps_in_lookup_order_build_no_permutation(monkeypatch, model):
+    seen = spy_lookup_plans(monkeypatch)
+    initial = HistoryFunction.constant(np.tile([0.7, -0.1, -0.6, 0.2][:model.n], model.m))
+    integrate(model, initial, IntegratorConfig(method="rk4", h=0.01, horizon=0.2))
+    assert sorted(c for c, _ in seen) == [0.0, 0.5, 1.0]
+    assert not any(kept for _, kept in seen)
+
+
+def permuted_models():
+    """Models whose lookup plans still need a permutation: a delay below the
+    step beside a longer one, a custom g on a density's quadrature nodes
+    (by increasing lag within the tap), and a delay table whose off-diagonal
+    lags swap order at t = 0.305."""
+    yield "below-h", oracle_network(delays=DelaySchedule.constant(
+        np.array([[0.0, 0.005], [0.05, 0.0]])))
+    yield "custom-density", oracle_network(
+        delays=DelaySchedule.offdiagonal(0.05), kernels=exponential(2.0), node_spacing=1e-2,
+        output=CURVED)
+    yield "lags-swap", oracle_network(delays=DelaySchedule.table(
+        [0.0, 0.61], [[[0.0, 0.1], [0.25, 0.0]], [[0.0, 0.25], [0.1, 0.0]]]))
+
+
+@pytest.mark.parametrize("name, model", permuted_models(),
+                         ids=[case[0] for case in permuted_models()])
+def test_lookup_plans_keep_a_permutation_where_the_order_needs_one(monkeypatch, name, model):
+    seen = spy_lookup_plans(monkeypatch)
+    integrate(model, TABLE_HISTORY, IntegratorConfig(method="rk4", h=0.01, horizon=0.5))
+    assert any(kept for _, kept in seen)
+    if name == "lags-swap":
+        # in lookup order at the first knot, permuted once the lags cross
+        assert not seen[0][1] and seen[-1][1]
+
+
+def integrate_cases():
+    yield "dirac", next(dirac_only_models()), HistoryFunction.constant(
+        np.tile([0.7, -0.1, -0.6], 4)), IntegratorConfig(h=2e-3, horizon=0.2)
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "distributed_delay.json")
+    yield "distributed-delay", scenario.model, scenario.history, IntegratorConfig(
+        h=scenario.config.h, horizon=200 * scenario.config.h)
+    for name, model in permuted_models():
+        yield name, model, TABLE_HISTORY, IntegratorConfig(h=0.01, horizon=0.5)
+
+
+@pytest.mark.parametrize("name, model, initial, config", integrate_cases(),
+                         ids=[case[0] for case in integrate_cases()])
+def test_skipping_the_identity_permutation_keeps_every_bit(monkeypatch, name, model, initial,
+                                                           config):
+    plain = integrate(model, initial, config)
+    seen = spy_lookup_plans(monkeypatch, force_permutation=True)
+    forced = integrate(model, initial, config)
+    assert all(kept for _, kept in seen)
+    assert forced._record.tobytes() == plain._record.tobytes()
+    assert forced.stage_extrapolation_count == plain.stage_extrapolation_count
+
+
 def convolution(plan, traj, t, tau):
     """The lookup-and-weigh composition ``rhs`` applies for an identity output."""
     return plan.apply(traj.eval_many(t - tau - plan.locations))

@@ -206,3 +206,33 @@ def test_single_node_segments_apply_as_reduceat_bitwise():
     want = np.add.reduceat(plan.weights[:, None] * values, starts, axis=0)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_unit_weight_plans_apply_as_the_product_bitwise():
+    # with every weight 1.0 the product is skipped: 1.0 * x is x bit for
+    # bit, -0.0, inf and NaN included, and the caller's rows stay as they were
+    plan = QuadraturePlan(np.arange(4.0), np.ones(4), 3.0, 0.0)
+    values = np.array([[-0.0, np.inf, 1.5], [-0.0, 2.0, np.nan],
+                       [-np.inf, -0.0, 3.0], [np.nan, 0.5, -0.0]])
+    values.flags.writeable = False
+    before = values.tobytes()
+    product = 1.0 * values
+    assert product.tobytes() == before
+    for starts in (None, [0], [0, 2], np.arange(4)):
+        got = plan.apply(values, starts)
+        if starts is None:
+            want = np.add.reduceat(product, [0], axis=0)[0]
+        else:
+            want = np.add.reduceat(product, starts, axis=0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert values.tobytes() == before
+    # no product is left to refuse a row count that is not the node count
+    with pytest.raises(ValueError, match="5 node values for a plan of 4 nodes"):
+        plan.apply(np.zeros((5, 3)), np.arange(4))
+
+
+def test_plan_apply_refuses_values_for_another_node_count():
+    # one row would broadcast against every weight
+    plan = QuadraturePlan(np.arange(3.0), [1.0, 2.0, 3.0], 2.0, 0.0)
+    with pytest.raises(ValueError, match="1 node values for a plan of 3 nodes"):
+        plan.apply(np.ones((1, 2)))

@@ -1,6 +1,10 @@
 """The developer scripts under tools/."""
 
+import dataclasses
+import importlib
 import importlib.util
+import json
+import math
 import shutil
 import sys
 import time
@@ -64,3 +68,34 @@ def test_ab_inprocess_keeps_timing_when_the_sides_differ(tmp_path, capsys):
     assert stem == "linear_network" and bitwise == "no"
     assert float(gap) == pytest.approx(1e-9, rel=1e-3)
     assert lines[-1] == "bitwise equal: no"
+
+
+def test_bench_tracer_wraps_every_name_and_yields_every_per_layer_metric(monkeypatch):
+    # bench/run.py --trace 1 reports only the metrics whose names the tracer
+    # found, so a delaynet name that it patches and that is renamed or
+    # dropped leaves the traced result without them
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    from delaynet import scenario
+
+    loaded = scenario.load_scenario(ROOT / "scenarios" / "distributed_delay.json")
+    config = dataclasses.replace(loaded.config, horizon=50 * loaded.config.h)
+    start = time.perf_counter()
+    tracer = tracing.Tracer()
+    restore, wrapped = tracing.install(tracer)
+    try:
+        scenario.integrate(loaded.model, loaded.history, config)
+    finally:
+        restore()
+    assert wrapped == ({name for _, _, name, _ in tracing.SPANS}
+                       | {key for _, _, key in tracing.COUNTS})
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = [m["name"][len("run."):-len("_s")] for m in spec["per_layer"]
+            if m["name"].startswith("run.")]
+    layers = tracing.layer_metrics(tracer, wrapped, runs)
+    for metric in spec["per_layer"]:
+        value = layers[metric["name"]]
+        assert type(value) is float and math.isfinite(value), metric["name"]
+    assert layers["dynamics.rhs_calls"] == layers["kernels.apply_calls"] == 200.0
+    assert time.perf_counter() - start < 1.0
