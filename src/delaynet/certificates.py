@@ -85,13 +85,6 @@ class QuadCheckResult:
     probes: int
     witness: dict | None = None
 
-    def summary(self) -> str:
-        if self.passed:
-            return f"quad check: pass ({self.probes} probes, no violation found)"
-        w = self.witness
-        return (f"quad check: FAIL at probe {w['index']}: t={w['t']:.6g}, "
-                f"lhs={w['lhs']:.6g} > rhs={w['rhs']:.6g}")
-
 
 def probe_domain(box, t_range, n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(lo, hi, t0, t1) of a probe box and time range, validated.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import Trajectory, _write_csv, spd_weight, sup_history_deviation
+from .history import Trajectory, _block_quad, _write_csv, spd_weight, sup_history_deviation
 
 __all__ = [
     "EnvelopeReport",
@@ -33,12 +33,6 @@ __all__ = [
     "write_envelope_csv",
     "write_sync_csv",
 ]
-
-
-def _block_quad(diffs: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Sum of per-node quadratic forms, one value per row of ``diffs``."""
-    blocks = diffs.reshape(diffs.shape[0], -1, P.shape[0])
-    return np.einsum("tij,jk,tik->t", blocks, P, blocks)
 
 
 def p_norm(x, P) -> float:

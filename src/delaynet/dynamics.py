@@ -257,10 +257,6 @@ class DelaySchedule:
             raise ValueError(f"delay matrix is {size}x{size}, model has m={m}")
         return self.knots
 
-    def matrix(self, t: float, m: int) -> np.ndarray:
-        """The m x m matrix of delays at time t, read-only when constant."""
-        return self.table_for(m)(t)
-
 
 class NetworkModel:
     """m coupled copies of a node system with delayed, measure-weighted links.
@@ -454,10 +450,10 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     ``past(t)`` is the stacked state vector at t, and
     ``past.lagged(t, taps)`` the lookup of the model's tap table: the rows
     to hand to g, the ``QuadraturePlan`` of their weights and the first row
-    of each tap.  As ``Trajectory`` serves it, row q is x_{sources[q]}(t -
-    lag_q), a quadrature node, with the table's plan and starts; the
-    integrator's past serves the nodes of ``taps.chain(h)``, which g must
-    not write into.  Each call makes one
+    of each tap.  A past that reads the table itself serves row q as
+    x_{sources[q]}(t - lag_q), a quadrature node, with the table's plan and
+    starts; the integrator's past serves the nodes of ``taps.chain(h)``,
+    which g must not write into.  Each call makes one
     ``lagged`` lookup, one g call on its rows, one segment sum through the
     plan and one in-order ``np.bincount`` of a_ij times each pair's integral
     into row i, and calls f once on the (m, n) block.  Under a constant A the

@@ -124,13 +124,16 @@ class HistoryFunction:
         return self.knots.eval_many(ts)
 
     def auxiliary(self, cols: np.ndarray, rates: np.ndarray):
-        """The function of times ts <= 0 whose row holds, per state column
-        ``cols[c]``, its filter z(u) = integral over s >= 0 of r e^{-rs}
+        """The extended history: the function of times ts <= 0 whose row
+        holds the state, as ``eval_many`` gives it, then per state column
+        ``cols[c]`` its filter z(u) = integral over s >= 0 of r e^{-rs}
         x(u - s) ds for r = ``rates[c]`` > 0, or its running integral G(u) =
         -integral from u to 0 of x for r = 0, exactly: on a piece from v of
         slope beta, z(u) = x(u) - beta/r + (z(v) - x(v) + beta/r) e^{-r(u - v)}
         and G(u) = G(v) + (u - v)(x(v) + x(u))/2; a constant x0 gives z = x0
-        and G(u) = u x0."""
+        and G(u) = u x0.  With no columns it is ``eval_many`` itself."""
+        if not cols.size:
+            return self.eval_many
         times, X = self.knots.times, self.knots.values[:, cols]
         r = np.where(rates > 0.0, rates, 1.0)
         # piece k starts at knot k - 1; pieces 0 (up to the first knot) and
@@ -154,7 +157,8 @@ class HistoryFunction:
             k = times.searchsorted(ts)
             du = (ts - starts[k])[:, None]
             p0, p1, p2, p3 = p[:, k]
-            return p0 + du * (p1 + du * p2) + p3 * np.exp(neg_r * np.maximum(du, 0.0))
+            aux = p0 + du * (p1 + du * p2) + p3 * np.exp(neg_r * np.maximum(du, 0.0))
+            return np.hstack([self.eval_many(ts), aux])
 
         return rows
 
@@ -246,16 +250,6 @@ class Trajectory:
 
     __call__ = eval
 
-    def lagged(self, t: float, taps):
-        """The lookup ``rhs`` makes for the quadrature nodes of a tap table:
-        the (N, node_dim) block whose row q is node taps.sources[q]'s state
-        at t - lag_q, with the table's plan and segment starts."""
-        lags = taps.lags_at(t)
-        rows = self.eval_many(t - lags)
-        rows = rows.reshape(lags.size, self.node_count, self.node_dim)[
-            np.arange(lags.size), taps.sources]
-        return rows, taps.plan, taps.starts
-
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """States at an array of times (all <= last sample), one row each."""
         ts = np.asarray(ts, dtype=float).ravel()
@@ -298,9 +292,13 @@ def sup_history_deviation(traj_or_history, x0: np.ndarray, P: np.ndarray) -> flo
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != history.dim or x0.size % P.shape[0] != 0:
         raise ValueError("x0 must match the history dimension and be a multiple of P's size")
-    states = history.knots.values
-    diff = (states - x0).reshape(states.shape[0], -1, P.shape[0])
-    return float(np.max(0.5 * np.einsum("ijk,kl,ijl->i", diff, P, diff)))
+    return float(np.max(0.5 * _block_quad(history.knots.values - x0, P)))
+
+
+def _block_quad(diffs: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Sum of per-node quadratic forms, one value per row of ``diffs``."""
+    blocks = diffs.reshape(diffs.shape[0], -1, P.shape[0])
+    return np.einsum("tij,jk,tik->t", blocks, P, blocks)
 
 
 def spd_weight(P) -> tuple[np.ndarray, float, float]:

@@ -42,7 +42,7 @@ import numpy as np
 from .dynamics import NetworkModel, NonFiniteDerivative, rhs
 from .history import HistoryFunction, Trajectory
 
-__all__ = ["IntegratorConfig", "integrate", "BlowUpError"]
+__all__ = ["IntegratorConfig", "integrate", "BlowUpError", "BLOWUP_THRESHOLD"]
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -237,10 +237,8 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     nodes, cols, rates = model.taps.chain(config.h)
     dim = traj.dim
     traj._reserve(config.steps + 1, hidden=cols.size)
-    traj.stage_extrapolation_count = 0
-    auxiliary = initial.auxiliary(cols, rates) if cols.size else None
-    if cols.size:
-        traj._record[0, dim:] = auxiliary([0.0])[0]
+    extended = initial.auxiliary(cols, rates)
+    traj._record[0] = extended([0.0])[0]
     # z' = r (x - z) for a filter, G' = x for a running integral
     gain, keep = np.where(rates > 0.0, rates, 1.0), (rates > 0.0).astype(float)
     stages, divisor = _TABLEAUS[config.method]
@@ -248,36 +246,37 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     shifts = [(c, c * h, a * h) for c, a, _ in stages]
     weights = [b for _, _, b in stages]
     scale = h / divisor
-    past = _StagePast(traj, h, (lambda ts: np.hstack([initial.eval_many(ts), auxiliary(ts)]))
-                      if cols.size else initial.eval_many, nodes)
+    past = _StagePast(traj, h, extended, nodes)
     x = traj._record[0].copy()
-    _guard_state(0.0, x[:dim], traj)
-    for k in range(config.steps):
-        t = k * h
-        ks: list[np.ndarray] = []
-        past.k, past.x_base, past.slope = k, x, None
-        try:
-            for c, ch, ah in shifts:
-                past.c, past.t_stage = c, t + ch
-                y = past.x_stage = x + ah * ks[-1] if ks else x
-                slope = rhs(model, past.t_stage, past)
-                if cols.size:
-                    slope = np.concatenate((slope, gain * (y.take(cols) - keep * y[dim:])))
-                ks.append(slope)
-                past.slope = ks[0]
-        except NonFiniteDerivative as exc:
-            raise BlowUpError(t, traj, str(exc)) from exc
+    try:
+        _guard_state(0.0, x[:dim], traj)
+        for k in range(config.steps):
+            t = k * h
+            ks: list[np.ndarray] = []
+            past.k, past.x_base, past.slope = k, x, None
+            try:
+                for c, ch, ah in shifts:
+                    past.c, past.t_stage = c, t + ch
+                    y = past.x_stage = x + ah * ks[-1] if ks else x
+                    slope = rhs(model, past.t_stage, past)
+                    if cols.size:
+                        slope = np.concatenate((slope, gain * (y.take(cols) - keep * y[dim:])))
+                    ks.append(slope)
+                    past.slope = ks[0]
+            except NonFiniteDerivative as exc:
+                raise BlowUpError(t, traj, str(exc)) from exc
+            incr = None
+            for b, k_stage in zip(weights, ks):
+                term = k_stage if b == 1.0 else b * k_stage
+                incr = term if incr is None else incr + term
+            x_next = x + scale * incr
+            t_next = (k + 1) * h
+            if not np.abs(x_next[:dim]).max() <= BLOWUP_THRESHOLD:
+                _guard_state(t_next, x_next[:dim], traj)
+            traj._push(t_next, x_next)
+            x = x_next
+    finally:
         traj.stage_extrapolation_count = past.extrapolations
-        incr = None
-        for b, k_stage in zip(weights, ks):
-            term = k_stage if b == 1.0 else b * k_stage
-            incr = term if incr is None else incr + term
-        x_next = x + scale * incr
-        t_next = (k + 1) * h
-        if not np.abs(x_next[:dim]).max() <= BLOWUP_THRESHOLD:
-            _guard_state(t_next, x_next[:dim], traj)
-        traj._push(t_next, x_next)
-        x = x_next
     return traj
 
 

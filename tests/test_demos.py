@@ -43,3 +43,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists names it does not define: {missing}"
+
+
+def test_the_package_exports_every_module_s_public_names_once():
+    order = ["kernels", "history", "dynamics", "integrator", "certificates", "diagnostics",
+             "scenario"]
+    declaring = [n for n in MODULES[1:] if hasattr(importlib.import_module(n), "__all__")]
+    assert sorted(declaring) == sorted(f"delaynet.{stem}" for stem in order)
+    modules = [importlib.import_module(f"delaynet.{stem}") for stem in order]
+    assert delaynet.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(delaynet.__all__)) == len(delaynet.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(delaynet, name) is getattr(module, name), name
+    assert delaynet.NonFiniteDerivative is delaynet.dynamics.NonFiniteDerivative
+    assert delaynet.rhs is delaynet.dynamics.rhs
+    assert delaynet.ExponentialDensity is delaynet.kernels.ExponentialDensity
+    assert delaynet.UniformDensity is delaynet.kernels.UniformDensity
+    assert delaynet.spd_weight is delaynet.history.spd_weight
+    assert delaynet.probe_domain is delaynet.certificates.probe_domain
+    assert delaynet.certify is delaynet.scenario.certify
+    assert delaynet.BLOWUP_THRESHOLD is delaynet.integrator.BLOWUP_THRESHOLD

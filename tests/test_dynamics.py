@@ -356,9 +356,9 @@ def test_rhs_with_a_delay_table_matches_oracle():
                          kernels=mixture(dirac(0.0, 0.5), dirac(0.2, 0.5)))
     past = smooth_past(rng, m, n)
     for t in (0.3, 1.7, 2.0, 4.0, 6.0):
-        np.testing.assert_allclose(model.delays.matrix(t, m), lerp(times, Ds, t),
+        np.testing.assert_allclose(model.delays.table_for(m)(t), lerp(times, Ds, t),
                                    rtol=0, atol=1e-15)
-        assert model.delays.value(1, 2, t) == model.delays.matrix(t, m)[1, 2]
+        assert model.delays.value(1, 2, t) == model.delays.table_for(m)(t)[1, 2]
         np.testing.assert_allclose(rhs(model, t, past), pairwise_rhs(model, t, past),
                                    rtol=0, atol=1e-12)
 

@@ -14,6 +14,8 @@ from delaynet.history import (
     write_trajectory_csv,
 )
 
+from trajectory_past import TrajectoryPast
+
 
 def make_traj(samples, node_count=1, node_dim=1):
     hist = HistoryFunction.constant(np.asarray(samples[0][1], dtype=float))
@@ -129,7 +131,7 @@ def test_lagged_reads_each_source_block_at_its_own_lag():
     sources = np.array([2, 0, 1, 2, 0, 0])
     taps = SimpleNamespace(lags_at=lambda t: lags, sources=sources, plan=object(),
                            starts=np.array([0, 2]))
-    got, plan, starts = traj.lagged(1.9, taps)
+    got, plan, starts = TrajectoryPast(traj).lagged(1.9, taps)
     # the unfolded lookup: every node, with the table's own plan and starts
     assert plan is taps.plan and starts is taps.starts
     for row, lag, j in zip(got, lags, sources):

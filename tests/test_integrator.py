@@ -33,6 +33,8 @@ from delaynet.kernels import (
 )
 from delaynet.scenario import load_scenario
 
+from trajectory_past import TrajectoryPast
+
 
 def scalar_delay_model(a=-1.0, tau=1.0, kernel=None, **kw):
     """Single node, f identically zero, coupling a * x(t - tau) through the kernel."""
@@ -91,7 +93,7 @@ def test_distributed_delay_rhs_at_zero():
     # x' = -integral of x(t-s) e^{-s} ds with constant history c: slope -c
     c = 3.0
     model = scalar_delay_model(a=-1.0, tau=0.0, kernel=exponential(1.0))
-    past = Trajectory(HistoryFunction.constant([c]), node_count=1, node_dim=1)
+    past = TrajectoryPast(Trajectory(HistoryFunction.constant([c]), node_count=1, node_dim=1))
     got = rhs(model, 0.0, past)
     assert abs(got[0] - (-c)) < 1e-9
 
@@ -169,6 +171,26 @@ def test_each_escape_halts_with_its_reason_after_the_last_good_sample(burst, rea
     assert err.time == 5 * 0.002
     np.testing.assert_array_equal(err.trajectory.times, np.arange(5) * 0.002)
     np.testing.assert_array_equal(err.trajectory.states, np.full((5, 1), 0.5))
+
+
+@pytest.mark.parametrize("burst, count", [
+    # the guard halts the run after its fifth step
+    (lambda u: np.full_like(u, 1.2e15), 5),
+    # a non-finite derivative halts it at the fifth step's second stage
+    (lambda u: np.full_like(u, np.inf), 4),
+], ids=["magnitude", "non-finite-derivative"])
+def test_a_blown_up_trajectory_carries_its_stage_extrapolation_count(burst, count):
+    # a lag of h/2 falls inside the step at RK4's last stage only: one
+    # extrapolated lookup per completed step
+    h = 0.002
+    node = NodeDynamics(dim=1, fn=lambda t, u: np.where(t < 0.0085, 0.0 * u, burst(u)))
+    model = NetworkModel(m=1, node=node, output=identity_output(1),
+                         coupling=CouplingSchedule.constant(np.array([[-1.0]])),
+                         delays=DelaySchedule.constant(h / 2), kernels=dirac())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        integrate(model, HistoryFunction.constant([0.5]),
+                  IntegratorConfig(method="rk4", h=h, horizon=0.02))
+    assert info.value.trajectory.stage_extrapolation_count == count
 
 
 def test_a_run_record_still_checks_and_grows_on_append():

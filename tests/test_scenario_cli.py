@@ -13,7 +13,19 @@ import pytest
 import delaynet
 from delaynet import __version__
 from delaynet.cli import main
-from delaynet.dynamics import NodeDynamics, OutputFunction
+from delaynet.dynamics import (
+    CouplingSchedule,
+    DelaySchedule,
+    NetworkModel,
+    NodeDynamics,
+    OutputFunction,
+    identity_output,
+    linear_node,
+    linear_output,
+)
+from delaynet.history import HistoryFunction
+from delaynet.integrator import IntegratorConfig, integrate
+from delaynet.kernels import dirac
 from delaynet.scenario import (
     ScenarioError,
     load_scenario,
@@ -102,6 +114,68 @@ def test_declared_node_count_must_match_coupling():
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(doc)
     assert any("model.m" in line for line in exc.value.errors)
+
+
+def two_state_doc(**model):
+    """Two linear nodes of two states each, with ``model`` merged into the
+    model section."""
+    doc = minimal_doc(history={"type": "constant", "value": [[0.5, 0.0], [-0.3, 0.2]]})
+    doc["model"] = {"node": {"type": "linear", "matrix": [[0.0, 1.0], [-1.0, -0.5]]},
+                    "coupling": {"matrix": [[-1.0, 1.0], [1.0, -1.0]]}, **model}
+    return doc
+
+
+def library_run(doc, output, delays):
+    """The run of ``doc`` with the model built from library calls."""
+    model = NetworkModel(m=2, node=linear_node(doc["model"]["node"]["matrix"]),
+                         output=output,
+                         coupling=CouplingSchedule.constant(doc["model"]["coupling"]["matrix"]),
+                         delays=delays, kernels=dirac())
+    return integrate(model, HistoryFunction.constant(np.ravel(doc["history"]["value"])),
+                     IntegratorConfig(h=doc["integrator"]["step"],
+                                      horizon=doc["integrator"]["horizon"]))
+
+
+def scenario_run(doc):
+    scenario = scenario_from_dict(doc)
+    return integrate(scenario.model, scenario.history, scenario.config)
+
+
+def test_model_gamma_runs_as_the_library_linear_output():
+    gamma = [[1.0, 0.2], [0.0, 0.5]]
+    doc = two_state_doc(gamma=gamma)
+    got = scenario_run(doc)
+    want = library_run(doc, linear_output(np.array(gamma)), DelaySchedule.zero())
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.states, want.states)
+    # gamma is read: without it the output is the identity, another run
+    assert not np.array_equal(got.states, scenario_run(two_state_doc()).states)
+
+
+def test_matrix_delays_run_as_the_library_constant_delay_matrix():
+    values = [[0.0, 0.03], [0.05, 0.0]]
+    doc = two_state_doc(delays={"type": "matrix", "values": values})
+    np.testing.assert_array_equal(scenario_from_dict(doc).model.delays.table_for(2)(0.0),
+                                  values)
+    got = scenario_run(doc)
+    want = library_run(doc, identity_output(2), DelaySchedule.constant(np.array(values)))
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.states, want.states)
+
+
+def test_an_unmet_sync_threshold_fails_the_run_only_when_given(tmp_path):
+    # two uncoupled nodes held at 0.5 and -0.5 stay a distance 1 apart
+    doc = minimal_doc()
+    doc["model"] = {"node": {"type": "linear", "matrix": [[0.0]]},
+                    "coupling": {"matrix": [[0.0, 0.0], [0.0, 0.0]]}}
+    summary, code = run_scenario(scenario_from_dict(doc), out_dir=tmp_path / "default")
+    assert code == 0 and summary["failures"] == []
+    assert summary["sync"]["synchronized"] is False
+    doc["diagnostics"] = {"sync_threshold": 1e-3}
+    summary, code = run_scenario(scenario_from_dict(doc), out_dir=tmp_path / "given")
+    assert code == 3
+    assert summary["failures"] == ["sync"]
+    assert summary["sync"]["threshold"] == 1e-3
 
 
 def test_run_without_certificate_writes_trajectory_and_sync_only(tmp_path):
@@ -208,6 +282,35 @@ def test_cli_run_quiet_suppresses_the_summary(tmp_path, capsys):
                  "--out", str(tmp_path), "--quiet"])
     assert code == 0
     assert capsys.readouterr().out == ""
+
+
+def test_cli_run_prints_a_json_summary(tmp_path, capsys):
+    code = main(["run", str(FIXTURES / "failing_certificate.json"), "--out", str(tmp_path)])
+    assert code == 3
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["name"] == "failing-certificate"
+    assert summary["exit_code"] == 3 and summary["failures"] == ["certificate"]
+    assert summary["artifacts"]["certificate"] == str(tmp_path / "certificate.txt")
+
+
+def test_cli_seed_reaches_the_summary(tmp_path, capsys):
+    assert main(["run", str(FIXTURES / "failing_certificate.json"),
+                 "--out", str(tmp_path), "--seed", "7"]) == 3
+    assert json.loads(capsys.readouterr().out)["certificate"]["seed"] == 7
+
+
+def test_cli_check_quad_writes_the_certificate_the_run_writes(tmp_path):
+    fixture = str(FIXTURES / "failing_certificate.json")
+    for seed in ("0", "7"):
+        run_dir, quad_dir = tmp_path / f"run{seed}", tmp_path / f"quad{seed}"
+        assert main(["run", fixture, "--out", str(run_dir), "--seed", seed, "--quiet"]) == 3
+        assert main(["check-quad", fixture, "--out", str(quad_dir), "--seed", seed,
+                     "--quiet"]) == 3
+        assert sorted(p.name for p in quad_dir.iterdir()) == ["certificate.txt"]
+        assert ((quad_dir / "certificate.txt").read_bytes()
+                == (run_dir / "certificate.txt").read_bytes())
+    assert ((tmp_path / "quad0" / "certificate.txt").read_bytes()
+            != (tmp_path / "quad7" / "certificate.txt").read_bytes())
 
 
 def test_cli_check_quad_pass_and_fail(tmp_path, capsys):
