@@ -459,9 +459,10 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     into row i, and calls f once on the (m, n) block.  Under a constant A the
     a_ij are the tap table's ``coef``, read once at construction.  Under a
     coupling table A(t) is read at each call, and g is evaluated for every
-    pair nonzero at some knot; one zero at t adds an exact zero.
-    Raises ``NonFiniteDerivative`` naming the first node whose derivative
-    is not finite.
+    pair nonzero at some knot; one zero at t adds an exact zero.  Returns a
+    new flat vector, tested for finiteness with one count; raises
+    ``NonFiniteDerivative`` naming the first node whose derivative is not
+    finite.
     """
     m, n = model.m, model.node.dim
     x_now = _floats(past(t)).ravel()
@@ -481,11 +482,11 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
         coupled = np.bincount(taps.cells, (coef * conv.take(taps.pair_tap, axis=0)).ravel(), m * n)
     else:
         coupled = np.zeros(m * n)
-    out = model.node.eval(t, X) + coupled.reshape(m, n)
+    out = model.node.eval(t, X).ravel() + coupled
     finite = np.isfinite(out)
-    if not finite.all():
-        raise NonFiniteDerivative(t, int(np.argmin(finite.all(axis=1))))
-    return out.ravel()
+    if np.count_nonzero(finite) != out.size:
+        raise NonFiniteDerivative(t, int(np.argmin(finite.reshape(m, n).all(axis=1))))
+    return out
 
 
 # ---------------------------------------------------------------------------

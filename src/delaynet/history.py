@@ -228,21 +228,12 @@ class Trajectory:
         """Hold room for exactly ``size`` samples (at least those recorded),
         so a writer that knows its sample count never grows the record; the
         rows of ``_record`` get ``hidden`` columns after the state, unset,
-        which ``_push`` writes and ``states`` leaves out."""
+        which ``integrate`` writes and ``states`` leaves out."""
         size = max(size, self._n)
         times, record = np.empty(size), np.empty((size, self.dim + hidden))
         times[: self._n] = self.times
         record[: self._n, : self.dim] = self.states
         self._times, self._record, self._states = times, record, record[:, : self.dim]
-
-    def _push(self, t: float, x: np.ndarray) -> None:
-        """``append`` without its checks, into room held by ``_reserve``: t
-        must advance and x be a float vector of the record's row length
-        whose state part is finite."""
-        n = self._n
-        self._times[n] = t
-        self._record[n] = x
-        self._n = n + 1
 
     def eval(self, t: float) -> np.ndarray:
         """State at time t <= last sample; exact at samples, initial for t <= 0."""

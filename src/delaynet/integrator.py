@@ -26,11 +26,12 @@ start from the same state with the same first slope, so they share every
 lookup but the at-stage ones.  Once every committed lookup lands at or
 after t = 0, a stage only blends samples.
 
-Each step makes one magnitude test of the new state, which also catches
-NaN and inf, and one unchecked write into a record sized for the whole
-run.  Integration halts with ``BlowUpError`` as soon as a state component
-leaves [-1e12, 1e12] or turns non-finite.  A run is strictly sequential;
-independent runs may share the immutable model.
+Each stage's slope joins the step's sum as it returns, and the new state
+is computed straight into its row of a record sized for the whole run.
+Each step makes one magnitude test of that state, which also catches NaN
+and inf.  Integration halts with ``BlowUpError`` as soon as a state
+component leaves [-1e12, 1e12] or turns non-finite.  A run is strictly
+sequential; independent runs may share the immutable model.
 """
 
 from __future__ import annotations
@@ -243,38 +244,44 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     gain, keep = np.where(rates > 0.0, rates, 1.0), (rates > 0.0).astype(float)
     stages, divisor = _TABLEAUS[config.method]
     h = config.h
-    shifts = [(c, c * h, a * h) for c, a, _ in stages]
-    weights = [b for _, _, b in stages]
+    record, times, states = traj._record, traj._times, traj._states
+    # one slope vector per stage, rewritten at every step; the auxiliary
+    # slopes go into its tail
+    slopes = np.empty((len(stages), record.shape[1]))
+    shifts = [(c, c * h, a * h, b, s, s[dim:]) for (c, a, b), s in zip(stages, slopes)]
     scale = h / divisor
     past = _StagePast(traj, h, extended, nodes)
-    x = traj._record[0].copy()
+    x = record[0]
     try:
-        _guard_state(0.0, x[:dim], traj)
+        _guard_state(0.0, states[0], traj)
         for k in range(config.steps):
             t = k * h
-            ks: list[np.ndarray] = []
             past.k, past.x_base, past.slope = k, x, None
+            incr = None
             try:
-                for c, ch, ah in shifts:
+                for c, ch, ah, b, ext, aux in shifts:
+                    y = past.x_stage = x if incr is None else x + ah * slope
                     past.c, past.t_stage = c, t + ch
-                    y = past.x_stage = x + ah * ks[-1] if ks else x
                     slope = rhs(model, past.t_stage, past)
                     if cols.size:
-                        slope = np.concatenate((slope, gain * (y.take(cols) - keep * y[dim:])))
-                    ks.append(slope)
-                    past.slope = ks[0]
+                        ext[:dim] = slope
+                        np.multiply(gain, y.take(cols) - keep * y[dim:], out=aux)
+                        slope = ext
+                    # each slope joins the sum as it returns, in stage order:
+                    # ((k1 + 2 k2) + 2 k3) + k4 for RK4; another order changes bits
+                    term = slope if b == 1.0 else b * slope
+                    if incr is None:
+                        past.slope, incr = slope, term
+                    else:
+                        incr = incr + term
             except NonFiniteDerivative as exc:
                 raise BlowUpError(t, traj, str(exc)) from exc
-            incr = None
-            for b, k_stage in zip(weights, ks):
-                term = k_stage if b == 1.0 else b * k_stage
-                incr = term if incr is None else incr + term
-            x_next = x + scale * incr
             t_next = (k + 1) * h
-            if not np.abs(x_next[:dim]).max() <= BLOWUP_THRESHOLD:
-                _guard_state(t_next, x_next[:dim], traj)
-            traj._push(t_next, x_next)
-            x = x_next
+            x = np.add(x, scale * incr, out=record[k + 1])
+            if not np.abs(states[k + 1]).max() <= BLOWUP_THRESHOLD:
+                _guard_state(t_next, states[k + 1], traj)
+            times[k + 1] = t_next
+            traj._n = k + 2
     finally:
         traj.stage_extrapolation_count = past.extrapolations
     return traj

@@ -20,6 +20,7 @@ from delaynet.dynamics import (
     make_example,
     named_topology,
     rhs,
+    tanh_hopfield_node,
 )
 from delaynet.history import HistoryFunction, PiecewiseLinear, Trajectory
 from delaynet.integrator import BlowUpError, IntegratorConfig, integrate
@@ -120,6 +121,74 @@ def test_runs_are_bitwise_deterministic():
     t2 = integrate(model, HistoryFunction.constant([1.0]), cfg)
     assert np.array_equal(t1.times, t2.times)
     assert np.array_equal(t1.states, t2.states)
+
+
+def test_runs_with_auxiliary_states_are_bitwise_deterministic():
+    # a filter off the diagonal and a running integral on it: the hidden
+    # columns after the state repeat bit for bit too
+    model = oracle_network(delays=DelaySchedule.offdiagonal(0.05),
+                           kernels=[[uniform(0.05, 0.3), exponential(2.0)],
+                                    [exponential(2.0), uniform(0.05, 0.3)]])
+    rates = model.taps.chain(1e-3)[2]
+    assert np.any(rates > 0.0) and np.any(rates == 0.0)
+    cfg = IntegratorConfig(method="rk4", h=1e-3, horizon=0.5)
+    t1, t2 = (integrate(model, TABLE_HISTORY, cfg) for _ in range(2))
+    assert len(t1) == len(t2) == 501
+    assert t1._record.shape == (501, t1.dim + rates.size)
+    assert t1.times.tobytes() == t2.times.tobytes()
+    assert t1._record.tobytes() == t2._record.tobytes()
+
+
+def hand_march(model, history, method, h, steps):
+    """Euler or RK4 written out on an A = 0 network, whose derivative is f
+    plus an empty coupling sum, 0.0; RK4 sums ((k1 + 2 k2) + 2 k3) + k4."""
+    m, n = model.m, model.node.dim
+
+    def f(t, x):
+        return model.node.eval(t, x.reshape(m, n)).ravel() + 0.0
+
+    x = history.eval_many([0.0])[0]
+    states = [x]
+    for k in range(steps):
+        t = k * h
+        if method == "euler":
+            x = x + h * f(t, x)
+        else:
+            k1 = f(t, x)
+            k2 = f(t + 0.5 * h, x + (0.5 * h) * k1)
+            k3 = f(t + 0.5 * h, x + (0.5 * h) * k2)
+            k4 = f(t + h, x + h * k3)
+            x = x + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        states.append(x)
+    return np.array([k * h for k in range(steps + 1)]), np.array(states)
+
+
+def uncoupled_cases():
+    def uncoupled(node):
+        return NetworkModel(m=2, node=node, output=identity_output(node.dim),
+                            coupling=CouplingSchedule.constant(np.zeros((2, 2))),
+                            delays=DelaySchedule.zero(), kernels=dirac())
+
+    yield "chua", uncoupled(chua_node()), \
+        HistoryFunction.constant([0.1, -0.1, 0.05, 0.12, -0.08, 0.04]), 0.002, 1000
+    yield "tanh_hopfield", uncoupled(tanh_hopfield_node([[2.0, -1.0], [1.0, 0.5]], [0.1, -0.2])), \
+        HistoryFunction.constant([0.3, -0.2, -0.1, 0.4]), 0.01, 500
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "chua_uncoupled.json")
+    config = scenario.config
+    yield "chua-uncoupled", scenario.model, scenario.history, config.h, config.steps
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("name, model, history, h, steps", uncoupled_cases(),
+                         ids=[case[0] for case in uncoupled_cases()])
+def test_uncoupled_runs_are_the_written_out_method_bit_for_bit(name, model, history, h, steps,
+                                                               method):
+    assert not model.taps.pairs.size
+    traj = integrate(model, history, IntegratorConfig(method=method, h=h, horizon=steps * h))
+    times, states = hand_march(model, history, method, h, steps)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
 
 
 def test_step_halving_consistency_on_pure_delay():

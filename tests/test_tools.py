@@ -15,13 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_ab(a: Path, b: Path, rounds: int) -> int:
+def _run_ab(a: Path, b: Path, rounds: int, stem: str = "linear_network") -> int:
     spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
     try:
         return ab.main([str(a), str(b), "--rounds", str(rounds), "--scale", "0.02",
-                        "--scenario", "linear_network"])
+                        "--scenario", stem])
     finally:
         for name in ("delaynet_ab_a", "delaynet_ab_b"):
             for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
@@ -49,25 +49,30 @@ def test_ab_inprocess_compares_a_checkout_with_itself(capsys):
 
 
 def test_ab_inprocess_keeps_timing_when_the_sides_differ(tmp_path, capsys):
-    # side B is this checkout with the last state of every run nudged by 1e-9
-    package = tmp_path / "src" / "delaynet"
-    shutil.copytree(ROOT / "src" / "delaynet", package,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(package / "__init__.py", "a", encoding="utf-8") as init:
-        init.write("\n_exact_integrate = integrate\n\n\n"
-                   "def integrate(*args):\n"
-                   "    traj = _exact_integrate(*args)\n"
-                   "    traj.states[-1, 0] += 1e-9\n"
-                   "    return traj\n")
-    rc = _run_ab(ROOT, tmp_path, 3)
-    assert rc == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split()[0] == "linear_network" and lines[1].endswith("/3")
-    assert lines[2].split()[0] == "total" and lines[2].endswith("/3")
-    stem, gap, bitwise = lines[-2].split()
-    assert stem == "linear_network" and bitwise == "no"
-    assert float(gap) == pytest.approx(1e-9, rel=1e-3)
-    assert lines[-1] == "bitwise equal: no"
+    # side B is this checkout with one number of every run nudged by 1e-9:
+    # the last state, or a hidden auxiliary column of the last row, which
+    # no lookup reads
+    for stem, nudge, want_gap in [("linear_network", "traj.states[-1, 0]", 1e-9),
+                                  ("distributed_delay", "traj._record[len(traj) - 1, traj.dim]",
+                                   0.0)]:
+        package = tmp_path / stem / "src" / "delaynet"
+        shutil.copytree(ROOT / "src" / "delaynet", package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        with open(package / "__init__.py", "a", encoding="utf-8") as init:
+            init.write("\n_exact_integrate = integrate\n\n\n"
+                       "def integrate(*args):\n"
+                       "    traj = _exact_integrate(*args)\n"
+                       f"    {nudge} += 1e-9\n"
+                       "    return traj\n")
+        rc = _run_ab(ROOT, tmp_path / stem, 3, stem)
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[0] == stem and lines[1].endswith("/3")
+        assert lines[2].split()[0] == "total" and lines[2].endswith("/3")
+        name, gap, bitwise = lines[-2].split()
+        assert name == stem and bitwise == "no"
+        assert float(gap) == pytest.approx(want_gap, rel=1e-3)
+        assert lines[-1] == "bitwise equal: no"
 
 
 def test_bench_tracer_wraps_every_name_and_yields_every_per_layer_metric(monkeypatch):

@@ -14,7 +14,8 @@ right-hand sides of a run: steps times stages), the median of the paired
 ratios B/A and the number of rounds B was faster; then, per scenario, the
 largest absolute state difference over all rounds.  It exits 1
 when any scenario's trajectories are not bitwise equal, after timing every
-round.  ``--scale`` shortens every horizon, for a quick check.
+round: times, the whole record with any auxiliary columns after the state,
+and the count of sub-step lookups.  ``--scale`` shortens every horizon, for a quick check.
 
 A shared host can change speed by tens of percent over minutes, so
 processes run minutes apart can differ by more than the change under test;
@@ -106,7 +107,8 @@ def main(argv=None) -> int:
                 dt, trajs[s] = timed(sides[s], cases[stem][s])
                 times[stem][s].append(dt)
             ta, tb = trajs
-            equal[stem] &= (_bitwise(ta.times, tb.times) and _bitwise(ta.states, tb.states)
+            equal[stem] &= (_bitwise(ta.times, tb.times)
+                            and _bitwise(ta._record[:len(ta)], tb._record[:len(tb)])
                             and ta.stage_extrapolation_count == tb.stage_extrapolation_count)
             gaps[stem] = max(gaps[stem], _largest_gap(ta, tb))
 
