@@ -59,6 +59,8 @@ class QuadCertificate:
             D = np.diag(D)
         if D.shape != self.P.shape:
             raise ValueError("Delta must match the shape of P")
+        if not np.isfinite(D).all():
+            raise ValueError("Delta must be finite")
         if np.any(D != np.diag(np.diag(D))):
             raise ValueError("Delta must be diagonal")
         if not epsilon > 0:
@@ -69,14 +71,6 @@ class QuadCertificate:
     @property
     def n(self) -> int:
         return self.P.shape[0]
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "QuadCertificate":
-        """Scenario-file form: {"P": rows, "Delta": diagonal entries, "epsilon": e}."""
-        try:
-            return cls(spec["P"], spec["Delta"], spec["epsilon"])
-        except KeyError as missing:
-            raise ValueError(f"certificate spec is missing {missing}") from None
 
 
 @dataclass
@@ -90,8 +84,8 @@ def probe_domain(box, t_range, n: int) -> tuple[np.ndarray, np.ndarray, float, f
     """(lo, hi, t0, t1) of a probe box and time range, validated.
 
     ``box`` is a positive radius r (the cube [-r, r]^n) or a pair (lo, hi)
-    of bound vectors.  Raises ``ValueError`` naming ``box`` or ``t_range``
-    when a coordinate has hi <= lo, an extent is not finite, or t0 > t1.
+    of n-vectors.  Raises ``ValueError`` naming ``box`` or ``t_range`` for a
+    bound of another length, hi <= lo, a non-finite extent, or t0 > t1.
     """
     if np.isscalar(box):
         r = float(box)
@@ -99,9 +93,9 @@ def probe_domain(box, t_range, n: int) -> tuple[np.ndarray, np.ndarray, float, f
             raise ValueError("box: radius must be positive")
         lo, hi = -r * np.ones(n), r * np.ones(n)
     else:
-        lo, hi = box
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
+        lo, hi = (np.asarray(bound, dtype=float) for bound in box)
+        if lo.shape != (n,) or hi.shape != (n,):
+            raise ValueError(f"box: bound vectors must have {n} entries")
     with np.errstate(over="ignore", invalid="ignore"):
         extent = hi - lo
     for i, e in enumerate(extent):

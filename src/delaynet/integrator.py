@@ -36,6 +36,7 @@ sequential; independent runs may share the immutable model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in _TABLEAUS:
             raise ValueError(f"unknown method {self.method!r}; use 'euler' or 'rk4'")
+        if not (math.isfinite(self.h) and math.isfinite(self.horizon)):
+            raise ValueError("step h and horizon must be finite")
         if not self.h > 0:
             raise ValueError("step h must be positive")
         if not self.horizon >= self.h:

@@ -1,14 +1,14 @@
 """Scenario files: load, validate, build, run.
 
 A scenario is a JSON document matching the published schema, packaged at
-``src/delaynet/schemas/scenario.json``.
-Loading validates three times: against the schema, then for numbers that
-are not finite, then structurally, so that every such number and every
-dimension mismatch between sections is reported with the offending key
-before any computation starts.  Running integrates the network and writes the
-requested artifact files into an output directory; artifacts are plain CSV or
-text and contain no timestamps, so identical scenario + seed reproduce them
-byte for byte.
+``src/delaynet/schemas/scenario.json``.  Loading checks it against the
+schema, then for numbers that are not finite and for ragged matrices, then
+builds each section with one builder that returns its object or raises
+``ValueError``.  Every failing section is reported at its key, all together
+and before any computation starts.  Running integrates the network and
+writes the requested artifact files into an output directory; artifacts
+are plain CSV or text and contain no timestamps, so identical scenario +
+seed reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .dynamics import (
     DelaySchedule,
     NetworkModel,
     NonFiniteDerivative,
+    OutputFunction,
     identity_output,
     linear_output,
     make_node,
@@ -115,7 +116,11 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
-    """Validate a parsed document and build the runnable pieces."""
+    """Validate a parsed document and build the runnable pieces.
+
+    Every failing section is reported at its key in one ``ScenarioError``;
+    a section built from a failed one is left out.
+    """
     validator = Draft202012Validator(scenario_schema())
     schema_errors = sorted(validator.iter_errors(doc),
                            key=lambda e: list(e.absolute_path))
@@ -126,84 +131,46 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
         raise ScenarioError(malformed)
 
     errs: list[str] = []
+
+    def build(key, make, *args, **kwargs):
+        # make's result, or None with its ValueError reported at key; a
+        # builder names a key below its section as the error's second argument
+        try:
+            return make(*args, **kwargs)
+        except ValueError as err:
+            message, *below = err.args
+            errs.append(f"{'.'.join([key, *below])}: {message}")
+            return None
+
     msec = doc["model"]
-
-    node = None
-    try:
-        node = make_node(msec["node"])
-    except ValueError as err:
-        errs.append(f"model.node: {err}")
-
-    coupling = None
-    m = None
-    csec = msec["coupling"]
-    if "matrix" in csec:
-        A = np.asarray(csec["matrix"], dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            errs.append(
-                f"model.coupling.matrix: must be square, got shape {A.shape}")
-        else:
-            m = A.shape[0]
-            coupling = CouplingSchedule.constant(A)
-    else:
-        m = int(csec["m"])
-        A = float(csec["strength"]) * named_topology(csec["topology"], m)
-        coupling = CouplingSchedule.constant(A)
-    if m is not None and "m" in msec and int(msec["m"]) != m:
-        errs.append(f"model.m: declares {msec['m']} nodes but the coupling "
-                    f"section implies {m}")
-    if node is None or m is None:
-        raise ScenarioError(errs)
-
-    if "gamma" in msec:
-        G = np.asarray(msec["gamma"], dtype=float)
-        if G.shape != (node.dim, node.dim):
-            errs.append(f"model.gamma: shape {G.shape} does not match the "
-                        f"node dimension {node.dim}")
-            raise ScenarioError(errs)
-        output = linear_output(G)
-    else:
-        output = identity_output(node.dim)
-
-    dsec = msec.get("delays", {"type": "zero"})
-    try:
-        delays = _build_delays(dsec, m)
-    except ValueError as err:
-        errs.append(f"model.delays{'.values' if 'values' in dsec else ''}: {err}")
-        raise ScenarioError(errs)
-
-    try:
-        kernels = _build_kernels(msec.get("kernels"), m)
-    except ValueError as err:
-        errs.append(f"model.kernels: {err}")
-        raise ScenarioError(errs)
-
-    qsec = msec.get("quadrature", {})
-    try:
-        model = NetworkModel(
-            m=m, node=node, output=output, coupling=coupling, delays=delays,
-            kernels=kernels, **_given(qsec, "tail_tol", "node_spacing"))
-    except ValueError as err:
-        errs.append(f"model: {err}")
-        raise ScenarioError(errs)
-
-    history = _build_history(doc["history"], m, node.dim, errs)
+    node = build("model.node", make_node, msec["node"])
+    coupling = build("model.coupling", _build_coupling, msec["coupling"])
+    output = delays = kernels = model = history = None
+    if node is not None:
+        output = build("model.gamma", _build_output, msec.get("gamma"), node.dim)
+    if coupling is not None:
+        m, dsec = coupling.m, msec.get("delays", {"type": "zero"})
+        build("model.m", _check_node_count, msec, m)
+        delays = build(f"model.delays{'.values' if 'values' in dsec else ''}",
+                       _build_delays, dsec, m)
+        kernels = build("model.kernels", _build_kernels, msec.get("kernels"), m)
+    if all(part is not None for part in (output, delays, kernels)):
+        model = build("model", NetworkModel, m=m, node=node, output=output, coupling=coupling,
+                      delays=delays, kernels=kernels,
+                      **_given(msec.get("quadrature", {}), "tail_tol", "node_spacing"))
+    if node is not None and coupling is not None:
+        history = build("history.value", _build_history, doc["history"]["value"], m, node.dim)
 
     isec = doc["integrator"]
-    config = None
-    try:
-        config = IntegratorConfig(h=float(isec["step"]), horizon=float(isec["horizon"]),
-                                  **_given(isec, "method"))
-    except ValueError as err:
-        errs.append(f"integrator: {err}")
+    config = build("integrator", IntegratorConfig, h=float(isec["step"]),
+                   horizon=float(isec["horizon"]), **_given(isec, "method"))
 
-    certificate = None
-    cert_params: dict = {}
-    if "certificate" in doc and config is not None:
-        certificate, cert_params = _build_certificate(
-            doc["certificate"], node, config.horizon, errs)
+    certificate, cert_params = None, {}
+    if "certificate" in doc and node is not None:
+        certificate = build("certificate", _build_certificate, doc["certificate"], node)
+        cert_params = build("certificate", _build_probe_domain, doc["certificate"], node.dim)
 
-    if errs or config is None or history is None:
+    if errs:
         raise ScenarioError(errs)
 
     dsec = doc.get("diagnostics", {})
@@ -273,6 +240,30 @@ def _ragged(value, path: str):
             yield from _ragged(item, f"{path}[{k}]")
 
 
+def _build_coupling(spec: dict) -> CouplingSchedule:
+    if "matrix" in spec:
+        A = np.asarray(spec["matrix"], dtype=float)
+        if A.shape[0] != A.shape[1]:
+            raise ValueError(f"must be square, got shape {A.shape}", "matrix")
+    else:
+        A = float(spec["strength"]) * named_topology(spec["topology"], int(spec["m"]))
+    return CouplingSchedule.constant(A)
+
+
+def _check_node_count(spec: dict, m: int) -> None:
+    if "m" in spec and int(spec["m"]) != m:
+        raise ValueError(f"declares {spec['m']} nodes but the coupling section implies {m}")
+
+
+def _build_output(gamma, n: int) -> OutputFunction:
+    if gamma is None:
+        return identity_output(n)
+    G = np.asarray(gamma, dtype=float)
+    if G.shape != (n, n):
+        raise ValueError(f"shape {G.shape} does not match the node dimension {n}")
+    return linear_output(G)
+
+
 def _build_delays(spec: dict, m: int) -> DelaySchedule:
     kind = spec["type"]
     if kind == "zero":
@@ -297,66 +288,40 @@ def _build_kernels(spec, m: int):
     return [[diag if i == j else off for j in range(m)] for i in range(m)]
 
 
-def _build_history(spec: dict, m: int, n: int, errs: list) -> HistoryFunction | None:
-    value = np.asarray(spec["value"], dtype=float)
-    if value.ndim == 2:
-        if value.shape != (m, n):
-            errs.append(f"history.value: nested form must be {m} nodes x "
-                        f"{n} states, got shape {value.shape}")
-            return None
-        value = value.ravel()
-    if value.shape != (m * n,):
-        errs.append(f"history.value: expected {m * n} numbers "
-                    f"({m} nodes x {n} states), got {value.size}")
-        return None
-    return HistoryFunction.constant(value)
+def _build_history(value, m: int, n: int) -> HistoryFunction:
+    value = np.asarray(value, dtype=float)
+    if value.ndim == 2 and value.shape != (m, n):
+        raise ValueError(f"nested form must be {m} nodes x {n} states, got shape {value.shape}")
+    if value.size != m * n:
+        raise ValueError(f"expected {m * n} numbers ({m} nodes x {n} states), got {value.size}")
+    return HistoryFunction.constant(value.ravel())
 
 
-def _build_certificate(spec: dict, node, horizon: float, errs: list):
-    cert = None
+def _build_certificate(spec: dict, node) -> QuadCertificate:
     if spec["type"] == "lipschitz":
         L = spec.get("lipschitz", node.lipschitz_hint)
         if L is None:
-            errs.append("certificate.lipschitz: the node type carries no "
-                        "Lipschitz constant; state one explicitly")
-        else:
-            cert = lipschitz_certificate(float(L), node.dim, **_given(spec, "epsilon"))
-    else:
-        P = np.asarray(spec["P"], dtype=float)
-        if P.shape != (node.dim, node.dim):
-            errs.append(f"certificate.P: shape {P.shape} does not match the "
-                        f"node dimension {node.dim}")
-        elif len(spec["Delta"]) != node.dim:
-            errs.append(f"certificate.Delta: {len(spec['Delta'])} entries, "
-                        f"node dimension is {node.dim}")
-        else:
-            try:
-                cert = QuadCertificate.from_spec(spec)
-            except ValueError as err:
-                errs.append(f"certificate: {err}")
+            raise ValueError("the node type carries no Lipschitz constant; "
+                             "state one explicitly", "lipschitz")
+        return lipschitz_certificate(float(L), node.dim, **_given(spec, "epsilon"))
+    P = np.asarray(spec["P"], dtype=float)
+    if P.shape != (node.dim, node.dim):
+        raise ValueError(f"shape {P.shape} does not match the node dimension {node.dim}", "P")
+    if len(spec["Delta"]) != node.dim:
+        raise ValueError(f"{len(spec['Delta'])} entries, node dimension is {node.dim}", "Delta")
+    return QuadCertificate(P, spec["Delta"], spec["epsilon"])
 
-    box = spec.get("box", _DEFAULT_PROBE_BOX)
-    if isinstance(box, list):
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        if lo.shape != (node.dim,) or hi.shape != (node.dim,):
-            errs.append(f"certificate.box: bound vectors must have "
-                        f"{node.dim} entries")
-            box = _DEFAULT_PROBE_BOX
-        else:
-            box = (lo, hi)
-    t_range = tuple(spec.get("t_range", (0.0, horizon)))
+
+def _build_probe_domain(spec: dict, n: int) -> dict:
+    params = {"box": spec.get("box", _DEFAULT_PROBE_BOX), "seed": int(spec.get("seed", 0)),
+              **_given(spec, "t_range", "budget")}
     try:
-        probe_domain(box, t_range, node.dim)
+        # an omitted t_range is [0, horizon], which every horizon makes valid
+        probe_domain(params["box"], params.get("t_range", (0.0, 0.0)), n)
     except ValueError as err:
-        errs.append(f"certificate.{err}")
-    params = {
-        "box": box,
-        "t_range": t_range,
-        "seed": int(spec.get("seed", 0)),
-        **_given(spec, "budget"),
-    }
-    return cert, params
+        below, message = str(err).split(": ", 1)
+        raise ValueError(message, below) from None
+    return params
 
 
 def certify(scenario: Scenario, seed: int | None = None):
@@ -371,7 +336,8 @@ def certify(scenario: Scenario, seed: int | None = None):
     p = scenario.cert_params
     probe_seed = p["seed"] if seed is None else int(seed)
     result = check_quad(scenario.model.node, scenario.certificate, p["box"],
-                        t_range=p["t_range"], seed=probe_seed, **_given(p, "budget"))
+                        t_range=p.get("t_range", (0.0, scenario.config.horizon)),
+                        seed=probe_seed, **_given(p, "budget"))
     try:
         constants = ProofConstants.derive(scenario.certificate, scenario.model,
                                           scenario.history.eval(0.0), scenario.config.horizon)

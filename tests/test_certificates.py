@@ -57,8 +57,10 @@ def test_certificate_validation():
         QuadCertificate(np.eye(2), np.array([[1.0, 0.1], [0.0, 1.0]]), 1.0)
     with pytest.raises(ValueError):
         QuadCertificate(np.eye(2), np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        QuadCertificate.from_spec({"P": [[1.0]], "epsilon": 1.0})
+    # NaN used to read as "Delta must be diagonal", and inf passed
+    for Delta in ([np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="Delta must be finite"):
+            QuadCertificate([[1.0]], Delta, 0.1)
 
 
 def test_contraction_passes_at_the_equality_margin():
@@ -251,9 +253,10 @@ def test_non_finite_field_fails_at_the_first_probe():
     (([0.0, 1.0], [1.0, 1.0]), (0.0, 1.0), "box: coordinate 1 has hi <= lo"),
     (([-1e308, 0.0], [1e308, 1.0]), (0.0, 1.0), "box: coordinate 0 has a non-finite extent"),
     (([0.0, 0.0], [1.0, np.inf]), (0.0, 1.0), "box: coordinate 1 has a non-finite extent"),
+    (([0.0], [1.0, 1.0]), (0.0, 1.0), "box: bound vectors must have 2 entries"),
     (1.0, (10.0, 0.0), "t_range: start 10 is after end 0"),
     (1.0, (-1e308, 1e308), "t_range: [-1e+308, 1e+308] has a non-finite extent"),
-], ids=["inverted-box", "overflowing-box", "infinite-box", "reversed-t-range",
+], ids=["inverted-box", "overflowing-box", "infinite-box", "short-bound", "reversed-t-range",
         "overflowing-t-range"])
 def test_invalid_probe_domain_is_rejected(box, t_range, fragment):
     cert = QuadCertificate(np.eye(2), np.zeros(2), 1.0)

@@ -1,6 +1,7 @@
 """Fixed-step integration: reductions with known solutions, order, blow-up."""
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,10 @@ def test_config_validation():
         IntegratorConfig(h=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.5, horizon=0.1)
+    # an infinite horizon used to raise OverflowError from round in steps
+    for h, horizon in ((1e-3, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="step h and horizon must be finite"):
+            IntegratorConfig(h=h, horizon=horizon)
     # the run must end exactly at the horizon: 1.0 is 2.5 steps of 0.4 and
     # 1.67 steps of 0.6, which used to end at 0.8 and at 1.2
     for h in (0.4, 0.6):
@@ -305,13 +310,18 @@ def test_tiny_delay_run_stays_close_to_undelayed_limit():
 
 
 class OracleStagePast:
-    """The stage lookup rule written out on lookup times: the stage vector
-    at the stage time, ``Trajectory.eval_many`` at or before the step start,
-    and a counted first-order extrapolation in between."""
+    """The stage lookup rule written out on step offsets: at stage offset c
+    a lookup of lag ``l`` reads the stage vector when l = 0, a counted
+    first-order extrapolation from the step start when 0 < l < c*h, and
+    ``Trajectory.eval_many`` at t - l otherwise.  The comparisons are made
+    on l and c*h, which is exact for RK4's c in {0, 1/2, 1}, and not on the
+    rounded lookup time t - l, which can land one ulp past the step start
+    when l = c*h."""
 
-    def __init__(self, traj, t_base, x_base, t_stage, x_stage, slope):
-        self.traj, self.t_base, self.x_base = traj, t_base, x_base
-        self.t_stage, self.x_stage, self.slope = t_stage, x_stage, slope
+    def __init__(self, traj, t_base, x_base, c, h, x_stage, slope):
+        assert Fraction(c * h) == Fraction(c) * Fraction(h)
+        self.traj, self.t_base, self.x_base, self.reach = traj, t_base, x_base, c * h
+        self.t_stage, self.x_stage, self.slope = t_base + c * h, x_stage, slope
         self.extrapolations = 0
 
     def __call__(self, t):
@@ -319,13 +329,14 @@ class OracleStagePast:
         return self.x_stage
 
     def lagged(self, t, taps):
-        ts = t - taps.lags_at(t)
+        lags = taps.lags_at(t)
+        ts = t - lags
         rows = np.empty((ts.size, self.x_stage.size))
-        at_stage, committed = ts == self.t_stage, ts <= self.t_base
-        between = ~(at_stage | committed)
+        at_stage, between = lags == 0.0, (lags > 0.0) & (lags < self.reach)
+        committed = ~(at_stage | between)
         rows[at_stage] = self.x_stage
         if committed.any():
-            rows[committed] = self.traj.eval_many(ts[committed])
+            rows[committed] = self.traj.eval_many(np.minimum(ts[committed], self.t_base))
         rows[between] = self.x_base + (ts[between, None] - self.t_base) * self.slope
         self.extrapolations += int(between.sum())
         n = self.traj.node_dim
@@ -341,7 +352,7 @@ def oracle_rk4(model, initial, h, steps):
         t, ks = k * h, []
         for c, a in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
             x_stage = x + (a * h) * ks[-1] if ks else x
-            past = OracleStagePast(traj, t, x, t + c * h, x_stage, ks[0] if ks else None)
+            past = OracleStagePast(traj, t, x, c, h, x_stage, ks[0] if ks else None)
             ks.append(rhs(model, t + c * h, past))
             count += past.extrapolations
         x = x + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
@@ -374,6 +385,10 @@ def oracle_cases():
     yield "on-grid", oracle_network(delays=DelaySchedule.offdiagonal(0.3)), constant, 0.01, 100
     yield "off-grid", oracle_network(delays=DelaySchedule.constant(0.373)), constant, 0.01, 100
     yield "below-h", oracle_network(delays=DelaySchedule.constant(0.0007)), constant, 0.002, 100
+    # lags of exactly h and h/2: the stages at c*h = lag read the step start
+    yield "lag-is-h", oracle_network(delays=DelaySchedule.offdiagonal(0.01)), constant, 0.01, 60
+    yield "lag-is-half-h", oracle_network(delays=DelaySchedule.offdiagonal(0.005)), \
+        constant, 0.01, 60
     yield "mixture-over-table", oracle_network(
         delays=DelaySchedule.constant(np.array([[0.0, 0.05], [0.137, 0.0]])),
         kernels=mixture(dirac(0.0, 0.5), exponential(3.0, 0.5)), node_spacing=1e-2,
@@ -410,9 +425,11 @@ def test_integrate_matches_the_lookup_oracle(name, model, initial, h, steps):
     np.testing.assert_array_equal(traj.times, want.times)
     assert np.max(np.abs(traj.states - want.states)) <= 1e-12
     assert traj.stage_extrapolation_count == count
-    # a delay below h, the density's first nodes and a diagonal delay
-    # shrinking to 0 land inside the step; no lag is exactly c*h for a stage
-    assert (count > 0) == (name in ("below-h", "mixture-over-table", "delay-table"))
+    # a delay below h, the density's first nodes, a diagonal delay
+    # shrinking to 0 and a lag of h/2 at the last stage land inside the step;
+    # a lag of exactly c*h lands on the step start
+    assert (count > 0) == (name in ("below-h", "lag-is-half-h", "mixture-over-table",
+                                    "delay-table"))
 
 
 def history_aux(history, key, u):

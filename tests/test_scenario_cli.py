@@ -125,6 +125,25 @@ def two_state_doc(**model):
     return doc
 
 
+def test_every_failing_section_is_reported_at_its_key():
+    # a bad gamma used to stop validation before the history, integrator
+    # and certificate were read
+    doc = two_state_doc(gamma=[[1.0]])
+    doc["history"]["value"] = [0.5]
+    doc["integrator"] = {"step": 0.3, "horizon": 1.0}
+    doc["certificate"] = {"type": "explicit", "P": [[1.0]], "Delta": [0.0, 0.0],
+                          "epsilon": 0.5, "t_range": [1, 0]}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.errors == [
+        "model.gamma: shape (1, 1) does not match the node dimension 2",
+        "history.value: expected 4 numbers (2 nodes x 2 states), got 1",
+        "integrator: horizon 1.0 is not a whole number of steps of 0.3",
+        "certificate.P: shape (1, 1) does not match the node dimension 2",
+        "certificate.t_range: start 1 is after end 0",
+    ]
+
+
 def library_run(doc, output, delays):
     """The run of ``doc`` with the model built from library calls."""
     model = NetworkModel(m=2, node=linear_node(doc["model"]["node"]["matrix"]),
@@ -253,6 +272,16 @@ def test_cli_missing_file_is_an_io_error(capsys):
     code = main(["validate", str(FIXTURES / "no_such_file.json")])
     assert code == 5
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "check-quad"])
+def test_cli_unwritable_output_exits_5(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code = main([command, str(FIXTURES / "failing_certificate.json"),
+                 "--out", str(blocker / "out"), "--quiet"])
+    assert code == 5
+    assert "error: cannot write artifacts" in capsys.readouterr().err
 
 
 def test_cli_run_failing_certificate_exits_3(tmp_path, capsys):
