@@ -43,9 +43,11 @@ def main():
 
     print("\n== structural assumption checks ==")
     report = check_assumptions(model3, horizon=5.0, seed=0)
-    for check in report.checks:
-        print(f"  {check.summary()}")
-    print(f"  all satisfied: {report.ok}")
+    for name, check in report.items():
+        verdict = (f"no violation found in {check.probes} samples" if check.passed
+                   else f"VIOLATED - {check.detail}")
+        print(f"  {name}: {verdict}")
+    print(f"  all satisfied: {all(check.passed for check in report.values())}")
 
     print("\n== a short run of each ==")
     rng = np.random.default_rng(7)

@@ -14,7 +14,6 @@ from delaynet import (
     QuadCertificate,
     check_quad,
     chua_node,
-    delta_from_cert,
     format_certificate_report,
     lipschitz_certificate,
 )
@@ -39,8 +38,7 @@ def main():
     print(f"  node Lipschitz constant L = {node.lipschitz_hint:.4f}")
     cert = lipschitz_certificate(node.lipschitz_hint, node.dim, epsilon=0.1)
     res = check_quad(node, cert, box=5.0, budget=5000, seed=1)
-    print(f"  passed={res.passed}, growth constant delta = "
-          f"{delta_from_cert(cert):.4f}")
+    print(f"  passed={res.passed}, growth constant delta = {cert.delta:.4f}")
 
     print("\n== full report block ==")
     print(format_certificate_report(res, cert))

@@ -48,9 +48,6 @@ __all__ = [
     "tanh_hopfield_node",
     "linear_output",
     "identity_output",
-    "check_assumptions",
-    "AssumptionReport",
-    "AssumptionCheck",
 ]
 
 _FLAG_TOL = 1e-12
@@ -148,12 +145,12 @@ class CouplingSchedule:
 
     The flags are zero row sums and nonnegative off-diagonal entries.  Row
     sums and entries are affine in t between knots, so a flag that holds at
-    every knot (to 1e-12) holds for all t.  Each flag defaults to whether it
-    holds; True demands it and raises, naming a knot, if it does not.
+    every knot (to 1e-12) holds for all t.  Each flag is whether it holds;
+    True demands it and raises, naming a knot, if it does not.
     """
 
-    def __init__(self, knots: PiecewiseLinear, zero_row_sums: bool | None = None,
-                 nonneg_off_diagonal: bool | None = None):
+    def __init__(self, knots: PiecewiseLinear, zero_row_sums: bool = False,
+                 nonneg_off_diagonal: bool = False):
         A = knots.values
         if A.ndim != 3 or A.shape[1] != A.shape[2]:
             raise ValueError("coupling matrix must be square")
@@ -166,13 +163,13 @@ class CouplingSchedule:
                                          knots.times, "nonnegative off-diagonal", "entry")
 
     @classmethod
-    def constant(cls, A, zero_row_sums: bool | None = None,
-                 nonneg_off_diagonal: bool | None = None) -> "CouplingSchedule":
+    def constant(cls, A, zero_row_sums: bool = False,
+                 nonneg_off_diagonal: bool = False) -> "CouplingSchedule":
         return cls(PiecewiseLinear.constant(A), zero_row_sums, nonneg_off_diagonal)
 
     @classmethod
-    def table(cls, times, matrices, zero_row_sums: bool | None = None,
-              nonneg_off_diagonal: bool | None = None) -> "CouplingSchedule":
+    def table(cls, times, matrices, zero_row_sums: bool = False,
+              nonneg_off_diagonal: bool = False) -> "CouplingSchedule":
         return cls(PiecewiseLinear(times, matrices), zero_row_sums, nonneg_off_diagonal)
 
     def matrix(self, t: float) -> np.ndarray:
@@ -180,16 +177,14 @@ class CouplingSchedule:
         return self.knots(t)
 
 
-def _flag(demanded: bool | None, broken: np.ndarray, times, what: str, where: str) -> bool:
+def _flag(demanded: bool, broken: np.ndarray, times, what: str, where: str) -> bool:
     """A flag given ``broken``, the (knot, ...) mask of its violations."""
-    if demanded is None:
-        return not broken.any()
     if demanded and broken.any():
         k, *at = (int(i) for i in np.unravel_index(int(np.argmax(broken)), broken.shape))
         place = at[0] if len(at) == 1 else tuple(at)
         raise ValueError(f"{what} demanded but {where} {place} breaks it "
                          f"at knot t={times[k]:.6g}")
-    return bool(demanded)
+    return not broken.any()
 
 
 class DelaySchedule:
@@ -626,9 +621,8 @@ def make_example(which: int, **params) -> NetworkModel:
        params: node, A, Gamma.
     2: time-varying matrix and output, still undelayed.
        params: node, A and Gamma (each a matrix or a ``PiecewiseLinear``
-       table of matrices), plus optional flags zero_row_sums /
-       nonneg_off_diagonal (default True: demanded at every knot; False
-       leaves the flag to what the knots satisfy).
+       table of matrices); zero row sums and nonnegative off-diagonal
+       entries are demanded at every knot.
     3: constant matrix with diagonal -c, one shared delay off the diagonal,
        diagonal nonnegative output matrix.  The coupling term reduces to
        sum over j != i of a_ij * Gamma * (x_j(t - tau) - x_i(t)).
@@ -651,11 +645,9 @@ def _example_1(node: NodeDynamics, A, Gamma) -> NetworkModel:
                         coupling=coupling, delays=DelaySchedule.zero(), kernels=dirac())
 
 
-def _example_2(node: NodeDynamics, A, Gamma, zero_row_sums: bool = True,
-               nonneg_off_diagonal: bool = True) -> NetworkModel:
+def _example_2(node: NodeDynamics, A, Gamma) -> NetworkModel:
     table = A if isinstance(A, PiecewiseLinear) else PiecewiseLinear.constant(A)
-    coupling = CouplingSchedule(table, zero_row_sums=zero_row_sums or None,
-                                nonneg_off_diagonal=nonneg_off_diagonal or None)
+    coupling = CouplingSchedule(table, zero_row_sums=True, nonneg_off_diagonal=True)
     return NetworkModel(m=coupling.m, node=node, output=linear_output(Gamma),
                         coupling=coupling, delays=DelaySchedule.zero(), kernels=dirac())
 
@@ -695,126 +687,3 @@ def _example_3(node: NodeDynamics, Gamma, tau: float, A=None, base=None,
     return NetworkModel(m=coupling.m, node=node, output=linear_output(G),
                         coupling=coupling, delays=DelaySchedule.offdiagonal(tau),
                         kernels=dirac())
-
-
-# ---------------------------------------------------------------------------
-# assumption falsification
-
-@dataclass
-class AssumptionCheck:
-    name: str
-    ok: bool
-    samples: int
-    witness: dict | None = None
-    detail: str = ""
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"{self.name}: no violation found in {self.samples} samples"
-        return f"{self.name}: VIOLATED - {self.detail}"
-
-
-@dataclass
-class AssumptionReport:
-    checks: list[AssumptionCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def __getitem__(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        return "\n".join(c.summary() for c in self.checks)
-
-
-def check_assumptions(model: NetworkModel, horizon: float, sample_budget: int = 2000,
-                      seed: int = 0) -> AssumptionReport:
-    """Try to falsify the node and output assumptions by random probing.
-
-    A passing check is evidence, not proof: continuity and Lipschitz bounds
-    cannot be established from finitely many samples.  A failing check comes
-    with a concrete witness, its lowest-indexed failing probe.  The coupling
-    flags and the delay signs need no probe: they are decided exactly over
-    the knots at construction.  f or g is called once per probe block on its
-    stacked rows, with t a column of per-row times; a probe passes only if
-    lhs <= rhs, so a field that returns NaN or inf fails.
-    """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    rng = np.random.default_rng(seed)
-    per = max(50, sample_budget // 4)
-    node = _check_node_regularity(model.node, horizon, per, rng)
-    g = model.output
-    output = _lipschitz_probe("output-lipschitz-bound", g.eval_rows, g.kappa, ("g", "kappa"),
-                              *_sample_points(rng, horizon, g.dim, per), rng)
-    return AssumptionReport([node, output])
-
-
-def _first_violation(lhs, rhs) -> int | None:
-    """The first probe where lhs <= rhs fails, or None: the pass rule of every
-    falsifier.  Any comparison with NaN is False, so a NaN side fails."""
-    bad = np.flatnonzero(~(lhs <= rhs))
-    return int(bad[0]) if bad.size else None
-
-
-def _sample_points(rng, horizon, n, count):
-    # states mix moderate and large magnitudes so superlinear growth is caught
-    ts = rng.uniform(0.0, horizon, size=count)
-    scales = 10.0 ** rng.uniform(-1.0, 2.0, size=count)
-    return ts, rng.uniform(-1.0, 1.0, size=(count, n)) * scales[:, None]
-
-
-def _distances(a, b) -> np.ndarray:
-    # |a - b| per row by stacked (1, n) @ (n, 1) products, bit for bit the
-    # norm of each row alone (a sum along axis 1 is not); inf - inf is NaN
-    with np.errstate(invalid="ignore", over="ignore"):
-        d = a - b
-        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-
-
-def _lipschitz_probe(name, evaluate, bound, symbols, ts, u1, rng) -> AssumptionCheck:
-    """Test |h(t,u1) - h(t,u2)| <= bound |u1 - u2| with u2 = u1 plus a random
-    step, evaluating h once on the stacked u1 and u2 rows."""
-    k = ts.size
-    u2 = u1 + rng.standard_normal(u1.shape) * rng.uniform(1e-3, 2.0, size=(k, 1))
-    h = evaluate(np.tile(ts[:, None], (2, 1)), np.concatenate([u1, u2]))
-    gap = _distances(h[:k], h[k:])
-    allowed = bound * _distances(u1, u2) * (1.0 + 1e-9) + 1e-12
-    i = _first_violation(gap, allowed)
-    if i is None:
-        return AssumptionCheck(name, True, k)
-    t, (fn, const) = float(ts[i]), symbols
-    return AssumptionCheck(name, False, k, witness={
-        "t": t, "u1": u1[i].tolist(), "u2": u2[i].tolist(), "gap": float(gap[i]),
-        "allowed": float(allowed[i])},
-        detail=f"|{fn}(t,u1)-{fn}(t,u2)| = {gap[i]:.6g} exceeds {const}|u1-u2| = "
-               f"{allowed[i]:.6g} at t={t:.6g}")
-
-
-def _check_node_regularity(node: NodeDynamics, horizon, budget, rng) -> AssumptionCheck:
-    name = "node-dynamics-regularity"
-    ts, u1 = _sample_points(rng, horizon, node.dim, budget)
-    if node.lipschitz_hint is not None:
-        check = _lipschitz_probe(name, node.eval, node.lipschitz_hint, ("f", "L"), ts, u1, rng)
-        if not check.ok:
-            return check
-    # continuity probe: the increment must die out with the step, so it must
-    # be at most 1e-3 over a step of 1e-6 or halve by a step of 1e-9
-    q = budget // 4
-    u, v = u1[:q], rng.standard_normal((q, node.dim))
-    v /= _distances(v, 0.0)[:, None]
-    f0, f6, f9 = node.eval(np.tile(ts[:q, None], (3, 1)),
-                           np.concatenate([u, u + 1e-6 * v, u + 1e-9 * v])).reshape(3, q, -1)
-    g6, g9 = _distances(f6, f0), _distances(f9, f0)
-    i = _first_violation(g9, np.where(g6 <= 1e-3, np.inf, 0.5 * g6))
-    if i is None:
-        return AssumptionCheck(name, True, budget)
-    return AssumptionCheck(name, False, budget, witness={
-        "t": float(ts[i]), "u": u[i].tolist(), "direction": v[i].tolist(),
-        "gaps": [float(g6[i]), float(g9[i])]},
-        detail=f"f(t, .) looks discontinuous near u={u[i].tolist()} at t={ts[i]:.6g}")

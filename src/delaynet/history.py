@@ -218,8 +218,7 @@ class Trajectory:
         if not np.all(np.isfinite(x)):
             raise ValueError(f"non-finite state at t={t}")
         if self._n == self._times.size:
-            self._times = np.concatenate([self._times, np.empty(self._times.size)])
-            self._states = self._record = np.vstack([self._states, np.empty_like(self._states)])
+            self._reserve(2 * self._n, self._record.shape[1] - self.dim)
         self._times[self._n] = t
         self._states[self._n] = x
         self._n += 1
@@ -227,12 +226,13 @@ class Trajectory:
     def _reserve(self, size: int, hidden: int = 0) -> None:
         """Hold room for exactly ``size`` samples (at least those recorded),
         so a writer that knows its sample count never grows the record; the
-        rows of ``_record`` get ``hidden`` columns after the state, unset,
-        which ``integrate`` writes and ``states`` leaves out."""
+        rows of ``_record`` get ``hidden`` columns after the state, at least
+        as many as they have, which ``integrate`` writes and ``states``
+        leaves out; recorded rows keep theirs, and new ones are unset."""
         size = max(size, self._n)
         times, record = np.empty(size), np.empty((size, self.dim + hidden))
         times[: self._n] = self.times
-        record[: self._n, : self.dim] = self.states
+        record[: self._n, : self._record.shape[1]] = self._record[: self._n]
         self._times, self._record, self._states = times, record, record[:, : self.dim]
 
     def eval(self, t: float) -> np.ndarray:
@@ -295,9 +295,11 @@ def _block_quad(diffs: np.ndarray, P: np.ndarray) -> np.ndarray:
 def spd_weight(P) -> tuple[np.ndarray, float, float]:
     """Validate a weight matrix; return (sym P, lambda_min, |P|_2).
 
-    P must be square, symmetric to 1e-12 and positive definite.
+    P must be finite, square, symmetric to 1e-12 and positive definite.
     """
     P = np.asarray(P, dtype=float)
+    if not np.isfinite(P).all():
+        raise ValueError("P must be finite")
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("P must be a square matrix")
     if not np.allclose(P, P.T, atol=1e-12, rtol=0.0):

@@ -27,7 +27,6 @@ from .certificates import (
     ProofConstants,
     QuadCertificate,
     check_quad,
-    delta_from_cert,
     format_certificate_report,
     lipschitz_certificate,
     probe_domain,
@@ -385,7 +384,7 @@ def run_scenario(scenario: Scenario, out_dir=None, seed: int | None = None):
         artifacts["certificate"] = str(cpath)
         missing = isinstance(constants, NonFiniteDerivative)
         cert_info = {"passed": bool(result.passed), "probes": result.probes,
-                     "delta": delta_from_cert(scenario.certificate),
+                     "delta": scenario.certificate.delta,
                      "eta": None if missing else constants.eta, "seed": probe_seed}
         if not result.passed:
             failures.append("certificate")

@@ -13,7 +13,6 @@ from delaynet.certificates import (
     QuadCertificate,
     check_quad,
     compute_eta,
-    delta_from_cert,
     estimate_envelope_constants,
     format_certificate_report,
     lipschitz_certificate,
@@ -61,6 +60,14 @@ def test_certificate_validation():
     for Delta in ([np.nan], [np.inf]):
         with pytest.raises(ValueError, match="Delta must be finite"):
             QuadCertificate([[1.0]], Delta, 0.1)
+    # an infinite P used to pass with lambda_min = |P| = inf, and NaN read as
+    # "P must be symmetric"; an infinite epsilon used to pass
+    for P in ([[np.inf]], [[np.nan]]):
+        with pytest.raises(ValueError, match="P must be finite"):
+            QuadCertificate(P, [0.0], 0.1)
+    for epsilon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            QuadCertificate([[1.0]], [0.0], epsilon)
 
 
 def test_contraction_passes_at_the_equality_margin():
@@ -270,18 +277,18 @@ def test_a_single_time_probe_range_is_allowed():
     assert result.witness["t"] == 3.0
 
 
-def test_delta_from_cert_examples():
-    assert delta_from_cert(QuadCertificate(np.eye(2), 2.0 * np.ones(2), 1.0)) == pytest.approx(1.0)
+def test_certificate_delta_examples():
+    assert QuadCertificate(np.eye(2), 2.0 * np.ones(2), 1.0).delta == pytest.approx(1.0)
     cert = QuadCertificate(np.diag([2.0, 1.0]), np.array([1.0, 3.0]), 0.5)
-    assert delta_from_cert(cert) == pytest.approx(2.5, rel=1e-12)
-    clamped = delta_from_cert(QuadCertificate(np.eye(2), np.zeros(2), 1.0))
+    assert cert.delta == pytest.approx(2.5, rel=1e-12)
+    clamped = QuadCertificate(np.eye(2), np.zeros(2), 1.0).delta
     assert clamped == 1e-12
 
 
 def test_delta_bounds_the_quadratic_form_on_probes():
     node = chua_node()
     cert = lipschitz_certificate(node.lipschitz_hint, 3, epsilon=0.1)
-    delta = delta_from_cert(cert)
+    delta = cert.delta
     rng = np.random.default_rng(21)
     for _ in range(2000):
         u1 = rng.uniform(-5.0, 5.0, size=3)
@@ -339,8 +346,7 @@ def test_envelope_alpha_tracks_time_varying_output():
     A0 = np.array([[-1.0, 1.0], [1.0, -1.0]])
     model = make_example(2, node=contracting_node(), A=A0,
                          Gamma=PiecewiseLinear(times, Gs))
-    alpha, beta, _ = estimate_envelope_constants(model, np.zeros(4), horizon=2 * np.pi,
-                                                 grid=7)
+    alpha, beta, _ = estimate_envelope_constants(model, np.zeros(4), horizon=2 * np.pi)
     assert alpha == max(float(np.linalg.norm(G, 2)) for G in Gs)
     assert beta == 1.0
 

@@ -3,7 +3,8 @@
 Loading a demo under a run name other than ``__main__`` executes its imports
 and definitions but not ``main``, so a removed public name fails here in well
 under a second instead of only when someone runs the demo.  Demo 03, the
-tabulated time-varying model, also runs in full.
+tabulated time-varying model, and demo 04, the certificate report without
+proof constants, also run in full.
 """
 
 import importlib
@@ -36,6 +37,16 @@ def test_demo_03_runs(capsys):
     out = capsys.readouterr().out
     assert "tabulated at 51 knots" in out
     assert "time-varying final node spread" in out
+
+
+def test_demo_04_runs(capsys):
+    path = next(p for p in DEMOS if p.stem == "04_certificates")
+    runpy.run_path(str(path), run_name="demo")["main"]()
+    out = capsys.readouterr().out
+    assert "passed=True, growth constant delta = 16.9754\n" in out
+    assert out.endswith("\n".join([
+        "== full report block ==", "certificate check", "  verdict: PASS", "  probes: 5000",
+        "  epsilon: 0.1", "  delta: 16.9754"]) + "\n")
 
 
 @pytest.mark.parametrize("name", MODULES)

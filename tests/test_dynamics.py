@@ -13,7 +13,6 @@ from delaynet.dynamics import (
     NodeDynamics,
     NonFiniteDerivative,
     OutputFunction,
-    check_assumptions,
     chua_node,
     identity_output,
     linear_node,
@@ -24,6 +23,7 @@ from delaynet.dynamics import (
     rhs,
     tanh_hopfield_node,
 )
+from delaynet.certificates import check_assumptions
 from delaynet.history import PiecewiseLinear
 from delaynet.kernels import dirac, exponential, mixture, uniform
 
@@ -701,8 +701,7 @@ def test_assumption_checks_pass_for_well_posed_model():
     A = np.array([[-1.0, 1.0], [1.0, -1.0]])
     model = make_example(1, node=node, A=A, Gamma=np.eye(2))
     report = check_assumptions(model, horizon=10.0, sample_budget=800, seed=1)
-    assert report.ok, report.summary()
-    assert "no violation" in report.summary()
+    assert all(r.passed for r in report.values()), report
 
 
 def test_assumption_check_finds_output_bound_violation():
@@ -716,7 +715,7 @@ def test_assumption_check_finds_output_bound_violation():
                          delays=DelaySchedule.zero(), kernels=dirac())
     report = check_assumptions(model, horizon=5.0, sample_budget=2000, seed=2)
     check = report["output-lipschitz-bound"]
-    assert not check.ok
+    assert not check.passed
     w = check.witness
     u1, u2 = np.array(w["u1"]), np.array(w["u2"])
     # the witness really violates the declared bound
@@ -741,7 +740,7 @@ def test_assumption_check_finds_negative_delay():
                                                             for t in times]),
                          kernels=dirac())
     report = check_assumptions(model, horizon=10.0, sample_budget=400, seed=3)
-    assert report.ok, report.summary()
+    assert all(r.passed for r in report.values()), report
 
 
 def _pair(node, output):
@@ -757,7 +756,7 @@ def test_assumption_check_fails_a_nan_node_field():
     for node in (nan_field, NodeDynamics(dim=2, fn=nan_field.fn)):
         check = check_assumptions(_pair(node, identity_output(2)), horizon=5.0, seed=0)[
             "node-dynamics-regularity"]
-        assert not check.ok
+        assert not check.passed
         assert check.witness is not None and check.detail
 
 
@@ -765,9 +764,9 @@ def test_assumption_check_fails_an_infinite_output():
     inf_output = OutputFunction(dim=2, fn=lambda t, u: np.full(np.shape(u), np.inf), kappa=1.0)
     node = NodeDynamics(dim=2, fn=lambda t, u: -u, lipschitz_hint=1.0)
     report = check_assumptions(_pair(node, inf_output), horizon=5.0, seed=0)
-    assert report["node-dynamics-regularity"].ok
+    assert report["node-dynamics-regularity"].passed
     check = report["output-lipschitz-bound"]
-    assert not check.ok
+    assert not check.passed
     assert check.witness["u1"] != check.witness["u2"]
     assert not np.isfinite(check.witness["gap"])
 
@@ -781,7 +780,7 @@ def test_assumption_check_finds_a_discontinuous_field(seed):
 
     model = _pair(NodeDynamics(dim=1, fn=jumpy), identity_output(1))
     check = check_assumptions(model, horizon=5.0, seed=seed)["node-dynamics-regularity"]
-    assert not check.ok
+    assert not check.passed
     assert "looks discontinuous" in check.detail
     g6, g9 = check.witness["gaps"]
     assert g6 > 1e-3 and g9 > 0.5 * g6
@@ -804,7 +803,8 @@ def test_assumption_check_call_counts_do_not_grow_with_the_budget():
 
         model = _pair(NodeDynamics(dim=3, fn=f, lipschitz_hint=1.0),
                       OutputFunction(dim=3, fn=g, kappa=1.0))
-        assert check_assumptions(model, horizon=5.0, sample_budget=budget, seed=0).ok
+        report = check_assumptions(model, horizon=5.0, sample_budget=budget, seed=0)
+        assert all(r.passed for r in report.values())
         return calls
 
     assert counts(400) == counts(4000) == {"f": 2, "g": 1}
@@ -872,7 +872,7 @@ def test_assumption_checks_match_probe_by_probe_testing(node, output):
     model = _pair(node, output)
     for seed in (0, 1):
         report = check_assumptions(model, horizon=5.0, sample_budget=1000, seed=seed)
-        assert [(c.name, c.ok, c.witness, c.detail) for c in report.checks] == \
+        assert [(name, c.passed, c.witness, c.detail) for name, c in report.items()] == \
             _probe_by_probe(model, 5.0, 1000, seed)
 
 

@@ -220,6 +220,9 @@ def test_sup_deviation_rejects_bad_weight_matrix():
         sup_history_deviation(hist, np.zeros(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         sup_history_deviation(hist, np.zeros(2), -np.eye(2))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="P must be finite"):
+            sup_history_deviation(hist, np.zeros(2), np.array([[bad]]))
 
 
 def test_sup_deviation_applies_weight_blockwise_per_node():

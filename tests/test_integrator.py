@@ -281,6 +281,18 @@ def test_a_run_record_still_checks_and_grows_on_append():
     assert len(traj) == 8
     assert traj.eval(0.65)[0] == pytest.approx(0.1875)
     assert traj.eval(0.5)[0] == pytest.approx(math.exp(-0.5), abs=1e-6)
+    # a run with an exponential density holds a filter column after the
+    # state; appends past the reserved rows keep it and the run's rows
+    chained = integrate(scalar_delay_model(a=-1.0, tau=0.1, kernel=exponential(2.0)),
+                        HistoryFunction.constant([1.0]),
+                        IntegratorConfig(method="rk4", h=0.1, horizon=1.0))
+    run = chained._record[:len(chained)].copy()
+    assert run.shape == (11, 2)
+    chained.append(1.1, np.array([0.5]))
+    chained.append(1.2, np.array([0.25]))
+    assert chained._record.shape == (22, 2)
+    assert chained._record[:11].tobytes() == run.tobytes()
+    np.testing.assert_array_equal(chained.states[11:], [[0.5], [0.25]])
 
 
 def test_stage_lookups_inside_step_are_counted():
@@ -471,8 +483,9 @@ def chain_oracle(model, initial, h, steps):
     exponential density as w g(z_j(t - tau)) and a uniform one as
     w/(b - a) (g(G_j(t - tau - a)) - g(G_j(t - tau - b))); a density too
     short for ``spans_steps`` reads the pair's quadrature nodes from x.
-    Lookups follow the stage rule on the extended record, with the extended
-    history before t = 0.  Returns (states, extrapolation count)."""
+    Lookups are made by lag and follow the stage rule of ``OracleStagePast``
+    on the extended record, with the extended history before t = 0.
+    Returns (states, extrapolation count)."""
     m, n = model.m, model.n
     dim = m * n
     keys = sorted({("filter", k.density.rate) if isinstance(k.density, ExponentialDensity)
@@ -484,7 +497,7 @@ def chain_oracle(model, initial, h, steps):
     count = 0
 
     def derivative(t, look):
-        y = look(t)
+        y = look(0.0)
         X, A = y[:dim].reshape(m, n), model.coupling.matrix(t)
         out = model.node.fn(t, X)
         for i in range(m):
@@ -495,14 +508,14 @@ def chain_oracle(model, initial, h, steps):
                 d, plan = kernel.density, model.plans[i][j]
                 chained = d is None or spans_steps(d, h)
                 nodes = kernel.atoms if chained else zip(plan.locations, plan.weights)
-                acc = sum(w * model.output.fn(t, look(t - tau - loc)[j * n:(j + 1) * n])
+                acc = sum(w * model.output.fn(t, look(tau + loc)[j * n:(j + 1) * n])
                           for loc, w in nodes)
                 if chained and isinstance(d, ExponentialDensity):
                     c = block["filter", d.rate] + j * n
-                    acc = acc + d.weight * model.output.fn(t, look(t - tau)[c:c + n])
+                    acc = acc + d.weight * model.output.fn(t, look(tau)[c:c + n])
                 elif chained and d is not None:
                     c = block["integral", 0.0] + j * n
-                    G = look(t - tau - d.a)[c:c + n] - look(t - tau - d.b)[c:c + n]
+                    G = look(tau + d.a)[c:c + n] - look(tau + d.b)[c:c + n]
                     acc = acc + d.weight / (d.b - d.a) * model.output.fn(t, G)
                 out[i] = out[i] + A[i, j] * acc
         aux = [key[1] * (y[:dim] - y[block[key]:block[key] + dim]) if key[0] == "filter"
@@ -514,13 +527,19 @@ def chain_oracle(model, initial, h, steps):
         for c, a in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
             y_stage = y + (a * h) * ks[-1] if ks else y
 
-            def look(u, t_stage=t + c * h, y_stage=y_stage):
+            # a lag is compared with c*h, which is exact for RK4's c, and
+            # not through the rounded time t + c*h - lag; a committed time
+            # is clamped to the step start, whose sample is read as is
+            def look(lag, t_stage=t + c * h, y_stage=y_stage, reach=c * h):
                 nonlocal count
-                if u == t_stage:
+                if lag == 0.0:
                     return y_stage
-                if u > t:
+                u = t_stage - lag
+                if lag < reach:
                     count += 1
                     return y + (u - t) * ks[0]
+                if u >= t:
+                    return y
                 if u <= 0.0:
                     return np.concatenate([initial.eval(u)]
                                           + [history_aux(initial, key, u) for key in keys])
@@ -547,6 +566,13 @@ def chain_cases():
         TABLE_HISTORY, 0.01, 80
     yield "late-uniform", oracle_network(
         delays=DelaySchedule.offdiagonal(0.05), kernels=uniform(0.2, 0.5)), TABLE_HISTORY, 0.01, 80
+    # lags of exactly h and h/2 on the filter: the stages at c*h = lag
+    # read the step start
+    tie = mixture(dirac(0.0, 0.5), exponential(3.0, 0.5))
+    yield "lag-is-h", oracle_network(delays=DelaySchedule.offdiagonal(0.01), kernels=tie), \
+        TABLE_HISTORY, 0.01, 60
+    yield "lag-is-half-h", oracle_network(delays=DelaySchedule.offdiagonal(0.005), kernels=tie), \
+        TABLE_HISTORY, 0.01, 60
     yield "below-h", oracle_network(
         delays=DelaySchedule.constant(0.0007),
         kernels=mixture(dirac(0.0, 0.3), exponential(5.0, 0.7))), constant, 0.002, 100
@@ -571,9 +597,9 @@ def test_linear_output_densities_match_the_extended_rk4_oracle(name, model, init
     want, count = chain_oracle(model, initial, h, steps)
     assert traj.states.shape == want.shape
     assert np.max(np.abs(traj.states - want)) <= 1e-12
-    # the filter read at a lag below h, and the diagonal delay shrinking to
-    # 0, land inside the step
-    inside = name in ("below-h", "delay-table")
+    # the filter read at a lag below h, the diagonal delay shrinking to 0,
+    # and a lag of h/2 at the last stage land inside the step
+    inside = name in ("below-h", "delay-table", "lag-is-half-h")
     assert (count > 0) == (traj.stage_extrapolation_count > 0) == inside
 
 
