@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .history import PiecewiseLinear
-from .kernels import (DelayKernel, ExponentialDensity, QuadraturePlan, _floats, _given,
+from .kernels import (DelayKernel, ExponentialDensity, QuadraturePlan, _floats,
                       build_quadrature, dirac)
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "NonFiniteDerivative",
     "rhs",
     "make_example",
-    "make_node",
     "named_topology",
     "linear_node",
     "chua_node",
@@ -487,9 +486,9 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # built-in node systems and outputs
 
-def linear_node(B) -> NodeDynamics:
-    """f(t, u) = B u."""
-    B = np.asarray(B, dtype=float)
+def linear_node(matrix) -> NodeDynamics:
+    """f(t, u) = B u, with B the given ``matrix``."""
+    B = np.asarray(matrix, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("linear node matrix must be square")
     L = float(np.linalg.norm(B, 2))
@@ -527,9 +526,9 @@ def chua_node(alpha: float = 9.0, beta: float = 100.0 / 7.0,
     return NodeDynamics(dim=3, fn=fn, lipschitz_hint=L, name="chua")
 
 
-def tanh_hopfield_node(W, bias=None) -> NodeDynamics:
-    """f(t, u) = -u + W tanh(u) + bias."""
-    W = np.asarray(W, dtype=float)
+def tanh_hopfield_node(weights, bias=None) -> NodeDynamics:
+    """f(t, u) = -u + W tanh(u) + bias, with W the given ``weights``."""
+    W = np.asarray(weights, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("weight matrix must be square")
     b = np.zeros(W.shape[0]) if bias is None else np.asarray(bias, dtype=float).ravel()
@@ -540,24 +539,6 @@ def tanh_hopfield_node(W, bias=None) -> NodeDynamics:
     # tanh(u) W' - u rounds as -u + tanh(u) W'
     return NodeDynamics(dim=W.shape[0], fn=lambda t, u: np.tanh(u) @ W_T - u + b,
                         lipschitz_hint=L, name="tanh_hopfield")
-
-
-def make_node(spec: dict) -> NodeDynamics:
-    """Node system from a tagged record, as found in scenario files."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("node spec must be a dict with a 'type' tag")
-    kind = spec["type"]
-    if kind == "linear":
-        if "matrix" not in spec:
-            raise ValueError("linear node spec needs 'matrix'")
-        return linear_node(spec["matrix"])
-    if kind == "chua":
-        return chua_node(**_given(spec, "alpha", "beta", "m0", "m1"))
-    if kind == "tanh_hopfield":
-        if "weights" not in spec:
-            raise ValueError("tanh_hopfield node spec needs 'weights'")
-        return tanh_hopfield_node(spec["weights"], bias=spec.get("bias"))
-    raise ValueError(f"unknown node type {kind!r}")
 
 
 def linear_output(Gamma) -> OutputFunction:
@@ -618,7 +599,8 @@ def make_example(which: int, **params) -> NetworkModel:
     """Classic reduced couplings as instances of the general model.
 
     1: constant matrix with zero row sums, linear undelayed output.
-       params: node, A, Gamma.
+       params: node, A, Gamma.  Built by the same code as 2, which reads a
+       matrix as a constant table.
     2: time-varying matrix and output, still undelayed.
        params: node, A and Gamma (each a matrix or a ``PiecewiseLinear``
        table of matrices); zero row sums and nonnegative off-diagonal
@@ -630,19 +612,11 @@ def make_example(which: int, **params) -> NetworkModel:
        "direct" convention) or base + c (rows of base sum to 1 off the
        diagonal with -1 on it, "normalized" convention) or topology + c + m.
     """
-    if which == 1:
-        return _example_1(**params)
-    if which == 2:
+    if which in (1, 2):
         return _example_2(**params)
     if which == 3:
         return _example_3(**params)
     raise ValueError(f"unknown example {which!r}; supported: 1, 2, 3")
-
-
-def _example_1(node: NodeDynamics, A, Gamma) -> NetworkModel:
-    coupling = CouplingSchedule.constant(A, zero_row_sums=True, nonneg_off_diagonal=True)
-    return NetworkModel(m=coupling.m, node=node, output=linear_output(Gamma),
-                        coupling=coupling, delays=DelaySchedule.zero(), kernels=dirac())
 
 
 def _example_2(node: NodeDynamics, A, Gamma) -> NetworkModel:

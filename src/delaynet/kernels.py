@@ -27,7 +27,6 @@ __all__ = [
     "exponential",
     "uniform",
     "mixture",
-    "make_kernel",
     "build_quadrature",
 ]
 
@@ -172,39 +171,6 @@ def mixture(*parts: DelayKernel) -> DelayKernel:
                 raise ValueError("mixture supports at most one density component")
             density = part.density
     return DelayKernel(atoms=tuple(atoms), density=density)
-
-
-def _given(spec: dict, *keys: str) -> dict:
-    """The entries of ``spec`` among ``keys``; an omitted one keeps its default."""
-    return {k: spec[k] for k in keys if k in spec}
-
-
-def make_kernel(spec: dict) -> DelayKernel:
-    """Build a kernel from a tagged record, the form used in scenario files.
-
-    Supported tags: ``dirac`` (location, weight), ``exponential`` (rate,
-    weight), ``uniform`` (a, b, weight), ``mixture`` (components: list of the
-    former).  Weights default to 1.
-    """
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("kernel spec must be a dict with a 'type' tag")
-    kind = spec["type"]
-    if kind == "dirac":
-        return dirac(**_given(spec, "location", "weight"))
-    if kind == "exponential":
-        if "rate" not in spec:
-            raise ValueError("exponential kernel spec needs 'rate'")
-        return exponential(rate=spec["rate"], **_given(spec, "weight"))
-    if kind == "uniform":
-        if "a" not in spec or "b" not in spec:
-            raise ValueError("uniform kernel spec needs 'a' and 'b'")
-        return uniform(a=spec["a"], b=spec["b"], **_given(spec, "weight"))
-    if kind == "mixture":
-        components = spec.get("components")
-        if not components:
-            raise ValueError("mixture kernel spec needs nonempty 'components'")
-        return mixture(*(make_kernel(c) for c in components))
-    raise ValueError(f"unknown kernel type {kind!r}")
 
 
 @dataclass(frozen=True)

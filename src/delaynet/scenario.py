@@ -1,7 +1,9 @@
 """Scenario files: load, validate, build, run.
 
 A scenario is a JSON document matching the published schema, packaged at
-``src/delaynet/schemas/scenario.json``.  Loading checks it against the
+``src/delaynet/schemas/scenario.json``.  The schema names every key a
+section takes; the keys of a node or kernel record are the keyword arguments
+of the factory its tag names.  Loading checks it against the
 schema, then for numbers that are not finite and for ragged matrices, then
 builds each section with one builder that returns its object or raises
 ``ValueError``.  Every failing section is reported at its key, all together
@@ -17,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -41,16 +44,19 @@ from .dynamics import (
     CouplingSchedule,
     DelaySchedule,
     NetworkModel,
+    NodeDynamics,
     NonFiniteDerivative,
     OutputFunction,
+    chua_node,
     identity_output,
+    linear_node,
     linear_output,
-    make_node,
     named_topology,
+    tanh_hopfield_node,
 )
 from .history import HistoryFunction, write_trajectory_csv
 from .integrator import BlowUpError, IntegratorConfig, integrate
-from .kernels import _given, dirac, make_kernel
+from .kernels import dirac, exponential, mixture, uniform
 
 __all__ = [
     "Scenario",
@@ -78,6 +84,11 @@ def scenario_schema() -> dict:
     """The published JSON schema, as packaged."""
     text = resources.files(__package__).joinpath("schemas/scenario.json").read_text("utf-8")
     return json.loads(text)
+
+
+@cache  # a process that loads many scenarios reads and compiles the schema once
+def _validator() -> Draft202012Validator:
+    return Draft202012Validator(scenario_schema())
 
 
 @dataclass
@@ -120,8 +131,7 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
     Every failing section is reported at its key in one ``ScenarioError``;
     a section built from a failed one is left out.
     """
-    validator = Draft202012Validator(scenario_schema())
-    schema_errors = sorted(validator.iter_errors(doc),
+    schema_errors = sorted(_validator().iter_errors(doc),
                            key=lambda e: list(e.absolute_path))
     if schema_errors:
         raise ScenarioError([_locate(err) for err in schema_errors])
@@ -142,7 +152,7 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
             return None
 
     msec = doc["model"]
-    node = build("model.node", make_node, msec["node"])
+    node = build("model.node", _build_node, msec["node"])
     coupling = build("model.coupling", _build_coupling, msec["coupling"])
     output = delays = kernels = model = history = None
     if node is not None:
@@ -152,11 +162,10 @@ def scenario_from_dict(doc, default_name: str = "scenario") -> Scenario:
         build("model.m", _check_node_count, msec, m)
         delays = build(f"model.delays{'.values' if 'values' in dsec else ''}",
                        _build_delays, dsec, m)
-        kernels = build("model.kernels", _build_kernels, msec.get("kernels"), m)
+        kernels = build("model.kernels", _build_kernels, msec.get("kernels", {"type": "dirac"}), m)
     if all(part is not None for part in (output, delays, kernels)):
         model = build("model", NetworkModel, m=m, node=node, output=output, coupling=coupling,
-                      delays=delays, kernels=kernels,
-                      **_given(msec.get("quadrature", {}), "tail_tol", "node_spacing"))
+                      delays=delays, kernels=kernels, **msec.get("quadrature", {}))
     if node is not None and coupling is not None:
         history = build("history.value", _build_history, doc["history"]["value"], m, node.dim)
 
@@ -239,6 +248,27 @@ def _ragged(value, path: str):
             yield from _ragged(item, f"{path}[{k}]")
 
 
+def _given(spec: dict, *keys: str) -> dict:
+    """The entries of ``spec`` among ``keys``; an omitted one keeps its default."""
+    return {k: spec[k] for k in keys if k in spec}
+
+
+# a node or kernel record is its tag and its factory's keyword arguments,
+# the keys the schema allows that tag
+_NODES = {"linear": linear_node, "chua": chua_node, "tanh_hopfield": tanh_hopfield_node}
+_KERNELS = {"dirac": dirac, "exponential": exponential, "uniform": uniform,
+            "mixture": lambda components: mixture(*(_tagged(_KERNELS, c) for c in components))}
+
+
+def _tagged(factories: dict, spec: dict):
+    params = dict(spec)
+    return factories[params.pop("type")](**params)
+
+
+def _build_node(spec: dict) -> NodeDynamics:
+    return _tagged(_NODES, spec)
+
+
 def _build_coupling(spec: dict) -> CouplingSchedule:
     if "matrix" in spec:
         A = np.asarray(spec["matrix"], dtype=float)
@@ -277,13 +307,11 @@ def _build_delays(spec: dict, m: int) -> DelaySchedule:
     return DelaySchedule.constant(values)
 
 
-def _build_kernels(spec, m: int):
-    if spec is None:
-        return dirac()
+def _build_kernels(spec: dict, m: int):
     if "type" in spec:
-        return make_kernel(spec)
-    off = make_kernel(spec["offdiagonal"])
-    diag = make_kernel(spec["diagonal"]) if "diagonal" in spec else off
+        return _tagged(_KERNELS, spec)
+    off = _tagged(_KERNELS, spec["offdiagonal"])
+    diag = _tagged(_KERNELS, spec["diagonal"]) if "diagonal" in spec else off
     return [[diag if i == j else off for j in range(m)] for i in range(m)]
 
 
@@ -299,9 +327,6 @@ def _build_history(value, m: int, n: int) -> HistoryFunction:
 def _build_certificate(spec: dict, node) -> QuadCertificate:
     if spec["type"] == "lipschitz":
         L = spec.get("lipschitz", node.lipschitz_hint)
-        if L is None:
-            raise ValueError("the node type carries no Lipschitz constant; "
-                             "state one explicitly", "lipschitz")
         return lipschitz_certificate(float(L), node.dim, **_given(spec, "epsilon"))
     P = np.asarray(spec["P"], dtype=float)
     if P.shape != (node.dim, node.dim):

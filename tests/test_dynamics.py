@@ -18,7 +18,6 @@ from delaynet.dynamics import (
     linear_node,
     linear_output,
     make_example,
-    make_node,
     named_topology,
     rhs,
     tanh_hopfield_node,
@@ -684,16 +683,6 @@ def test_tanh_hopfield_node_bound():
     u = rng.standard_normal(3)
     np.testing.assert_allclose(node.eval(0.0, u),
                                -u + W @ np.tanh(u) + np.array([0.1, -0.2, 0.0]))
-
-
-def test_make_node_from_specs():
-    assert make_node({"type": "chua"}).name == "chua"
-    assert make_node({"type": "linear", "matrix": [[0.0, 1.0], [-1.0, 0.0]]}).dim == 2
-    assert make_node({"type": "tanh_hopfield", "weights": [[0.5]]}).dim == 1
-    with pytest.raises(ValueError):
-        make_node({"type": "lorenz"})
-    with pytest.raises(ValueError):
-        make_node({"type": "linear"})
 
 
 def test_assumption_checks_pass_for_well_posed_model():

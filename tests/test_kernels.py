@@ -12,7 +12,6 @@ from delaynet.kernels import (
     build_quadrature,
     dirac,
     exponential,
-    make_kernel,
     mixture,
     uniform,
 )
@@ -57,23 +56,6 @@ def test_kernel_rejects_bad_parameters():
         DelayKernel()
     with pytest.raises(ValueError):
         mixture(exponential(1.0), uniform(0.0, 1.0))
-
-
-def test_make_kernel_from_dict_specs():
-    assert make_kernel({"type": "dirac", "location": 0.25, "weight": 2.0}).atoms == ((0.25, 2.0),)
-    ker = make_kernel({"type": "exponential", "rate": 2.0, "weight": 0.5})
-    assert ker.density is not None and ker.density.rate == 2.0
-    ker = make_kernel({"type": "uniform", "a": 0.1, "b": 0.9})
-    assert ker.total_variation() == 1.0
-    mix = make_kernel({"type": "mixture", "components": [
-        {"type": "dirac", "location": 0.0},
-        {"type": "exponential", "rate": 1.0, "weight": -0.5},
-    ]})
-    assert mix.total_variation() == 1.5
-    with pytest.raises(ValueError):
-        make_kernel({"type": "gaussian", "sigma": 1.0})
-    with pytest.raises(ValueError):
-        make_kernel({"rate": 1.0})
 
 
 def test_exponential_truncation_horizon_matches_analytic_tail():

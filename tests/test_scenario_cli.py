@@ -1,6 +1,7 @@
 """Scenario loading, the published schema, artifact writing, CLI exit codes."""
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from delaynet.dynamics import (
     NetworkModel,
     NodeDynamics,
     OutputFunction,
+    chua_node,
     identity_output,
     linear_node,
     linear_output,
@@ -31,6 +33,7 @@ from delaynet.scenario import (
     load_scenario,
     run_scenario,
     scenario_from_dict,
+    scenario_schema,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -114,6 +117,117 @@ def test_declared_node_count_must_match_coupling():
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(doc)
     assert any("model.m" in line for line in exc.value.errors)
+
+
+def model_of(n=1, **model):
+    """The model of ``minimal_doc`` with ``model`` merged into its model
+    section, for nodes of ``n`` states at zero history."""
+    doc = minimal_doc(history={"type": "constant", "value": [0.0] * (2 * n)})
+    doc["model"].update(model)
+    return scenario_from_dict(doc).model
+
+
+def validate_errors(tmp_path, capsys, doc):
+    """The error lines of ``delaynet validate`` on ``doc``, which must exit 2."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    return capsys.readouterr().err.splitlines()
+
+
+def test_every_kernel_form_builds_from_a_scenario(tmp_path, capsys):
+    def kernel(spec):
+        return model_of(kernels=spec).kernels[0][1]
+
+    assert kernel({"type": "dirac", "location": 0.25, "weight": 2.0}).atoms == ((0.25, 2.0),)
+    ker = kernel({"type": "exponential", "rate": 2.0, "weight": 0.5})
+    assert (ker.density.rate, ker.density.weight) == (2.0, 0.5)
+    ker = kernel({"type": "uniform", "a": 0.1, "b": 0.9})
+    assert (ker.density.a, ker.density.b, ker.total_variation()) == (0.1, 0.9, 1.0)
+    mix = kernel({"type": "mixture", "components": [
+        {"type": "dirac", "location": 0.0},
+        {"type": "exponential", "rate": 1.0, "weight": -0.5},
+    ]})
+    assert mix.atoms == ((0.0, 1.0),) and mix.density.weight == -0.5
+    assert mix.total_variation() == 1.5
+    for spec, message in [
+        ({"type": "gaussian", "sigma": 1.0}, "$.model.kernels.type: 'gaussian' is not one of "
+                                             "['dirac', 'exponential', 'uniform', 'mixture']"),
+        ({"rate": 1.0}, "$.model.kernels: 'type' is a required property"),
+        ({"type": "uniform", "a": 0.1}, "$.model.kernels: 'b' is a required property"),
+    ]:
+        doc = minimal_doc()
+        doc["model"]["kernels"] = spec
+        assert f"error: {message}" in validate_errors(tmp_path, capsys, doc)
+
+
+def test_every_node_form_builds_from_a_scenario(tmp_path, capsys):
+    node = model_of(3, node={"type": "chua"}).node
+    assert node.name == "chua" and node.lipschitz_hint == chua_node().lipschitz_hint
+    node = model_of(3, node={"type": "chua", "alpha": 3.0, "m1": -0.5}).node
+    assert node.lipschitz_hint == chua_node(alpha=3.0, m1=-0.5).lipschitz_hint
+    node = model_of(2, node={"type": "linear", "matrix": [[0.0, 1.0], [-1.0, 0.0]]}).node
+    assert (node.name, node.dim) == ("linear", 2)
+    np.testing.assert_array_equal(node.eval(0.0, np.array([1.0, 2.0])), [2.0, -1.0])
+    node = model_of(1, node={"type": "tanh_hopfield", "weights": [[0.5]], "bias": [0.25]}).node
+    assert (node.name, node.dim) == ("tanh_hopfield", 1)
+    np.testing.assert_array_equal(node.eval(0.0, np.zeros(1)), [0.25])
+    for spec, message in [
+        ({"type": "lorenz"},
+         "$.model.node.type: 'lorenz' is not one of ['linear', 'chua', 'tanh_hopfield']"),
+        ({"type": "linear"}, "$.model.node: 'matrix' is a required property"),
+    ]:
+        doc = minimal_doc()
+        doc["model"]["node"] = spec
+        assert f"error: {message}" in validate_errors(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("model", "kernels"), {"type": "dirac", "locaton": 0.5},
+     "$.model.kernels: Additional properties are not allowed ('locaton' was unexpected)"),
+    (("model", "node"), {"type": "chua", "alpah": 3.0},
+     "$.model.node: Additional properties are not allowed ('alpah' was unexpected)"),
+    (("model", "kernels"), {"type": "exponential", "rate": 2.0, "location": 0.1},
+     "$.model.kernels: Additional properties are not allowed ('location' was unexpected)"),
+    (("model", "kernels"), {"type": "mixture", "weight": 2.0, "components": [
+        {"type": "dirac"}, {"type": "exponential", "rate": 2.0}]},
+     "$.model.kernels: Additional properties are not allowed ('weight' was unexpected)"),
+    (("model", "kernels"), {"type": "mixture", "components": [
+        {"type": "dirac"}, {"type": "exponential", "rate": 2.0, "wieght": 0.5}]},
+     "$.model.kernels.components[1]: Additional properties are not allowed "
+     "('wieght' was unexpected)"),
+    (("model", "kernels"), {"offdiagonal": {"type": "exponential"}},
+     "$.model.kernels.offdiagonal: 'rate' is a required property"),
+], ids=["dirac-locaton", "chua-alpah", "exponential-location", "mixture-weight",
+        "mixture-component-wieght", "exponential-without-rate"])
+def test_a_misspelled_or_missing_node_or_kernel_key_exits_2_at_its_path(
+        tmp_path, capsys, keys, value, message):
+    doc = json.loads((SCENARIOS / "linear_network.json").read_text(encoding="utf-8"))
+    doc["model"][keys[1]] = value
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")],
+                 ["check-quad", str(path)]):
+        assert main(argv) == 2, argv[0]
+        assert f"error: {message}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_schema_gives_each_node_and_kernel_tag_exactly_its_factorys_arguments():
+    schema = scenario_schema()
+    for tagged, factories in [(schema["properties"]["model"]["properties"]["node"],
+                               delaynet.scenario._NODES),
+                              (schema["$defs"]["kernel"], delaynet.scenario._KERNELS)]:
+        assert tagged["properties"]["type"]["enum"] == list(factories)
+        rules = {rule["if"]["properties"]["type"]["const"]: rule["then"]
+                 for rule in tagged["allOf"]}
+        assert list(rules) == list(factories)
+        for tag, rule in rules.items():
+            params = inspect.signature(factories[tag]).parameters.values()
+            assert rule["additionalProperties"] is False, tag
+            assert set(rule["properties"]) == {"type"} | {p.name for p in params}, tag
+            assert set(rule.get("required", ())) == {p.name for p in params
+                                                     if p.default is p.empty}, tag
 
 
 def two_state_doc(**model):
@@ -431,10 +545,17 @@ def test_non_finite_numbers_exit_2_with_their_path(tmp_path, capsys, keys, value
     (("model", "delays"), {"type": "matrix", "values": [[0.0, 0.1, 0.1], [0.1, 0.0, 0.1], [0.1]]},
      "$.model.delays.values: rows differ in length, row 0 has length 3 and row 2 has length 1"),
     (("model", "node", "matrix"), [[0.0, 1.0], -1.0],
-     "$.model.node.matrix: rows differ in length, row 0 has length 2 and row 1 is not a list"),
+     "$.model.node.matrix[1]: -1.0 is not of type 'array'"),
     (("model", "delays"), {"type": "matrix", "values": [[0.0, 0.1], [0.1, 0.0]]},
      "model.delays.values: shape (2, 2) does not match the node count 3"),
-], ids=["coupling", "gamma", "history", "certificate-P", "delays", "node", "delays-size"])
+    (("model", "coupling"), {"matrix": [[0.0, 1.0]]},
+     "model.coupling.matrix: must be square, got shape (1, 2)"),
+    (("history", "value"), [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1]],
+     "history.value: nested form must be 3 nodes x 2 states, got shape (2, 3)"),
+    (("certificate", "Delta"), [1.0, 1.0, 1.0],
+     "certificate.Delta: 3 entries, node dimension is 2"),
+], ids=["coupling", "gamma", "history", "certificate-P", "delays", "node", "delays-size",
+        "coupling-not-square", "history-shape", "certificate-Delta"])
 def test_ragged_or_missized_matrices_exit_2_with_their_key(tmp_path, capsys, keys, value,
                                                           message):
     doc = json.loads((SCENARIOS / "linear_network.json").read_text(encoding="utf-8"))
@@ -476,7 +597,7 @@ def test_cli_negative_seed_exits_2_with_a_message(tmp_path, capsys, command):
 
 def test_cli_check_quad_fails_on_a_non_finite_field(monkeypatch, capsys):
     nan_node = NodeDynamics(dim=1, fn=lambda t, u: np.full_like(u, np.nan))
-    monkeypatch.setattr("delaynet.scenario.make_node", lambda spec: nan_node)
+    monkeypatch.setattr("delaynet.scenario._build_node", lambda spec: nan_node)
     assert main(["check-quad", str(FIXTURES / "failing_certificate.json")]) == 3
     out = capsys.readouterr().out
     assert "verdict: FAIL" in out
@@ -488,7 +609,7 @@ def test_cli_check_quad_names_a_non_finite_derivative_instead_of_gamma(monkeypat
     # the field is NaN at x0, so no gamma bounds the frozen derivative; the
     # report used to print gamma: 0 and a finite eta
     nan_node = NodeDynamics(dim=1, fn=lambda t, u: np.full_like(u, np.nan))
-    monkeypatch.setattr("delaynet.scenario.make_node", lambda spec: nan_node)
+    monkeypatch.setattr("delaynet.scenario._build_node", lambda spec: nan_node)
     assert main(["check-quad", str(FIXTURES / "failing_certificate.json")]) == 3
     out = capsys.readouterr().out
     assert "verdict: FAIL" in out
@@ -534,7 +655,7 @@ def test_run_with_missing_constants_skips_the_envelope_and_exits_3(tmp_path, mon
 
 def test_run_with_a_non_finite_field_blows_up_first_and_exits_4(tmp_path, monkeypatch):
     nan_node = NodeDynamics(dim=1, fn=lambda t, u: np.full_like(u, np.nan))
-    monkeypatch.setattr("delaynet.scenario.make_node", lambda spec: nan_node)
+    monkeypatch.setattr("delaynet.scenario._build_node", lambda spec: nan_node)
     scenario = load_scenario(FIXTURES / "failing_certificate.json")
     summary, code = run_scenario(scenario, out_dir=tmp_path)
     assert code == 4

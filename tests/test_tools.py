@@ -75,6 +75,19 @@ def test_ab_inprocess_keeps_timing_when_the_sides_differ(tmp_path, capsys):
         assert lines[-1] == "bitwise equal: no"
 
 
+def test_every_input_the_benchmark_writes_validates(monkeypatch, tmp_path, capsys):
+    # a schema change that rejects a generated document fails the benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    from delaynet.cli import main
+
+    for name in ("bundled", "ring-30", "check-quad"):
+        for op in workloads.make_workload(name, 1, tmp_path / name).ops:
+            assert main(["validate", op.argv[1]]) == 0, (name, op.name)
+            assert capsys.readouterr().err == ""
+
+
 def test_bench_tracer_wraps_every_name_and_yields_every_per_layer_metric(monkeypatch):
     # bench/run.py --trace 1 reports only the metrics whose names the tracer
     # found, so a delaynet name that it patches and that is renamed or
