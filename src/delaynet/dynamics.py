@@ -342,6 +342,19 @@ class _Nodes:
             return self.lags
         return np.repeat(self.delays(t), self.sizes) + self.plan.locations
 
+    def select(self, taps: np.ndarray) -> "_Nodes":
+        """The nodes of the taps ``taps`` marks, as nodes of their own under
+        constant delays; ``index`` holds their places here."""
+        part = object.__new__(_Nodes)
+        part.index = np.flatnonzero(np.repeat(taps, self.sizes))
+        part.sizes = self.sizes[taps]
+        part.starts = np.cumsum(part.sizes) - part.sizes
+        plan = self.plan
+        part.plan = QuadraturePlan(plan.locations[part.index], plan.weights[part.index],
+                                   plan.truncation_horizon, plan.tail_mass_bound)
+        part.sources, part.delays, part.lags = self.sources[part.index], None, self.lags[part.index]
+        return part
+
 
 class _TapTable(_Nodes):
     """The coupling of a model resolved into flat arrays, once.
@@ -358,8 +371,11 @@ class _TapTable(_Nodes):
     block j of the state.  Under a
     constant A, ``coef`` holds each pair's a_ij as a read-only column;
     under a coupling table it is None and ``rhs`` reads A(t).  ``chain(h)``
-    gives the nodes the integrator reads at step h.
+    gives the nodes the integrator reads at step h.  As the pairs ``rhs``
+    sums, the table has no ``prefix``.
     """
+
+    prefix = None
 
     def __init__(self, model: "NetworkModel"):
         m, n = model.m, model.n
@@ -443,20 +459,25 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
 
     ``past(t)`` is the stacked state vector at t, and
     ``past.lagged(t, taps)`` the lookup of the model's tap table: the rows
-    to hand to g, the ``QuadraturePlan`` of their weights and the first row
-    of each tap.  A past that reads the table itself serves row q as
-    x_{sources[q]}(t - lag_q), a quadrature node, with the table's plan and
-    starts; the integrator's past serves the nodes of ``taps.chain(h)``,
-    which g must not write into.  Each call makes one
+    to hand to g, the ``QuadraturePlan`` of their weights, the first row
+    of each tap, and the pairs that read those taps.  A past that reads
+    the table itself serves row q as x_{sources[q]}(t - lag_q), a
+    quadrature node, with the table's plan and starts and the table as its
+    pairs.  The integrator's past serves the nodes of ``taps.chain(h)``,
+    which g must not write into, and once a block of steps runs it serves
+    only the taps the block does not sum, with pairs that hold the rest of
+    each row and the block's ``prefix``: per cell, the a_ij-weighted sum of
+    the row's leading pairs, in the order below.  Each call makes one
     ``lagged`` lookup, one g call on its rows, one segment sum through the
-    plan and one in-order ``np.bincount`` of a_ij times each pair's integral
-    into row i, and calls f once on the (m, n) block.  Under a constant A the
-    a_ij are the tap table's ``coef``, read once at construction.  Under a
-    coupling table A(t) is read at each call, and g is evaluated for every
-    pair nonzero at some knot; one zero at t adds an exact zero.  Returns a
-    new flat vector, tested for finiteness with one count; raises
-    ``NonFiniteDerivative`` naming the first node whose derivative is not
-    finite.
+    plan and one in-order ``np.bincount`` of a_ij times each pair's
+    integral into row i, skipped when every cell has one pair in order,
+    adds the prefix, and calls f once on the (m, n) block.  Under a
+    constant A the a_ij are the tap table's ``coef``, read once at
+    construction.  Under a coupling table A(t) is read at each call, and g
+    is evaluated for every pair nonzero at some knot; one zero at t adds an
+    exact zero.  Returns a new flat vector, tested for finiteness with one
+    count; raises ``NonFiniteDerivative`` naming the first node whose
+    derivative is not finite.
     """
     m, n = model.m, model.node.dim
     x_now = _floats(past(t)).ravel()
@@ -465,15 +486,24 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     X = x_now.reshape(m, n)
     taps = model.taps
     if taps.pairs.size:
-        rows, plan, starts = past.lagged(t, taps)
-        conv = plan.apply(model.output.eval_rows(t, rows), starts)
-        coef = taps.coef
-        if coef is None:
-            coef = model.coupling.matrix(t).take(taps.pairs)[:, None]
-        # bincount adds pair by pair in order, from 0.0: each row sums its
-        # couplings, the self pair last, so symmetric contributions cancel
-        # before the node term is added
-        coupled = np.bincount(taps.cells, (coef * conv.take(taps.pair_tap, axis=0)).ravel(), m * n)
+        rows, plan, starts, pairs = past.lagged(t, taps)
+        coupled = pairs.prefix
+        if rows is not None:
+            conv = plan.apply(model.output.eval_rows(t, rows), starts)
+            coef = pairs.coef
+            if coef is None:
+                coef = model.coupling.matrix(t).take(pairs.pairs)[:, None]
+            if pairs.pair_tap is not None:
+                conv = conv.take(pairs.pair_tap, axis=0)
+            terms = (coef * conv).ravel()
+            # bincount adds pair by pair in order, from 0.0: each row sums its
+            # couplings, the self pair last, so symmetric contributions cancel
+            # before the node term is added
+            if pairs.cells is not None:
+                terms = np.bincount(pairs.cells, terms, m * n)
+            # a prefix is such a sum of each row's leading pairs, so never
+            # -0.0: adding it to 0.0 + p is adding it to p
+            coupled = terms if coupled is None else coupled + terms
     else:
         coupled = np.zeros(m * n)
     out = model.node.eval(t, X).ravel() + coupled

@@ -26,6 +26,22 @@ start from the same state with the same first slope, so they share every
 lookup but the at-stage ones.  Once every committed lookup lands at or
 after t = 0, a stage only blends samples.
 
+Under a constant A and constant delays the coupling follows the method of
+steps (Bellen & Zennaro, Numerical Methods for Delay Differential
+Equations, 2003, ch. 3): a lookup whose lag is at least the largest stage
+offset times h reads, over the next steps, only samples already recorded.
+Once none of them reads before t = 0, each row's leading run of pairs made
+of such lookups is summed in blocks (``_Block``).  Per block of up to
+``_BLOCK_STEPS`` steps: one gather and one blend of the samples, one g
+call, one segment sum and one ``np.bincount``, for every step and stage
+offset of the block.  Per (step, offset): one row of those sums.  Per
+stage: the lookups, g call, segment sum and scatter of the other pairs
+only, and one addition.  The result is that of summing every pair at every
+stage, bit for bit.  g may thus be called on committed rows up to a block
+before the stage that uses them, and a g that raises does so at the
+block's first step; ``NonFiniteDerivative`` still names the stage whose
+derivative is not finite.
+
 Each stage's slope joins the step's sum as it returns, and the new state
 is computed straight into its row of a record sized for the whole run.
 Each step makes one magnitude test of that state, which also catches NaN
@@ -47,6 +63,12 @@ from .history import HistoryFunction, Trajectory
 __all__ = ["IntegratorConfig", "integrate", "BlowUpError", "BLOWUP_THRESHOLD"]
 
 BLOWUP_THRESHOLD = 1e12
+
+# the most steps one block of committed pairs spans (``_Block``); 16 to 32
+# keep nearly all of its gain, and below 1 no block is made.  A block of
+# many quadrature nodes spans fewer steps, so that its g call gets about
+# ``_BLOCK_ROWS`` rows at most: batching them over steps gains little
+_BLOCK_STEPS, _BLOCK_ROWS = 32, 4096
 
 # explicit methods, one (c, a, b) row per stage: the stage runs at t + c*h
 # from the state x + (a*h) * (previous stage's k), and the step is
@@ -149,6 +171,151 @@ class _LookupPlan:
         self.buffer_step = None
 
 
+class _StagePairs:
+    """The pairs a stage still sums once a block runs, as ``rhs`` reads
+    them: ``coef``; ``pair_tap`` into the stage's taps, None when it is 0,
+    1, 2, ...; ``cells``, None when it is 0, 1, ..., dim - 1, so that the
+    gather or the scatter is the identity; and ``prefix``, the block's
+    sums at the stage's step and offset, set at each stage."""
+
+    def __init__(self, pair_tap: np.ndarray, coef: np.ndarray, cells: np.ndarray, dim: int):
+        identity = np.array_equal(cells, np.arange(dim))
+        self.pair_tap = None if np.array_equal(pair_tap, np.arange(pair_tap.size)) else pair_tap
+        self.coef, self.cells, self.prefix = coef, None if identity else cells, None
+
+
+class _Block:
+    """The method of steps on the coupling: each row's leading committed
+    pairs summed for up to ``length`` steps at every stage offset at once.
+
+    Under a constant A and constant delays, over the next steps every
+    committed lookup reads samples already recorded.  A pair is committed
+    when every node of its tap is committed at every stage offset, that is
+    lags at least max(c)·h; a row takes the block when its leading run of
+    committed pairs is not empty and at most one pair follows it.  From
+    step ``start``, the largest ``_LookupPlan.steady``, at the first step
+    k0 of each block ``make`` gets, for steps k0 ... k0 + L - 1 and every
+    stage offset c, each cell's sum of a_ij times the integral of the
+    row's run pairs, added pair by pair in order from 0.0 as ``rhs`` adds
+    them, into ``sums`` (step, offset, cell): one gather of the samples,
+    one blend, one g call with t a column of the rows' stage times, one
+    segment sum and one ``np.bincount``.  L is the number of steps before
+    some lookup of the block would read a sample not yet recorded, at most
+    ``_BLOCK_STEPS``, the steps left, and the steps that keep the g call
+    near ``_BLOCK_ROWS`` rows.  A stage then reads its step and
+    offset's row of ``sums`` as the prefix of ``pairs``, the other pairs,
+    whose taps ``stage`` holds.
+
+    The block's lookups are the stage's own blends: a plan that blends
+    weighs all its nodes (1 - theta, theta), and one that does not reads
+    one sample, here blended with weights (1, 0) on that same sample,
+    which every recorded value passes unchanged, as each row passed the
+    blow-up guard and is finite.  A lone row can round differently in a
+    matrix product from the same row among several, so the block is not
+    used where a g call would change from several rows to one.
+    """
+
+    def __init__(self, output, plans, nodes, taps, block, h: float, n: int, dim: int,
+                 record_dim: int):
+        C = len(plans)
+        self.output, self.h, self.n, self.dim, self.record_dim = output, h, n, dim, record_dim
+        self.column = {c: i for i, c in enumerate(plans)}
+        self.times = np.array([c * h for c in plans])
+        parts = []
+        for sel in (block, ~block):
+            tapped = np.zeros(nodes.sizes.size, dtype=bool)
+            tapped[taps.pair_tap[sel]] = True
+            parts.append((nodes.select(tapped), (np.cumsum(tapped) - 1).take(taps.pair_tap[sel])))
+        (self.nodes, self.pair_tap), (self.stage, stage_tap) = parts
+        cells = taps.cells.reshape(-1, n)
+        self.coef = taps.coef[block]
+        self.pairs = _StagePairs(stage_tap, taps.coef[~block], cells[~block].ravel(), dim)
+        self.stage_plans = {}
+        self.start = max(plan.steady for plan in plans.values())
+        cols, weights, offsets = [], [], []
+        for plan in plans.values():
+            place = self.nodes.index if plan.position is None else plan.position[self.nodes.index]
+            q = place - plan.sub_step_end
+            offsets.append(plan.offsets[q])
+            if plan.blend_weights is None:
+                cols.append(plan.blend_cols[[0, 0]][:, q])
+                weights.append(np.stack([np.ones((q.size, 1)), np.zeros((q.size, 1))]))
+            else:
+                cols.append(plan.blend_cols[:, q])
+                weights.append(plan.blend_weights[:, q])
+                # the second sample is the next one except at offset 0
+                offsets.append(plan.offsets[q] + (plan.offsets[q] < 0))
+        offsets = np.concatenate(offsets)
+        L = self.length = min(_BLOCK_STEPS, 1 - int(offsets.max()),
+                              max(1, _BLOCK_ROWS // (self.nodes.index.size * C)))
+        # rows are read from row k - back, so that every index is nonnegative
+        self.back = -int(offsets.min())
+        # (blend, node, step, offset, component), then (pair, step, offset, component)
+        shape = (2, self.nodes.index.size, L, C, n)
+        cols = (np.stack(cols, axis=2)[:, :, None]
+                + ((np.arange(L) + self.back) * record_dim)[:, None, None])
+        if any(plan.blend_weights is not None for plan in plans.values()):
+            self.cols = cols
+            self.weights = np.ascontiguousarray(
+                np.broadcast_to(np.stack(weights, axis=2)[:, :, None], shape))
+        else:
+            self.cols, self.weights = cols[:1], None
+        self.steps = np.arange(L)
+        self.time_of_row = np.broadcast_to(np.arange(L * C).reshape(L, C), shape[1:4]).copy()
+        self.bins = ((np.arange(L * C) * dim)[:, None]
+                     + cells[block][:, None, :]).reshape(-1, L * C * n)
+        self.first = self.end = self.start
+        self.sums = None
+
+    def make(self, record: np.ndarray, k: int) -> None:
+        """The block of steps k, k + 1, ...: the record holds the run's
+        steps + 1 rows, and rows up to k are written."""
+        size = min(self.length, len(record) - 1 - k)
+        nodes, n, C = self.nodes, self.n, len(self.column)
+        rows = record.reshape(-1)[(k - self.back) * self.record_dim:].take(
+            self.cols[:, :, :size])
+        if self.weights is None:
+            rows = rows[0]
+        else:
+            terms = self.weights[:, :, :size] * rows
+            rows = terms[0] + terms[1]
+        t = (((k + self.steps[:size]) * self.h)[:, None] + self.times).take(
+            self.time_of_row[:, :size].reshape(-1, 1))
+        values = self.output.eval_rows(t, rows.reshape(-1, n)).reshape(len(nodes.index), -1, n)
+        conv = nodes.plan.apply(values, nodes.starts)
+        terms = self.coef * conv.reshape(len(conv), -1).take(self.pair_tap, axis=0)
+        self.sums = np.bincount(self.bins[:, :size * C * n].ravel(), terms.ravel(),
+                                size * C * self.dim).reshape(size, C, self.dim)
+        self.first, self.end = k, k + size
+
+
+def _block(model: NetworkModel, nodes, plans, h: float, dim: int, record: np.ndarray):
+    """The block of a run under a constant A and constant delays, given
+    its lookup plans at every stage offset and its record; None when no
+    row takes one, when it would hand g one row where the stage handed it
+    several, when the run ends before it starts, or with ``_BLOCK_STEPS``
+    below 1."""
+    taps, n = model.taps, model.n
+    if _BLOCK_STEPS < 1 or max(plan.steady for plan in plans.values()) >= len(record) - 1:
+        return None
+    committed = np.ones(nodes.lags.size, dtype=bool)
+    for plan in plans.values():
+        place = np.arange(committed.size) if plan.position is None else plan.position
+        committed &= place >= plan.sub_step_end
+    bad = ~np.logical_and.reduceat(committed, nodes.starts)[taps.pair_tap]
+    # pairs come row by row: a pair leads when no pair from its row's first to it is bad
+    rows = taps.cells[::n] // n
+    first = np.searchsorted(rows, rows)
+    seen = np.cumsum(bad)
+    lead = seen - seen[first] + bad[first] == 0
+    count, leading = (np.bincount(rows, w, model.m) for w in (None, lead))
+    block = lead & ((leading >= 1) & (count - leading <= 1))[rows]
+    sizes = [int(nodes.sizes[np.unique(taps.pair_tap[sel])].sum()) for sel in (block, ~block)]
+    if not block.any() or committed.size < 2 or sizes[0] * len(plans) < 2 or sizes[1] == 1:
+        return None
+    return _Block(model.output, plans, nodes, taps, block, h, n, dim, record.shape[1])
+
+
 class _StagePast:
     """The past the right-hand side sees inside the RK stages of one run.
 
@@ -171,21 +338,34 @@ class _StagePast:
       rest blend two samples.
 
     ``lagged`` returns the rows in node order, the plan's read-only
-    ``rows`` themselves when no permutation is needed, and the nodes'
-    ``plan`` and ``starts``.  The split, offsets and weights are resolved
-    once into a ``_LookupPlan`` per stage offset, in a cache keyed on the
-    lags array: one array for a model's life under constant delays,
-    replaced whole when the lags change, as under a delay table at every
-    stage time.  A
-    second stage at one step and offset, as RK4's third, rewrites only the
-    at-stage rows of the plan's buffer, still counting its sub-step ones.
+    ``rows`` themselves when no permutation is needed, the nodes' ``plan``
+    and ``starts``, and the tap table as the pairs that read them.  The
+    split, offsets and weights are resolved once into a ``_LookupPlan`` per
+    stage offset, in a cache keyed on the lags array: one array for a
+    model's life under constant delays, replaced whole when the lags
+    change, as under a delay table at every stage time.  A second stage at
+    one step and offset, as RK4's third, rewrites only the at-stage rows of
+    the plan's buffer, still counting its sub-step ones.
+
+    Under a constant A and constant delays the plans of every offset are
+    made at once, and a ``_Block`` may take each row's leading committed
+    pairs.  From its start, ``lagged`` looks up only the taps of the other
+    pairs, ``block.stage``, through plans of their own, and returns those
+    pairs with the block's sums at the step and offset as their prefix,
+    and no rows when there is no other pair.  A plan of at-stage nodes
+    alone hands over the gathered stage rows, with no buffer.
     """
 
-    def __init__(self, traj: Trajectory, h: float, initial, nodes):
+    def __init__(self, traj: Trajectory, h: float, initial, nodes, model: NetworkModel, offsets):
         self.traj, self.h, self.initial, self.nodes = traj, h, initial, nodes
         self.extrapolations = 0
         self.dim, self.record_dim = traj.dim, traj._record.shape[1]
-        self._lags, self._plans = None, {}
+        self._lags, self._plans, self.block = None, {}, None
+        if nodes.delays is None and model.taps.coef is not None and model.taps.pairs.size:
+            self._lags = nodes.lags
+            self._plans = {c: _LookupPlan(nodes.lags, nodes.sources, c, h, traj.node_dim,
+                                          self.record_dim) for c in offsets}
+            self.block = _block(model, nodes, self._plans, h, self.dim, traj._record)
 
     def __call__(self, t: float) -> np.ndarray:
         if t != self.t_stage:
@@ -195,15 +375,28 @@ class _StagePast:
     def lagged(self, t: float, taps):
         if t != self.t_stage:
             raise AssertionError("stage lookup away from the stage time")
-        nodes = self.nodes
-        lags = nodes.lags if nodes.delays is None else nodes.lags_at(t)
-        if lags is not self._lags and not np.array_equal(lags, self._lags):
-            self._lags, self._plans = lags, {}
-        plan = self._plans.get(self.c)
+        k, block = self.k, self.block
+        if block is not None and k >= block.start:
+            nodes, pairs, plans = block.stage, block.pairs, block.stage_plans
+            if k >= block.end:
+                block.make(self.traj._record, k)
+            pairs.prefix = block.sums[k - block.first, block.column[self.c]]
+            if not nodes.lags.size:
+                return None, None, None, pairs
+            lags = nodes.lags
+        else:
+            nodes, pairs = self.nodes, taps
+            lags = nodes.lags if nodes.delays is None else nodes.lags_at(t)
+            if lags is not self._lags and not np.array_equal(lags, self._lags):
+                self._lags, self._plans = lags, {}
+            plans = self._plans
+        plan = plans.get(self.c)
         if plan is None:
-            plan = self._plans[self.c] = _LookupPlan(
+            plan = plans[self.c] = _LookupPlan(
                 lags, nodes.sources, self.c, self.h, self.traj.node_dim, self.record_dim)
-        k, a, b, out = self.k, plan.at_stage_end, plan.sub_step_end, plan.buffer
+        a, b, out = plan.at_stage_end, plan.sub_step_end, plan.buffer
+        if a == len(out):
+            return self.x_stage.take(plan.at_cols), nodes.plan, nodes.starts, pairs
         # a second stage at this step and offset keeps all but the at-stage rows
         if plan.buffer_step != k:
             plan.buffer_step = k
@@ -227,7 +420,7 @@ class _StagePast:
             out[:a] = self.x_stage.take(plan.at_cols)
         self.extrapolations += b - a
         rows = plan.rows if plan.position is None else out.take(plan.position, axis=0)
-        return rows, nodes.plan, nodes.starts
+        return rows, nodes.plan, nodes.starts, pairs
 
 
 def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:
@@ -253,7 +446,7 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     slopes = np.empty((len(stages), record.shape[1]))
     shifts = [(c, c * h, a * h, b, s, s[dim:]) for (c, a, b), s in zip(stages, slopes)]
     scale = h / divisor
-    past = _StagePast(traj, h, extended, nodes)
+    past = _StagePast(traj, h, extended, nodes, model, dict.fromkeys(c for c, _, _ in stages))
     x = record[0]
     try:
         _guard_state(0.0, states[0], traj)

@@ -126,12 +126,12 @@ class _AnalyticPast:
 
     def lagged(self, t: float, taps):
         """Row q is node taps.sources[q]'s block of the profile at t - lag_q,
-        with the tap table's plan and segment starts."""
+        with the tap table's plan and segment starts, and the table as its pairs."""
         lags = taps.lags_at(t)
         rows = np.sin(np.outer(t - lags, self.omega) + self.phase)
         rows = rows.reshape(lags.size, self.node_count, self.node_dim)[
             np.arange(lags.size), taps.sources]
-        return rows, taps.plan, taps.starts
+        return rows, taps.plan, taps.starts, taps
 
     __call__ = eval
 

@@ -47,7 +47,7 @@ class Past:
         self.points += len(lags)
         rows = np.array([self.fn(t - lag)[j * self.n:(j + 1) * self.n]
                          for lag, j in zip(lags, taps.sources)])
-        return rows, taps.plan, taps.starts
+        return rows, taps.plan, taps.starts, taps
 
 
 def pairwise_rhs(model, t, past):

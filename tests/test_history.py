@@ -131,9 +131,10 @@ def test_lagged_reads_each_source_block_at_its_own_lag():
     sources = np.array([2, 0, 1, 2, 0, 0])
     taps = SimpleNamespace(lags_at=lambda t: lags, sources=sources, plan=object(),
                            starts=np.array([0, 2]))
-    got, plan, starts = TrajectoryPast(traj).lagged(1.9, taps)
-    # the unfolded lookup: every node, with the table's own plan and starts
-    assert plan is taps.plan and starts is taps.starts
+    got, plan, starts, pairs = TrajectoryPast(traj).lagged(1.9, taps)
+    # the unfolded lookup: every node, with the table's own plan and starts,
+    # and the table as the pairs that read them
+    assert plan is taps.plan and starts is taps.starts and pairs is taps
     for row, lag, j in zip(got, lags, sources):
         np.testing.assert_array_equal(row, traj(1.9 - lag)[2 * j:2 * j + 2])
 

@@ -353,7 +353,7 @@ class OracleStagePast:
         self.extrapolations += int(between.sum())
         n = self.traj.node_dim
         rows = rows.reshape(ts.size, -1, n)[np.arange(ts.size), taps.sources]
-        return rows, taps.plan, taps.starts
+        return rows, taps.plan, taps.starts, taps
 
 
 def oracle_rk4(model, initial, h, steps):
@@ -484,9 +484,12 @@ def chain_oracle(model, initial, h, steps):
     w/(b - a) (g(G_j(t - tau - a)) - g(G_j(t - tau - b))); a density too
     short for ``spans_steps`` reads the pair's quadrature nodes from x.
     Lookups are made by lag and follow the stage rule of ``OracleStagePast``
-    on the extended record, with the extended history before t = 0.
-    Returns (states, extrapolation count)."""
+    on the extended record, with the extended history before t = 0.  A
+    lookup inside the step is counted once per stage for each node of a
+    tap, the (source, delays at every knot, kernel) that pairs read alike,
+    however many pairs read it.  Returns (states, extrapolation count)."""
     m, n = model.m, model.n
+    delay_knots = model.delays.table_for(m).values
     dim = m * n
     keys = sorted({("filter", k.density.rate) if isinstance(k.density, ExponentialDensity)
                    else ("integral", 0.0) for row in model.kernels for k in row
@@ -506,16 +509,18 @@ def chain_oracle(model, initial, h, steps):
                     continue
                 tau, kernel = model.delays.value(i, j, t), model.kernels[i][j]
                 d, plan = kernel.density, model.plans[i][j]
+                tap = (j, tuple(delay_knots[:, i, j]), id(kernel))
                 chained = d is None or spans_steps(d, h)
                 nodes = kernel.atoms if chained else zip(plan.locations, plan.weights)
-                acc = sum(w * model.output.fn(t, look(tau + loc)[j * n:(j + 1) * n])
-                          for loc, w in nodes)
+                acc = sum(w * model.output.fn(t, look(tau + loc, (tap, q))[j * n:(j + 1) * n])
+                          for q, (loc, w) in enumerate(nodes))
                 if chained and isinstance(d, ExponentialDensity):
                     c = block["filter", d.rate] + j * n
-                    acc = acc + d.weight * model.output.fn(t, look(tau)[c:c + n])
+                    acc = acc + d.weight * model.output.fn(t, look(tau, (tap, "z"))[c:c + n])
                 elif chained and d is not None:
                     c = block["integral", 0.0] + j * n
-                    G = look(tau + d.a)[c:c + n] - look(tau + d.b)[c:c + n]
+                    G = (look(tau + d.a, (tap, "a"))[c:c + n]
+                         - look(tau + d.b, (tap, "b"))[c:c + n])
                     acc = acc + d.weight / (d.b - d.a) * model.output.fn(t, G)
                 out[i] = out[i] + A[i, j] * acc
         aux = [key[1] * (y[:dim] - y[block[key]:block[key] + dim]) if key[0] == "filter"
@@ -530,13 +535,15 @@ def chain_oracle(model, initial, h, steps):
             # a lag is compared with c*h, which is exact for RK4's c, and
             # not through the rounded time t + c*h - lag; a committed time
             # is clamped to the step start, whose sample is read as is
-            def look(lag, t_stage=t + c * h, y_stage=y_stage, reach=c * h):
-                nonlocal count
+            inside = set()
+
+            def look(lag, node=None, t_stage=t + c * h, y_stage=y_stage, reach=c * h,
+                     inside=inside):
                 if lag == 0.0:
                     return y_stage
                 u = t_stage - lag
                 if lag < reach:
-                    count += 1
+                    inside.add(node)
                     return y + (u - t) * ks[0]
                 if u >= t:
                     return y
@@ -549,6 +556,7 @@ def chain_oracle(model, initial, h, steps):
                 return record[lo] if w == 0.0 else (1.0 - w) * record[lo] + w * record[lo + 1]
 
             ks.append(derivative(t + c * h, look))
+            count += len(inside)
         record.append(y + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]))
     return np.array(record)[:, :dim], count
 
@@ -599,8 +607,8 @@ def test_linear_output_densities_match_the_extended_rk4_oracle(name, model, init
     assert np.max(np.abs(traj.states - want)) <= 1e-12
     # the filter read at a lag below h, the diagonal delay shrinking to 0,
     # and a lag of h/2 at the last stage land inside the step
-    inside = name in ("below-h", "delay-table", "lag-is-half-h")
-    assert (count > 0) == (traj.stage_extrapolation_count > 0) == inside
+    assert traj.stage_extrapolation_count == count
+    assert (count > 0) == (name in ("below-h", "delay-table", "lag-is-half-h"))
 
 
 def test_exponential_chain_converges_at_second_order_to_the_closed_form():
@@ -659,24 +667,28 @@ def test_a_running_integral_serves_uniforms_16_steps_wide_and_quadrature_the_nar
     assert abs(x.states[-1, 0] - exact) <= bound
 
 
-def test_distributed_delay_hands_g_the_same_few_rows_at_every_stage(monkeypatch):
+def test_distributed_delay_hands_g_the_same_few_rows_then_blocks_of_them(monkeypatch):
     # 4,474 quadrature nodes per right-hand side; with its linear output the
     # model reads each exponential density through one filtered state, so
     # g sees 6 rows at every stage: per ring pair the atom at 0 and the
-    # filter, per self pair its atom.  Each stage offset builds its lookup
-    # plan once
+    # filter, per self pair its atom.  Every lag is 0.1, 100 steps, so from
+    # step 100 on every pair is a block pair: g sees those 6 rows at 32
+    # steps and 3 stage offsets at once, the last block the 12 steps left,
+    # and no stage calls g.  Each stage offset builds its lookup plan once
     scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                              / "distributed_delay.json")
     assert int(scenario.model.taps.sizes.sum()) == 4474
+    assert integrator._BLOCK_STEPS == 32 and scenario.config.steps == 2000
     rows, plans = [], []
     eval_rows, build = OutputFunction.eval_rows, integrator._LookupPlan.__init__
     monkeypatch.setattr(OutputFunction, "eval_rows",
-                        lambda self, t, u: rows.append(len(u)) or eval_rows(self, t, u))
+                        lambda self, t, u: rows.append((np.shape(t), len(u)))
+                        or eval_rows(self, t, u))
     monkeypatch.setattr(integrator._LookupPlan, "__init__",
                         lambda self, *args: plans.append(args[2]) or build(self, *args))
     traj = integrate(scenario.model, scenario.history, scenario.config)
-    assert rows == [6] * (4 * scenario.config.steps)
-    assert sorted(plans) == [0.0, 0.5, 1.0]
+    assert rows == [((), 6)] * (4 * 100) + [((576, 1), 576)] * 59 + [((216, 1), 216)]
+    assert plans == [0.0, 0.5, 1.0]
     # the two filters ride in the record, out of the states
     assert traj.states.shape == (scenario.config.steps + 1, 4)
     assert traj._record.shape == (scenario.config.steps + 1, 8)
@@ -741,12 +753,21 @@ def dirac_only_models():
         kernels=dirac(0.015))
 
 
-@pytest.mark.parametrize("model", dirac_only_models())
-def test_taps_in_lookup_order_build_no_permutation(monkeypatch, model):
+@pytest.mark.parametrize("model, offsets", [
+    pytest.param(model, offsets, id=f"model{i}") for i, (model, offsets) in enumerate(zip(
+        dirac_only_models(), [
+            # the Chua rows take a block, and their self pairs get plans of
+            # their own
+            [0.0, 0.5, 1.0, 0.0, 0.5, 1.0],
+            # no delay, no block
+            [0.0, 0.5, 1.0],
+            # every pair is a block pair, and the stages look nothing up
+            [0.0, 0.5, 1.0]]))])
+def test_taps_in_lookup_order_build_no_permutation(monkeypatch, model, offsets):
     seen = spy_lookup_plans(monkeypatch)
     initial = HistoryFunction.constant(np.tile([0.7, -0.1, -0.6, 0.2][:model.n], model.m))
     integrate(model, initial, IntegratorConfig(method="rk4", h=0.01, horizon=0.2))
-    assert sorted(c for c, _ in seen) == [0.0, 0.5, 1.0]
+    assert [c for c, _ in seen] == offsets
     assert not any(kept for _, kept in seen)
 
 
@@ -796,6 +817,92 @@ def test_skipping_the_identity_permutation_keeps_every_bit(monkeypatch, name, mo
     assert all(kept for _, kept in seen)
     assert forced._record.tobytes() == plain._record.tobytes()
     assert forced.stage_extrapolation_count == plain.stage_extrapolation_count
+
+
+def block_cases():
+    """Runs under a constant A and constant delays, where rows may sum their
+    leading committed pairs in blocks of steps: (name, model, history,
+    method, h, steps)."""
+    for name, model, initial, h, steps in oracle_cases():
+        yield f"oracle-{name}", model, initial, "rk4", h, steps
+    for name, model, initial, h, steps in chain_cases():
+        yield f"chain-{name}", model, initial, "rk4", h, steps
+    # just past the first block: lags of 5 steps make blocks of 5 from step
+    # 5, lags of 100 steps blocks of 32 from step 100
+    for stem, steps in (("chua_synchronization", 12), ("distributed_delay", 140)):
+        scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                                 / f"{stem}.json")
+        yield stem, scenario.model, scenario.history, "rk4", scenario.config.h, steps
+    full = CouplingSchedule.constant(0.8 * named_topology("all-to-all", 3))
+    history = HistoryFunction.constant([0.5, -0.5, 0.25, 0.0, -0.1, 0.3])
+    # row 0 reads node 1 undelayed before nodes 2 and 3 delayed, with no
+    # self pair, so its leading run is empty; the other rows take the block
+    A = 0.8 * named_topology("all-to-all", 4)
+    A[0, 0] = 0.0
+    yield "undelayed-first", oracle_network(m=4, coupling=CouplingSchedule.constant(A),
+                                            delays=DelaySchedule.constant(np.array(
+        [[0.0, 0.0, 0.05, 0.03], [0.05, 0.0, 0.03, 0.04], [0.04, 0.02, 0.0, 0.05],
+         [0.03, 0.05, 0.02, 0.0]]))), \
+        HistoryFunction.constant([0.5, -0.5, 0.25, 0.0, -0.1, 0.3, 0.2, -0.6]), "rk4", 0.01, 30
+    # row 0 has two undelayed pairs after its delayed one and sums all three
+    yield "two-after-run", oracle_network(m=3, coupling=full, delays=DelaySchedule.constant(
+        np.array([[0.0, 0.05, 0.0], [0.03, 0.0, 0.04], [0.02, 0.05, 0.0]]))), \
+        history, "rk4", 0.01, 30
+    # rows 0 and 1 read only themselves, undelayed, and row 2 takes the
+    # block: the stage sums rows 0 and 1 alone
+    yield "unblocked-rows-first", oracle_network(m=3, coupling=CouplingSchedule.constant(
+        [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.5, 0.5, 0.0]]),
+        delays=DelaySchedule.offdiagonal(0.05)), history, "rk4", 0.01, 30
+    yield "lag-is-2h", oracle_network(m=3, coupling=full, delays=DelaySchedule.offdiagonal(0.02)), \
+        history, "rk4", 0.01, 30
+    yield "euler", oracle_network(m=3, coupling=full, delays=DelaySchedule.offdiagonal(0.05)), \
+        history, "euler", 0.01, 30
+    # four components and a Gamma that mixes them, so that g is a product
+    # over several rows; with no self pair in row 1 the stage would hand g
+    # one row, which can round otherwise, and no block is made
+    rng = np.random.default_rng(24)
+    node, gamma = linear_node(rng.uniform(-1.0, 1.0, (4, 4))), rng.uniform(-1.0, 1.0, (4, 4))
+    for name, A in (("n=4", 0.8 * named_topology("all-to-all", 3)),
+                    ("lone-stage-row", [[-1.0, 1.0], [1.0, 0.0]])):
+        A = np.asarray(A)
+        yield name, NetworkModel(m=len(A), node=node, output=linear_output(gamma),
+                                 coupling=CouplingSchedule.constant(A),
+                                 delays=DelaySchedule.offdiagonal(0.05), kernels=dirac()), \
+            HistoryFunction.constant(rng.uniform(-1.0, 1.0, 4 * len(A))), "rk4", 0.01, 30
+
+
+# the cases whose run makes at least one block
+BLOCKED = {"oracle-on-grid", "oracle-off-grid", "oracle-lag-is-h", "oracle-late-uniform",
+           "chain-table-history", "chain-late-uniform", "chain-lag-is-h",
+           "chain-filters-and-integral", "chain-too-fast-or-narrow", "chua_synchronization",
+           "distributed_delay", "undelayed-first", "two-after-run", "unblocked-rows-first",
+           "lag-is-2h", "euler", "n=4"}
+
+
+@pytest.mark.parametrize("name, model, initial, method, h, steps", block_cases(),
+                         ids=[case[0] for case in block_cases()])
+def test_blocks_of_steps_change_no_bit(monkeypatch, name, model, initial, method, h, steps):
+    # every stage's derivative is compared, as a last-bit change in one
+    # rarely reaches the states of a short run
+    config = IntegratorConfig(method=method, h=h, horizon=steps * h)
+    runs = []
+    for cap in (0, integrator._BLOCK_STEPS):
+        slopes, columns = [], []
+        eval_rows, stage_rhs = OutputFunction.eval_rows, integrator.rhs
+        # only a block hands g a column of stage times
+        monkeypatch.setattr(OutputFunction, "eval_rows", lambda self, t, u, seen=columns:
+                            seen.append(np.ndim(t) == 2) or eval_rows(self, t, u))
+        monkeypatch.setattr(integrator, "rhs", lambda *args, seen=slopes:
+                            seen.append(stage_rhs(*args).copy()) or seen[-1])
+        monkeypatch.setattr(integrator, "_BLOCK_STEPS", cap)
+        traj = integrate(model, initial, config)
+        monkeypatch.undo()
+        runs.append((traj, np.array(slopes), any(columns)))
+    (plain, plain_slopes, unblocked), (blocked, blocked_slopes, active) = runs
+    assert not unblocked and active == (name in BLOCKED)
+    assert blocked_slopes.tobytes() == plain_slopes.tobytes()
+    assert blocked._record.tobytes() == plain._record.tobytes()
+    assert blocked.stage_extrapolation_count == plain.stage_extrapolation_count
 
 
 def convolution(plan, traj, t, tau):

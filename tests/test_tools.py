@@ -48,6 +48,16 @@ def test_ab_inprocess_compares_a_checkout_with_itself(capsys):
     assert lines[-1] == "bitwise equal: yes"
 
 
+def test_ab_inprocess_compares_the_benchmark_ring(capsys):
+    # ring-30 as bench/workloads.py writes it for seed 1: 30 Chua nodes, at
+    # 2% of its 200 steps
+    assert _run_ab(ROOT, ROOT, 1, "ring_30") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[0] == "ring_30" and lines[1].endswith("/1")
+    assert lines[-2].split() == ["ring_30", "0", "yes"]
+    assert lines[-1] == "bitwise equal: yes"
+
+
 def test_ab_inprocess_keeps_timing_when_the_sides_differ(tmp_path, capsys):
     # side B is this checkout with one number of every run nudged by 1e-9:
     # the last state, or a hidden auxiliary column of the last row, which

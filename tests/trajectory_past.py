@@ -15,9 +15,10 @@ class TrajectoryPast:
 
     def lagged(self, t, taps):
         """The (N, node_dim) block whose row q is node taps.sources[q]'s
-        state at t - lag_q, with the table's plan and segment starts."""
+        state at t - lag_q, with the table's plan and segment starts and the
+        table as its pairs."""
         traj, lags = self.traj, taps.lags_at(t)
         rows = traj.eval_many(t - lags)
         rows = rows.reshape(lags.size, traj.node_count, traj.node_dim)[
             np.arange(lags.size), taps.sources]
-        return rows, taps.plan, taps.starts
+        return rows, taps.plan, taps.starts, taps

@@ -5,8 +5,10 @@
 A and B are checkout roots; each one's ``src/delaynet`` is loaded into this
 process under its own package name, so both sides share one interpreter, one
 numpy and one host phase.  A checkout whose scenario reader finds its schema
-by the fixed name ``delaynet`` needs a ``delaynet`` on ``PYTHONPATH``.  Each
-round integrates every chosen bundled scenario once with each side, the side
+by the fixed name ``delaynet`` needs a ``delaynet`` on ``PYTHONPATH``.  The
+scenarios are the four bundled ones and ``ring_30``, the benchmark's ring-30
+document as ``bench/workloads.py`` writes it for seed 1.  Each
+round integrates every chosen scenario once with each side, the side
 that goes first alternating by round, and compares the two trajectories.
 Per scenario and in total it prints the median time of each side, each next
 to the microseconds per right-hand side it makes (the median over the
@@ -37,6 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = ("chua_synchronization", "linear_network", "distributed_delay", "chua_uncoupled")
+RING = "ring_30"
 STAGES = {"euler": 1, "rk4": 4}
 
 
@@ -54,7 +57,15 @@ def load_package(checkout: Path, name: str):
 def load_case(package, stem: str, scale: float):
     """The scenario's model, history and config, the horizon cut by ``scale``
     to a whole number of steps."""
-    scenario = package.load_scenario(ROOT / "scenarios" / f"{stem}.json")
+    if stem == RING:
+        sys.path.insert(0, str(ROOT / "bench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(ROOT / "bench"))
+        scenario = package.scenario_from_dict(workloads.ring_document(1))
+    else:
+        scenario = package.load_scenario(ROOT / "scenarios" / f"{stem}.json")
     config = scenario.config
     if scale < 1.0:
         steps = max(1, round(config.steps * scale))
@@ -87,12 +98,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--scale", type=float, default=1.0,
                         help="fraction of each scenario's horizon to integrate")
-    parser.add_argument("--scenario", action="append", choices=BUNDLED,
-                        help="a bundled scenario stem; repeat for several (default: all)")
+    parser.add_argument("--scenario", action="append", choices=BUNDLED + (RING,),
+                        help="a scenario stem; repeat for several (default: all)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or not 0.0 < args.scale <= 1.0:
         parser.error("--rounds must be >= 1 and --scale in (0, 1]")
-    stems = args.scenario or list(BUNDLED)
+    stems = args.scenario or list(BUNDLED) + [RING]
     sides = (load_package(args.a, "delaynet_ab_a"), load_package(args.b, "delaynet_ab_b"))
     cases = {stem: [load_case(p, stem, args.scale) for p in sides] for stem in stems}
 
