@@ -364,11 +364,9 @@ class _TapTable(_Nodes):
     pair after its other pairs in j order; ``cells`` holds, pair by pair,
     the flat indices of row i in an (m, n) block.  A tap is one distinct
     (source j, the pair's delays at every delay knot, plan) lookup; pairs
-    that share one share its nodes.  Taps are in lookup order, the order
-    ``_LookupPlan`` gives single nodes: lag 0 first, then by decreasing lag
-    of their first node at the first delay knot, ties in pair order.  As
-    ``_Nodes`` the table holds every tap's quadrature nodes, each reading
-    block j of the state.  Under a
+    that share one share its nodes.  Taps are in build order, that of the
+    first pair to read each.  As ``_Nodes`` the table holds every tap's
+    quadrature nodes, each reading block j of the state.  Under a
     constant A, ``coef`` holds each pair's a_ij as a read-only column;
     under a coupling table it is None and ``rhs`` reads A(t).  ``chain(h)``
     gives the nodes the integrator reads at step h.  As the pairs ``rhs``
@@ -394,17 +392,16 @@ class _TapTable(_Nodes):
             lookup = (j, tuple(tau), id(plan))
             if lookup not in index:
                 index[lookup] = len(taps)
-                taps.append((tau[0] + plan.locations[0], j, tau, plan, model.kernels[i][j]))
+                taps.append((j, tau, plan, model.kernels[i][j]))
             pairs.append(a)
             rows.append(i)
             pair_tap.append(index[lookup])
-        order = sorted(range(len(taps)), key=lambda q: (taps[q][0] != 0.0, -taps[q][0]))
-        sources, delays, plans, kernels = ([taps[q][f] for q in order] for f in range(1, 5))
+        sources, delays, plans, kernels = ([tap[f] for tap in taps] for f in range(4))
         delays = np.array(delays, dtype=float).reshape(len(plans), table.times.size)
         super().__init__(plans, np.repeat(sources, [len(p) for p in plans]), delays, table.times)
         self.pairs = np.array(pairs, dtype=np.intp)
         self.cells = (np.array(rows, dtype=np.intp)[:, None] * n + np.arange(n)).ravel()
-        self.pair_tap = np.argsort(order).take(np.array(pair_tap, dtype=np.intp))
+        self.pair_tap = np.array(pair_tap, dtype=np.intp)
         self.coef = None
         if model.coupling.knots.times.size == 1:
             self.coef = model.coupling.knots.values[0].take(self.pairs)[:, None]

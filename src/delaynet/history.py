@@ -77,13 +77,19 @@ class PiecewiseLinear:
         ts = np.asarray(ts, dtype=float).ravel()
         if self.times.size == 1:
             return np.repeat(self.values, ts.size, axis=0)
-        # piece k runs from knot k-1 to knot k; a time on knot k-1 gets
-        # w = 0, and w is clipped to [0, 1] outside the knots
-        k = np.clip(np.searchsorted(self.times, ts, side="right"), 1, self.times.size - 1)
-        t0, t1 = self.times[k - 1], self.times[k]
-        w = np.clip((ts - t0) / (t1 - t0), 0.0, 1.0)
-        w = w.reshape(w.shape + (1,) * (self.values.ndim - 1))
-        return (1.0 - w) * self.values[k - 1] + w * self.values[k]
+        return _interpolate(self.times, self.values, ts)
+
+
+def _interpolate(times: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The piecewise-linear interpolant of ``values`` at two or more knot
+    ``times``, read at the 1-D array ``ts``; held constant outside the knots."""
+    # piece k runs from knot k-1 to knot k; a time on knot k-1 gets
+    # w = 0, and w is clipped to [0, 1] outside the knots
+    k = np.clip(np.searchsorted(times, ts, side="right"), 1, times.size - 1)
+    t0, t1 = times[k - 1], times[k]
+    w = np.clip((ts - t0) / (t1 - t0), 0.0, 1.0)
+    w = w.reshape(w.shape + (1,) * (values.ndim - 1))
+    return (1.0 - w) * values[k - 1] + w * values[k]
 
 
 class HistoryFunction:
@@ -168,9 +174,11 @@ class Trajectory:
 
     Sample times are strictly increasing starting at 0; the first sample is
     pinned to ``initial(0)`` so evaluation is continuous across t = 0.
-    Evaluation interpolates linearly between samples, is exact at stored
-    sample times, and refuses times past the last sample.  Storage is dense
-    and append-only: distributed kernels may look arbitrarily far back.
+    Evaluation after 0 is the interpolant of ``PiecewiseLinear`` on the
+    samples: linear between them, exact in value at stored sample times
+    (a -0.0 sample may read as +0.0), and it refuses times past the last
+    sample.  Storage is dense and append-only: distributed kernels may look
+    arbitrarily far back.
     """
 
     def __init__(self, initial: HistoryFunction, node_count: int, node_dim: int):
@@ -255,17 +263,7 @@ class Trajectory:
             if np.any(tf > last):
                 raise ValueError(
                     f"cannot extrapolate: t={np.max(tf)} is past the last sample {last}")
-            times = self.times
-            idx = np.searchsorted(times, tf)
-            exact = times[np.minimum(idx, self._n - 1)] == tf
-            lo = idx - 1
-            t0 = times[lo]
-            t1 = times[idx]
-            w = ((tf - t0) / (t1 - t0))[:, None]
-            vals = (1.0 - w) * self._states[lo] + w * self._states[idx]
-            if exact.any():
-                vals[exact] = self._states[idx[exact]]
-            out[fwd] = vals
+            out[fwd] = _interpolate(self.times, self.states, tf)
         return out
 
 

@@ -124,18 +124,16 @@ class _LookupPlan:
     ones by decreasing lag, so that their lookup times increase and at step
     k the ones still before t = 0 (offset < -k) form a prefix of them, empty
     from step ``steady`` on; ``position[q]`` is node q's place in that
-    order, None when it is the node order, as for single-node taps in
-    lookup order (``_TapTable``) with no lag below the step.  ``at_cols``
-    and ``sub_cols`` hold, for each at-stage and sub-step node, the n flat
-    indices of its source block in a record row, and ``initial_cols`` the
-    same for committed ones read from the initial history, row by row.
-    ``blend_cols`` holds the flat indices, relative to sample k, of the two
-    samples a committed node blends, with weights ``blend_weights`` (1 -
-    theta, theta); the second is the first at offset 0, where theta is 0,
-    so no row after the last committed one is read.  When every theta is 0,
-    a node reads one sample, ``blend_cols[0]``, and ``blend_weights`` is
-    None.  ``buffer`` holds the lookups in plan order,
-    filled at step ``buffer_step``, and ``rows`` is a read-only view of it."""
+    order.  ``at_cols`` and ``sub_cols`` hold, for each at-stage and
+    sub-step node, the n flat indices of its source block in a record row,
+    and ``initial_cols`` the same for committed ones read from the initial
+    history, row by row.  ``blend_cols`` holds the flat indices, relative
+    to sample k, of the two samples a committed node blends, with weights
+    ``blend_weights`` (1 - theta, theta); the second is the first at offset
+    0, where theta is 0, so no row after the last committed one is read.
+    When every theta is 0, a node reads one sample, ``blend_cols[0]``, and
+    ``blend_weights`` is None.  ``buffer`` holds the lookups in plan order,
+    filled at step ``buffer_step``."""
 
     def __init__(self, lags: np.ndarray, sources: np.ndarray, c: float, h: float,
                  node_dim: int, dim: int):
@@ -147,7 +145,7 @@ class _LookupPlan:
         committed = np.flatnonzero(~(at_stage | sub_step))
         order = np.concatenate([np.flatnonzero(at_stage), np.flatnonzero(sub_step),
                                 committed[np.argsort(-lags[committed], kind="stable")]])
-        self.position = None if np.array_equal(order, np.arange(order.size)) else np.argsort(order)
+        self.position = np.argsort(order)
         a = self.at_stage_end = int(np.count_nonzero(at_stage))
         b = self.sub_step_end = a + int(np.count_nonzero(sub_step))
         lags, r = lags[order], r[order]
@@ -166,8 +164,6 @@ class _LookupPlan:
             self.blend_cols = np.stack([lo, lo + np.where(self.offsets < 0, dim, 0)[:, None]])
             self.blend_weights = np.stack([1.0 - theta, theta])
         self.buffer = np.empty((lags.size, node_dim))
-        self.rows = self.buffer.view()
-        self.rows.flags.writeable = False
         self.buffer_step = None
 
 
@@ -234,8 +230,7 @@ class _Block:
         self.start = max(plan.steady for plan in plans.values())
         cols, weights, offsets = [], [], []
         for plan in plans.values():
-            place = self.nodes.index if plan.position is None else plan.position[self.nodes.index]
-            q = place - plan.sub_step_end
+            q = plan.position[self.nodes.index] - plan.sub_step_end
             offsets.append(plan.offsets[q])
             if plan.blend_weights is None:
                 cols.append(plan.blend_cols[[0, 0]][:, q])
@@ -252,14 +247,10 @@ class _Block:
         self.back = -int(offsets.min())
         # (blend, node, step, offset, component), then (pair, step, offset, component)
         shape = (2, self.nodes.index.size, L, C, n)
-        cols = (np.stack(cols, axis=2)[:, :, None]
-                + ((np.arange(L) + self.back) * record_dim)[:, None, None])
-        if any(plan.blend_weights is not None for plan in plans.values()):
-            self.cols = cols
-            self.weights = np.ascontiguousarray(
-                np.broadcast_to(np.stack(weights, axis=2)[:, :, None], shape))
-        else:
-            self.cols, self.weights = cols[:1], None
+        self.cols = (np.stack(cols, axis=2)[:, :, None]
+                     + ((np.arange(L) + self.back) * record_dim)[:, None, None])
+        self.weights = np.ascontiguousarray(
+            np.broadcast_to(np.stack(weights, axis=2)[:, :, None], shape))
         self.steps = np.arange(L)
         self.time_of_row = np.broadcast_to(np.arange(L * C).reshape(L, C), shape[1:4]).copy()
         self.bins = ((np.arange(L * C) * dim)[:, None]
@@ -272,13 +263,9 @@ class _Block:
         steps + 1 rows, and rows up to k are written."""
         size = min(self.length, len(record) - 1 - k)
         nodes, n, C = self.nodes, self.n, len(self.column)
-        rows = record.reshape(-1)[(k - self.back) * self.record_dim:].take(
-            self.cols[:, :, :size])
-        if self.weights is None:
-            rows = rows[0]
-        else:
-            terms = self.weights[:, :, :size] * rows
-            rows = terms[0] + terms[1]
+        terms = self.weights[:, :, :size] * record.reshape(-1)[
+            (k - self.back) * self.record_dim:].take(self.cols[:, :, :size])
+        rows = terms[0] + terms[1]
         t = (((k + self.steps[:size]) * self.h)[:, None] + self.times).take(
             self.time_of_row[:, :size].reshape(-1, 1))
         values = self.output.eval_rows(t, rows.reshape(-1, n)).reshape(len(nodes.index), -1, n)
@@ -300,8 +287,7 @@ def _block(model: NetworkModel, nodes, plans, h: float, dim: int, record: np.nda
         return None
     committed = np.ones(nodes.lags.size, dtype=bool)
     for plan in plans.values():
-        place = np.arange(committed.size) if plan.position is None else plan.position
-        committed &= place >= plan.sub_step_end
+        committed &= plan.position >= plan.sub_step_end
     bad = ~np.logical_and.reduceat(committed, nodes.starts)[taps.pair_tap]
     # pairs come row by row: a pair leads when no pair from its row's first to it is bad
     rows = taps.cells[::n] // n
@@ -337,15 +323,15 @@ class _StagePast:
       the initial history with its auxiliary states, exact on tables; the
       rest blend two samples.
 
-    ``lagged`` returns the rows in node order, the plan's read-only
-    ``rows`` themselves when no permutation is needed, the nodes' ``plan``
-    and ``starts``, and the tap table as the pairs that read them.  The
-    split, offsets and weights are resolved once into a ``_LookupPlan`` per
-    stage offset, in a cache keyed on the lags array: one array for a
-    model's life under constant delays, replaced whole when the lags
-    change, as under a delay table at every stage time.  A second stage at
-    one step and offset, as RK4's third, rewrites only the at-stage rows of
-    the plan's buffer, still counting its sub-step ones.
+    ``lagged`` returns the rows, gathered class by class and handed over
+    as a new array in node order, the nodes' ``plan`` and ``starts``, and
+    the tap table as the pairs that read them.  The split, offsets and
+    weights are resolved once into a ``_LookupPlan`` per stage offset, in a
+    cache keyed on the lags array: one array for a model's life under
+    constant delays, replaced whole when the lags change, as under a delay
+    table at every stage time.  A second stage at one step and offset, as
+    RK4's third, rewrites only the at-stage rows of the plan's buffer,
+    still counting its sub-step ones.
 
     Under a constant A and constant delays the plans of every offset are
     made at once, and a ``_Block`` may take each row's leading committed
@@ -398,6 +384,7 @@ class _StagePast:
         if a == len(out):
             return self.x_stage.take(plan.at_cols), nodes.plan, nodes.starts, pairs
         # a second stage at this step and offset keeps all but the at-stage rows
+        # (for runs with no block: delay or coupling tables, long custom tails, lone rows)
         if plan.buffer_step != k:
             plan.buffer_step = k
             if b > a:
@@ -411,6 +398,7 @@ class _StagePast:
             if p < plan.offsets.size:
                 rows = self.traj._record.take(
                     (plan.blend_cols[:, p:] if p else plan.blend_cols) + k * self.record_dim)
+                # one sample, no blend (kept for the same runs as the reuse above)
                 if plan.blend_weights is None:
                     out[b + p:] = rows[0]
                 else:
@@ -419,8 +407,7 @@ class _StagePast:
         if a:
             out[:a] = self.x_stage.take(plan.at_cols)
         self.extrapolations += b - a
-        rows = plan.rows if plan.position is None else out.take(plan.position, axis=0)
-        return rows, nodes.plan, nodes.starts, pairs
+        return out.take(plan.position, axis=0), nodes.plan, nodes.starts, pairs
 
 
 def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:

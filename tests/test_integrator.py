@@ -427,6 +427,13 @@ def oracle_cases():
     yield "density-past-first-knot", oracle_network(
         delays=DelaySchedule.constant(0.05), kernels=uniform(0.0, 4.0, 0.7), node_spacing=1e-2,
         output=CURVED), history, 0.01, 60
+    # a delay below the step beside a longer one, whose lookups the plans
+    # reorder; delays whose off-diagonal lags cross at t = 0.305, so that
+    # the plans' order changes along the run
+    yield "below-h-beside-longer", oracle_network(delays=DelaySchedule.constant(
+        np.array([[0.0, 0.005], [0.05, 0.0]]))), history, 0.01, 50
+    yield "lags-swap", oracle_network(delays=DelaySchedule.table(
+        [0.0, 0.61], [[[0.0, 0.1], [0.25, 0.0]], [[0.0, 0.25], [0.1, 0.0]]])), history, 0.01, 50
 
 
 @pytest.mark.parametrize("name, model, initial, h, steps", oracle_cases(),
@@ -441,7 +448,7 @@ def test_integrate_matches_the_lookup_oracle(name, model, initial, h, steps):
     # shrinking to 0 and a lag of h/2 at the last stage land inside the step;
     # a lag of exactly c*h lands on the step start
     assert (count > 0) == (name in ("below-h", "lag-is-half-h", "mixture-over-table",
-                                    "delay-table"))
+                                    "delay-table", "below-h-beside-longer"))
 
 
 def history_aux(history, key, u):
@@ -726,17 +733,13 @@ def test_synchronized_nodes_stay_bitwise_synchronized(topology, m, tau, c):
     assert np.array_equal(nodes, np.broadcast_to(nodes[:, :1], nodes.shape))
 
 
-def spy_lookup_plans(monkeypatch, force_permutation=False):
-    """Record (stage offset, permutation kept) for every lookup plan built;
-    with ``force_permutation`` a plan in node order takes an explicit
-    ``arange`` in place of no permutation."""
+def spy_lookup_plans(monkeypatch):
+    """Record the stage offset of every lookup plan built."""
     seen, build = [], integrator._LookupPlan.__init__
 
     def spy(self, lags, *args):
         build(self, lags, *args)
-        if force_permutation and self.position is None:
-            self.position = np.arange(lags.size)
-        seen.append((args[1], self.position is not None))
+        seen.append(args[1])
 
     monkeypatch.setattr(integrator._LookupPlan, "__init__", spy)
     return seen
@@ -763,60 +766,12 @@ def dirac_only_models():
             [0.0, 0.5, 1.0],
             # every pair is a block pair, and the stages look nothing up
             [0.0, 0.5, 1.0]]))])
-def test_taps_in_lookup_order_build_no_permutation(monkeypatch, model, offsets):
+def test_lookup_plans_are_built_once_per_stage_offset_and_block_part(monkeypatch, model,
+                                                                     offsets):
     seen = spy_lookup_plans(monkeypatch)
     initial = HistoryFunction.constant(np.tile([0.7, -0.1, -0.6, 0.2][:model.n], model.m))
     integrate(model, initial, IntegratorConfig(method="rk4", h=0.01, horizon=0.2))
-    assert [c for c, _ in seen] == offsets
-    assert not any(kept for _, kept in seen)
-
-
-def permuted_models():
-    """Models whose lookup plans still need a permutation: a delay below the
-    step beside a longer one, a custom g on a density's quadrature nodes
-    (by increasing lag within the tap), and a delay table whose off-diagonal
-    lags swap order at t = 0.305."""
-    yield "below-h", oracle_network(delays=DelaySchedule.constant(
-        np.array([[0.0, 0.005], [0.05, 0.0]])))
-    yield "custom-density", oracle_network(
-        delays=DelaySchedule.offdiagonal(0.05), kernels=exponential(2.0), node_spacing=1e-2,
-        output=CURVED)
-    yield "lags-swap", oracle_network(delays=DelaySchedule.table(
-        [0.0, 0.61], [[[0.0, 0.1], [0.25, 0.0]], [[0.0, 0.25], [0.1, 0.0]]]))
-
-
-@pytest.mark.parametrize("name, model", permuted_models(),
-                         ids=[case[0] for case in permuted_models()])
-def test_lookup_plans_keep_a_permutation_where_the_order_needs_one(monkeypatch, name, model):
-    seen = spy_lookup_plans(monkeypatch)
-    integrate(model, TABLE_HISTORY, IntegratorConfig(method="rk4", h=0.01, horizon=0.5))
-    assert any(kept for _, kept in seen)
-    if name == "lags-swap":
-        # in lookup order at the first knot, permuted once the lags cross
-        assert not seen[0][1] and seen[-1][1]
-
-
-def integrate_cases():
-    yield "dirac", next(dirac_only_models()), HistoryFunction.constant(
-        np.tile([0.7, -0.1, -0.6], 4)), IntegratorConfig(h=2e-3, horizon=0.2)
-    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
-                             / "distributed_delay.json")
-    yield "distributed-delay", scenario.model, scenario.history, IntegratorConfig(
-        h=scenario.config.h, horizon=200 * scenario.config.h)
-    for name, model in permuted_models():
-        yield name, model, TABLE_HISTORY, IntegratorConfig(h=0.01, horizon=0.5)
-
-
-@pytest.mark.parametrize("name, model, initial, config", integrate_cases(),
-                         ids=[case[0] for case in integrate_cases()])
-def test_skipping_the_identity_permutation_keeps_every_bit(monkeypatch, name, model, initial,
-                                                           config):
-    plain = integrate(model, initial, config)
-    seen = spy_lookup_plans(monkeypatch, force_permutation=True)
-    forced = integrate(model, initial, config)
-    assert all(kept for _, kept in seen)
-    assert forced._record.tobytes() == plain._record.tobytes()
-    assert forced.stage_extrapolation_count == plain.stage_extrapolation_count
+    assert seen == offsets
 
 
 def block_cases():
@@ -873,10 +828,10 @@ def block_cases():
 
 # the cases whose run makes at least one block
 BLOCKED = {"oracle-on-grid", "oracle-off-grid", "oracle-lag-is-h", "oracle-late-uniform",
-           "chain-table-history", "chain-late-uniform", "chain-lag-is-h",
-           "chain-filters-and-integral", "chain-too-fast-or-narrow", "chua_synchronization",
-           "distributed_delay", "undelayed-first", "two-after-run", "unblocked-rows-first",
-           "lag-is-2h", "euler", "n=4"}
+           "oracle-below-h-beside-longer", "chain-table-history", "chain-late-uniform",
+           "chain-lag-is-h", "chain-filters-and-integral", "chain-too-fast-or-narrow",
+           "chua_synchronization", "distributed_delay", "undelayed-first", "two-after-run",
+           "unblocked-rows-first", "lag-is-2h", "euler", "n=4"}
 
 
 @pytest.mark.parametrize("name, model, initial, method, h, steps", block_cases(),

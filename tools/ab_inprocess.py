@@ -7,8 +7,20 @@ process under its own package name, so both sides share one interpreter, one
 numpy and one host phase.  A checkout whose scenario reader finds its schema
 by the fixed name ``delaynet`` needs a ``delaynet`` on ``PYTHONPATH``.  The
 scenarios are the four bundled ones and ``ring_30``, the benchmark's ring-30
-document as ``bench/workloads.py`` writes it for seed 1.  Each
-round integrates every chosen scenario once with each side, the side
+document as ``bench/workloads.py`` writes it for seed 1.  Cases off the
+benchmark, built in code, run only when named with ``--scenario``:
+
+- ``mixture_{table,constant}_{linear,custom}``: three all-to-all Chua
+  nodes at c = 1, every pair's kernel a Dirac mass 0.5 at 0 plus a uniform
+  density 0.5 on [0, 7.45], quadrature nodes 0.005 apart, h = 2e-3 and
+  horizon 0.2.  The off-diagonal delay rises from 0.01 to 0.03 over the
+  run under ``table`` and stays 0.01 under ``constant``; the output is g =
+  u, linear, or the custom g = u + 0.0, which reads every quadrature node.
+- ``below_h_beside_longer``: three all-to-all Chua nodes at c = 1, each
+  reading the next node 0.001 back, below the step h = 2e-3, and the
+  previous one 0.05 back; horizon 1.
+
+Each round integrates every chosen scenario once with each side, the side
 that goes first alternating by round, and compares the two trajectories.
 Per scenario and in total it prints the median time of each side, each next
 to the microseconds per right-hand side it makes (the median over the
@@ -54,23 +66,53 @@ def load_package(checkout: Path, name: str):
     return package
 
 
+OFF_BENCHMARK = tuple(f"mixture_{delays}_{output}" for delays in ("table", "constant")
+                      for output in ("linear", "custom")) + ("below_h_beside_longer",)
+
+
+def off_benchmark_case(package, stem: str):
+    """The model, history and config of a case off the benchmark."""
+    p, off = package, 1.0 - np.eye(3)
+    output = p.linear_output(np.eye(3))
+    if stem == "below_h_beside_longer":
+        D = 0.001 * np.roll(np.eye(3), 1, axis=1) + 0.05 * np.roll(np.eye(3), -1, axis=1)
+        delays, kernel, spacing, horizon = p.DelaySchedule.constant(D), p.dirac(), 1e-3, 1.0
+    else:
+        _, schedule, g = stem.split("_")
+        delays = (p.DelaySchedule.table([0.0, 0.2], [0.01 * off, 0.03 * off])
+                  if schedule == "table" else p.DelaySchedule.offdiagonal(0.01))
+        if g == "custom":
+            output = p.OutputFunction(dim=3, fn=lambda t, u: u + 0.0, kappa=1.0)
+        kernel = p.mixture(p.dirac(0.0, 0.5), p.uniform(0.0, 7.45, 0.5))
+        spacing, horizon = 0.005, 0.2
+    model = p.NetworkModel(
+        m=3, node=p.chua_node(), output=output,
+        coupling=p.CouplingSchedule.constant(p.named_topology("all-to-all", 3)),
+        delays=delays, kernels=kernel, node_spacing=spacing)
+    history = p.HistoryFunction.constant([0.7, -0.1, -0.6, 0.72, -0.12, -0.58, 0.68, -0.08, -0.62])
+    return model, history, p.IntegratorConfig(h=2e-3, horizon=horizon)
+
+
 def load_case(package, stem: str, scale: float):
     """The scenario's model, history and config, the horizon cut by ``scale``
     to a whole number of steps."""
-    if stem == RING:
-        sys.path.insert(0, str(ROOT / "bench"))
-        try:
-            import workloads
-        finally:
-            sys.path.remove(str(ROOT / "bench"))
-        scenario = package.scenario_from_dict(workloads.ring_document(1))
+    if stem in OFF_BENCHMARK:
+        model, history, config = off_benchmark_case(package, stem)
     else:
-        scenario = package.load_scenario(ROOT / "scenarios" / f"{stem}.json")
-    config = scenario.config
+        if stem == RING:
+            sys.path.insert(0, str(ROOT / "bench"))
+            try:
+                import workloads
+            finally:
+                sys.path.remove(str(ROOT / "bench"))
+            scenario = package.scenario_from_dict(workloads.ring_document(1))
+        else:
+            scenario = package.load_scenario(ROOT / "scenarios" / f"{stem}.json")
+        model, history, config = scenario.model, scenario.history, scenario.config
     if scale < 1.0:
         steps = max(1, round(config.steps * scale))
         config = dataclasses.replace(config, horizon=steps * config.h)
-    return scenario.model, scenario.history, config
+    return model, history, config
 
 
 def _bitwise(a, b) -> bool:
@@ -98,8 +140,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--scale", type=float, default=1.0,
                         help="fraction of each scenario's horizon to integrate")
-    parser.add_argument("--scenario", action="append", choices=BUNDLED + (RING,),
-                        help="a scenario stem; repeat for several (default: all)")
+    parser.add_argument("--scenario", action="append",
+                        choices=BUNDLED + (RING,) + OFF_BENCHMARK,
+                        help="a scenario stem or a case off the benchmark; repeat for "
+                             "several (default: the bundled ones and ring_30)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or not 0.0 < args.scale <= 1.0:
         parser.error("--rounds must be >= 1 and --scale in (0, 1]")
