@@ -284,14 +284,17 @@ class NetworkModel:
         plans = [build_quadrature(k, self.tail_tol, self.node_spacing) for k in self._distinct]
         self.plans = tuple(tuple(plans[s] for s in row) for row in self._kernel_index.tolist())
         self.taps = _TapTable(self)
+        # what every ``rhs`` call reads, resolved once: the size and (m, n)
+        # shape of the state, and with no pair a read-only zero coupling
+        self.dim, self._shape = m * node.dim, (m, node.dim)
+        self._uncoupled = None
+        if not self.taps.pairs.size:
+            self._uncoupled = np.zeros(self.dim)
+            self._uncoupled.flags.writeable = False
 
     @property
     def n(self) -> int:
         return self.node.dim
-
-    @property
-    def dim(self) -> int:
-        return self.m * self.node.dim
 
     def per_kernel(self, fn) -> np.ndarray:
         """The number ``fn(kernel)`` for every pair, as an m x m array; fn is
@@ -476,13 +479,13 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
     count; raises ``NonFiniteDerivative`` naming the first node whose
     derivative is not finite.
     """
-    m, n = model.m, model.node.dim
+    shape, size, taps = model._shape, model.dim, model.taps
     x_now = _floats(past(t)).ravel()
-    if x_now.shape != (m * n,):
-        raise ValueError(f"past evaluator returned shape {x_now.shape}, expected ({m * n},)")
-    X = x_now.reshape(m, n)
-    taps = model.taps
-    if taps.pairs.size:
+    if x_now.size != size:
+        raise ValueError(f"past evaluator returned shape {x_now.shape}, expected ({size},)")
+    X = x_now.reshape(shape)
+    coupled = model._uncoupled
+    if coupled is None:
         rows, plan, starts, pairs = past.lagged(t, taps)
         coupled = pairs.prefix
         if rows is not None:
@@ -497,16 +500,14 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
             # couplings, the self pair last, so symmetric contributions cancel
             # before the node term is added
             if pairs.cells is not None:
-                terms = np.bincount(pairs.cells, terms, m * n)
+                terms = np.bincount(pairs.cells, terms, size)
             # a prefix is such a sum of each row's leading pairs, so never
             # -0.0: adding it to 0.0 + p is adding it to p
             coupled = terms if coupled is None else coupled + terms
-    else:
-        coupled = np.zeros(m * n)
     out = model.node.eval(t, X).ravel() + coupled
     finite = np.isfinite(out)
-    if np.count_nonzero(finite) != out.size:
-        raise NonFiniteDerivative(t, int(np.argmin(finite.reshape(m, n).all(axis=1))))
+    if np.count_nonzero(finite) != size:
+        raise NonFiniteDerivative(t, int(np.argmin(finite.reshape(shape).all(axis=1))))
     return out
 
 
@@ -542,12 +543,14 @@ def chua_node(alpha: float = 9.0, beta: float = 100.0 / 7.0,
         L = max(L, float(np.linalg.norm(J, 2)))
     # C order: with the strided J.T, one row rounds unlike that row in a block
     outer_T = np.ascontiguousarray(J.T)
-    bend = alpha * (m0 - m1)
+    # 0-d operands: numpy converts a Python float at each call
+    bend, lo, hi = np.array(alpha * (m0 - m1)), np.array(-1.0), np.array(1.0)
 
     def fn(t, u):
         u = _floats(u)
         out = u @ outer_T
-        out[..., 0] -= bend * np.minimum(np.maximum(u[..., 0], -1.0), 1.0)  # np.clip, faster
+        first = out[..., 0]  # a view, changed in place
+        first -= bend * np.minimum(np.maximum(u[..., 0], lo), hi)  # np.clip, faster
         return out
 
     return NodeDynamics(dim=3, fn=fn, lipschitz_hint=L, name="chua")

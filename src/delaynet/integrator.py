@@ -44,6 +44,8 @@ derivative is not finite.
 
 Each stage's slope joins the step's sum as it returns, and the new state
 is computed straight into its row of a record sized for the whole run.
+Every scalar operand of a stage's arithmetic is a 0-d array bound once per
+run, and a block resolves each stage offset's column and plan when made.
 Each step makes one magnitude test of that state, which also catches NaN
 and inf.  Integration halts with ``BlowUpError`` as soon as a state
 component leaves [-1e12, 1e12] or turns non-finite.  A run is strictly
@@ -215,7 +217,6 @@ class _Block:
                  record_dim: int):
         C = len(plans)
         self.output, self.h, self.n, self.dim, self.record_dim = output, h, n, dim, record_dim
-        self.column = {c: i for i, c in enumerate(plans)}
         self.times = np.array([c * h for c in plans])
         parts = []
         for sel in (block, ~block):
@@ -226,7 +227,11 @@ class _Block:
         cells = taps.cells.reshape(-1, n)
         self.coef = taps.coef[block]
         self.pairs = _StagePairs(stage_tap, taps.coef[~block], cells[~block].ravel(), dim)
-        self.stage_plans = {}
+        # per stage offset: its column of ``sums`` and the plan of the other
+        # pairs' lookups, None when there is no other pair
+        stage = self.stage
+        self.by_offset = {c: (i, _LookupPlan(stage.lags, stage.sources, c, h, n, record_dim)
+                              if stage.lags.size else None) for i, c in enumerate(plans)}
         self.start = max(plan.steady for plan in plans.values())
         cols, weights, offsets = [], [], []
         for plan in plans.values():
@@ -262,7 +267,7 @@ class _Block:
         """The block of steps k, k + 1, ...: the record holds the run's
         steps + 1 rows, and rows up to k are written."""
         size = min(self.length, len(record) - 1 - k)
-        nodes, n, C = self.nodes, self.n, len(self.column)
+        nodes, n, C = self.nodes, self.n, len(self.by_offset)
         terms = self.weights[:, :, :size] * record.reshape(-1)[
             (k - self.back) * self.record_dim:].take(self.cols[:, :, :size])
         rows = terms[0] + terms[1]
@@ -363,23 +368,22 @@ class _StagePast:
             raise AssertionError("stage lookup away from the stage time")
         k, block = self.k, self.block
         if block is not None and k >= block.start:
-            nodes, pairs, plans = block.stage, block.pairs, block.stage_plans
             if k >= block.end:
                 block.make(self.traj._record, k)
-            pairs.prefix = block.sums[k - block.first, block.column[self.c]]
-            if not nodes.lags.size:
+            column, plan = block.by_offset[self.c]
+            nodes, pairs = block.stage, block.pairs
+            pairs.prefix = block.sums[k - block.first, column]
+            if plan is None:
                 return None, None, None, pairs
-            lags = nodes.lags
         else:
             nodes, pairs = self.nodes, taps
             lags = nodes.lags if nodes.delays is None else nodes.lags_at(t)
             if lags is not self._lags and not np.array_equal(lags, self._lags):
                 self._lags, self._plans = lags, {}
-            plans = self._plans
-        plan = plans.get(self.c)
-        if plan is None:
-            plan = plans[self.c] = _LookupPlan(
-                lags, nodes.sources, self.c, self.h, self.traj.node_dim, self.record_dim)
+            plan = self._plans.get(self.c)
+            if plan is None:
+                plan = self._plans[self.c] = _LookupPlan(
+                    lags, nodes.sources, self.c, self.h, self.traj.node_dim, self.record_dim)
         a, b, out = plan.at_stage_end, plan.sub_step_end, plan.buffer
         if a == len(out):
             return self.x_stage.take(plan.at_cols), nodes.plan, nodes.starts, pairs
@@ -431,8 +435,11 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     # one slope vector per stage, rewritten at every step; the auxiliary
     # slopes go into its tail
     slopes = np.empty((len(stages), record.shape[1]))
-    shifts = [(c, c * h, a * h, b, s, s[dim:]) for (c, a, b), s in zip(stages, slopes)]
-    scale = h / divisor
+    # every scalar operand of a stage's ufuncs is a 0-d array, bound once:
+    # numpy converts a Python float at each call, and the product is the same
+    shifts = [(c, c * h, np.array(a * h), b == 1.0, np.array(b), s, s[dim:])
+              for (c, a, b), s in zip(stages, slopes)]
+    scale = np.array(h / divisor)
     past = _StagePast(traj, h, extended, nodes, model, dict.fromkeys(c for c, _, _ in stages))
     x = record[0]
     try:
@@ -442,7 +449,7 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
             past.k, past.x_base, past.slope = k, x, None
             incr = None
             try:
-                for c, ch, ah, b, ext, aux in shifts:
+                for c, ch, ah, unit, b, ext, aux in shifts:
                     y = past.x_stage = x if incr is None else x + ah * slope
                     past.c, past.t_stage = c, t + ch
                     slope = rhs(model, past.t_stage, past)
@@ -452,7 +459,7 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
                         slope = ext
                     # each slope joins the sum as it returns, in stage order:
                     # ((k1 + 2 k2) + 2 k3) + k4 for RK4; another order changes bits
-                    term = slope if b == 1.0 else b * slope
+                    term = slope if unit else b * slope
                     if incr is None:
                         past.slope, incr = slope, term
                     else:

@@ -854,6 +854,9 @@ def test_blocks_of_steps_change_no_bit(monkeypatch, name, model, initial, method
         monkeypatch.undo()
         runs.append((traj, np.array(slopes), any(columns)))
     (plain, plain_slopes, unblocked), (blocked, blocked_slopes, active) = runs
+    # the patched seam saw every stage of both runs, so no slope list is empty
+    stages = {"euler": 1, "rk4": 4}[method]
+    assert len(plain_slopes) == len(blocked_slopes) == steps * stages
     assert not unblocked and active == (name in BLOCKED)
     assert blocked_slopes.tobytes() == plain_slopes.tobytes()
     assert blocked._record.tobytes() == plain._record.tobytes()

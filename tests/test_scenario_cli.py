@@ -1,5 +1,6 @@
 """Scenario loading, the published schema, artifact writing, CLI exit codes."""
 
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -662,6 +663,33 @@ def test_run_with_a_non_finite_field_blows_up_first_and_exits_4(tmp_path, monkey
     assert summary["blowup"]["time"] == 0.0
     assert summary["failures"] == ["certificate", "constants"]
     assert summary["envelope"] is None
+
+
+def test_run_with_a_failing_envelope_exits_3_and_still_writes_it(tmp_path, monkeypatch):
+    # eta = 0 claims that M(t) never grows, which a state leaving x(0) by
+    # more than the floor M >= 1/2 breaks; the certificate itself passes
+    from delaynet import scenario as scenario_module
+
+    certify = scenario_module.certify
+
+    def no_growth(*args):
+        result, constants, seed = certify(*args)
+        return result, dataclasses.replace(constants, eta=0.0), seed
+
+    monkeypatch.setattr(scenario_module, "certify", no_growth)
+    doc = minimal_doc(certificate={"type": "lipschitz", "epsilon": 0.1, "budget": 50},
+                      history={"type": "constant", "value": [2.0, -2.0]},
+                      integrator={"step": 0.01, "horizon": 1.0})
+    summary, code = run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
+    assert code == 3
+    assert summary["failures"] == ["envelope"]
+    assert summary["certificate"]["passed"] is True
+    assert summary["certificate"]["eta"] == 0.0
+    assert summary["envelope"]["verdict"] is False
+    assert summary["envelope"]["max_violation"] > 1.0
+    assert summary["artifacts"]["envelope"] == str(tmp_path / "envelope.csv")
+    rows = (tmp_path / "envelope.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + summary["samples"] == 102
 
 
 def test_console_entry_point_is_installed():

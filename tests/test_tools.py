@@ -1,5 +1,6 @@
 """The developer scripts under tools/."""
 
+import copy
 import dataclasses
 import importlib
 import importlib.util
@@ -9,16 +10,23 @@ import shutil
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_ab(a: Path, b: Path, rounds: int, *stems: str, scale: str = "0.02") -> int:
+def _ab_tool():
     spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
+    return ab
+
+
+def _run_ab(a: Path, b: Path, rounds: int, *stems: str, scale: str = "0.02") -> int:
+    ab = _ab_tool()
     try:
         return ab.main([str(a), str(b), "--rounds", str(rounds), "--scale", scale]
                        + [arg for stem in stems or ("linear_network",)
@@ -60,18 +68,43 @@ def test_ab_inprocess_compares_the_benchmark_ring(capsys):
 
 
 def test_ab_inprocess_runs_the_cases_off_the_benchmark(capsys):
-    # the delay-table and custom-output models of the roadmap, and a delay
-    # below the step beside a longer one, built in code; none of them is in
-    # the default set, whose total stays over the five scenarios
+    # the delay-table and custom-output models of the roadmap, a delay below
+    # the step beside a longer one, and 100 all-to-all Chua nodes, built in
+    # code; none of them is in the default set, whose total stays over the
+    # five scenarios
     cases = ("mixture_table_linear", "mixture_table_custom", "mixture_constant_linear",
-             "mixture_constant_custom", "below_h_beside_longer")
+             "mixture_constant_custom", "below_h_beside_longer", "all_to_all_100")
     start = time.perf_counter()
     assert _run_ab(ROOT, ROOT, 1, *cases, scale="0.05") == 0
     assert time.perf_counter() - start < 2.0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[1:7]] == list(cases) + ["total"]
-    assert [line.split() for line in lines[-6:-1]] == [[name, "0", "yes"] for name in cases]
+    assert [line.split()[0] for line in lines[1:8]] == list(cases) + ["total"]
+    assert [line.split() for line in lines[-7:-1]] == [[name, "0", "yes"] for name in cases]
     assert lines[-1] == "bitwise equal: yes"
+
+
+def test_ab_inprocess_matches_hidden_columns_by_state_column_and_rate():
+    # three running integrals, one per source: side B lays their blocks out
+    # in another order, which moves no value
+    import delaynet
+    from delaynet import integrate
+
+    ab = _ab_tool()
+    case = ab.load_case(delaynet, "mixture_constant_linear", 0.05)
+    traj = integrate(*case)
+    _, cols, rates = case[0].taps.chain(case[2].h)
+    assert cols.size == 9 and not rates.any()
+    order = np.roll(np.arange(9), 3)
+    moved = copy.copy(traj)
+    moved._record = traj._record.copy()
+    moved._record[:, traj.dim:] = traj._record[:, traj.dim + order]
+    moved._states = moved._record[:, :traj.dim]
+    taps = SimpleNamespace(chain=lambda h: (None, cols[order], rates[order]))
+    moved_case = (SimpleNamespace(taps=taps),) + case[1:]
+    assert moved._record[:len(traj)].tobytes() != traj._record[:len(traj)].tobytes()
+    assert ab._same(traj, moved, case, moved_case)
+    moved._record[len(traj) - 1, -1] += 1e-9
+    assert not ab._same(traj, moved, case, moved_case)
 
 
 def test_ab_inprocess_keeps_timing_when_the_sides_differ(tmp_path, capsys):

@@ -19,6 +19,10 @@ benchmark, built in code, run only when named with ``--scenario``:
 - ``below_h_beside_longer``: three all-to-all Chua nodes at c = 1, each
   reading the next node 0.001 back, below the step h = 2e-3, and the
   previous one 0.05 back; horizon 1.
+- ``all_to_all_100``: 100 all-to-all Chua nodes, ``make_example(3)`` with
+  c = 1, tau = 0.01 and Gamma = I, from a constant history 0.1 times
+  standard normals (seed 100), h = 2e-3 and 200 steps; the largest model
+  of the m = 3 ... 100 scaling runs in ROADMAP.md.
 
 Each round integrates every chosen scenario once with each side, the side
 that goes first alternating by round, and compares the two trajectories.
@@ -28,8 +32,10 @@ right-hand sides of a run: steps times stages), the median of the paired
 ratios B/A and the number of rounds B was faster; then, per scenario, the
 largest absolute state difference over all rounds.  It exits 1
 when any scenario's trajectories are not bitwise equal, after timing every
-round: times, the whole record with any auxiliary columns after the state,
-and the count of sub-step lookups.  ``--scale`` shortens every horizon, for a quick check.
+round: times, states, the count of sub-step lookups, and any auxiliary
+columns of the record, matched by the (state column, rate) that each side's
+``model.taps.chain(h)`` gives them, as their order follows the order of the
+taps.  ``--scale`` shortens every horizon, for a quick check.
 
 A shared host can change speed by tens of percent over minutes, so
 processes run minutes apart can differ by more than the change under test;
@@ -67,12 +73,19 @@ def load_package(checkout: Path, name: str):
 
 
 OFF_BENCHMARK = tuple(f"mixture_{delays}_{output}" for delays in ("table", "constant")
-                      for output in ("linear", "custom")) + ("below_h_beside_longer",)
+                      for output in ("linear", "custom")) + ("below_h_beside_longer",
+                                                             "all_to_all_100")
 
 
 def off_benchmark_case(package, stem: str):
     """The model, history and config of a case off the benchmark."""
     p, off = package, 1.0 - np.eye(3)
+    if stem == "all_to_all_100":
+        model = p.make_example(3, node=p.chua_node(), Gamma=np.eye(3), tau=0.01,
+                               topology="all-to-all", c=1.0, m=100)
+        history = p.HistoryFunction.constant(
+            0.1 * np.random.default_rng(100).standard_normal(300))
+        return model, history, p.IntegratorConfig(h=2e-3, horizon=200 * 2e-3)
     output = p.linear_output(np.eye(3))
     if stem == "below_h_beside_longer":
         D = 0.001 * np.roll(np.eye(3), 1, axis=1) + 0.05 * np.roll(np.eye(3), -1, axis=1)
@@ -120,6 +133,24 @@ def _bitwise(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _hidden(traj, model, h):
+    """The record's auxiliary columns in (state column, rate) order, and
+    those keys."""
+    _, cols, rates = model.taps.chain(h)
+    order = np.lexsort((rates, cols))
+    return (traj._record[:len(traj), traj.dim + order],
+            list(zip(cols[order].tolist(), rates[order].tolist())))
+
+
+def _same(ta, tb, case_a, case_b) -> bool:
+    """Bitwise equal times, states, auxiliary columns and sub-step counts."""
+    (ha, keys_a), (hb, keys_b) = (_hidden(traj, case[0], case[2].h)
+                                  for traj, case in ((ta, case_a), (tb, case_b)))
+    return (_bitwise(ta.times, tb.times) and _bitwise(ta.states, tb.states)
+            and keys_a == keys_b and _bitwise(ha, hb)
+            and ta.stage_extrapolation_count == tb.stage_extrapolation_count)
+
+
 def _largest_gap(a, b) -> float:
     """max |b - a| over the states; inf when the records differ in length."""
     if a.states.shape != b.states.shape:
@@ -162,9 +193,7 @@ def main(argv=None) -> int:
                 dt, trajs[s] = timed(sides[s], cases[stem][s])
                 times[stem][s].append(dt)
             ta, tb = trajs
-            equal[stem] &= (_bitwise(ta.times, tb.times)
-                            and _bitwise(ta._record[:len(ta)], tb._record[:len(tb)])
-                            and ta.stage_extrapolation_count == tb.stage_extrapolation_count)
+            equal[stem] &= _same(ta, tb, *cases[stem])
             gaps[stem] = max(gaps[stem], _largest_gap(ta, tb))
 
     calls = {stem: cases[stem][0][2].steps * STAGES[cases[stem][0][2].method] for stem in stems}
