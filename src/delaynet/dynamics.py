@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .history import PiecewiseLinear
-from .kernels import (DelayKernel, ExponentialDensity, QuadraturePlan, _floats,
+from .kernels import (_FLOAT, DelayKernel, ExponentialDensity, QuadraturePlan, _floats,
                       build_quadrature, dirac)
 
 __all__ = [
@@ -95,7 +95,13 @@ class NodeDynamics:
     def eval(self, t, u: np.ndarray) -> np.ndarray:
         """f(t, .) on a (..., dim) block of node states; ``t`` is a float or
         a column of per-row times."""
-        return _apply_batch(self.fn, t, u, "node field f")
+        out = self.fn(t, u)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+            out = np.asarray(out, dtype=float)
+        shape = u.shape if isinstance(u, np.ndarray) else np.shape(u)
+        if out.shape != shape:
+            raise ValueError(f"node field f returned shape {out.shape}, expected {shape}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -124,19 +130,17 @@ class OutputFunction:
     def eval_rows(self, t, rows: np.ndarray) -> np.ndarray:
         """g(t, .) on a (..., dim) block, every row in one call; ``t`` is a
         float or a column of per-row times."""
-        return _apply_batch(self.fn, t, rows, "output g")
+        out = self.fn(t, rows)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+            out = np.asarray(out, dtype=float)
+        shape = rows.shape if isinstance(rows, np.ndarray) else np.shape(rows)
+        if out.shape != shape:
+            raise ValueError(f"output g returned shape {out.shape}, expected {shape}")
+        return out
 
     def _as_linear(self) -> "OutputFunction":
         object.__setattr__(self, "_linear", True)
         return self
-
-
-def _apply_batch(fn, t, u: np.ndarray, what: str) -> np.ndarray:
-    out = _floats(fn(t, u))
-    shape = u.shape if isinstance(u, np.ndarray) else np.shape(u)
-    if out.shape != shape:
-        raise ValueError(f"{what} returned shape {out.shape}, expected {shape}")
-    return out
 
 
 class CouplingSchedule:
@@ -284,9 +288,10 @@ class NetworkModel:
         plans = [build_quadrature(k, self.tail_tol, self.node_spacing) for k in self._distinct]
         self.plans = tuple(tuple(plans[s] for s in row) for row in self._kernel_index.tolist())
         self.taps = _TapTable(self)
-        # what every ``rhs`` call reads, resolved once: the size and (m, n)
-        # shape of the state, and with no pair a read-only zero coupling
+        # resolved once for ``rhs``: the state's size, (m, n) shape and
+        # all-finite mask as bytes, and with no pair a read-only zero coupling
         self.dim, self._shape = m * node.dim, (m, node.dim)
+        self._finite = b"\x01" * self.dim
         self._uncoupled = None
         if not self.taps.pairs.size:
             self._uncoupled = np.zeros(self.dim)
@@ -318,9 +323,11 @@ def _kernel_grid(kernels, m: int):
 class _Nodes:
     """Lookup nodes, tap by tap: node q reads block ``sources[q]`` of a state
     vector at lag tau + ``plan.locations[q]``, tau its tap's delay, weighing
-    ``plan.weights[q]``; ``starts`` holds each tap's first node.  Under
-    constant delays the lags are one read-only array, ``lags``; under a
-    delay table ``lags_at`` interpolates each tap's ``delays``."""
+    ``plan.weights[q]``; ``starts`` holds each tap's first node, and
+    ``sum_plan`` is ``plan``, or None when each tap is one node of weight 1.0
+    and so its own integral.  Under constant delays the lags are one
+    read-only array, ``lags``; under a delay table ``lags_at`` interpolates
+    each tap's ``delays``."""
 
     def __init__(self, plans, sources, delays: np.ndarray, times: np.ndarray):
         self.sizes = np.array([len(p) for p in plans], dtype=np.intp)
@@ -330,6 +337,8 @@ class _Nodes:
             weights=np.concatenate([p.weights for p in plans] or [np.zeros(0)]),
             truncation_horizon=max((p.truncation_horizon for p in plans), default=0.0),
             tail_mass_bound=max((p.tail_mass_bound for p in plans), default=0.0))
+        # as in ``QuadraturePlan.apply``: 1.0 x is x, and one node its own sum
+        self.sum_plan = None if self.plan._unit and len(self.plan) == self.sizes.size else self.plan
         self.sources = np.array(sources, dtype=np.intp)
         self.sources.flags.writeable = False
         if times.size > 1 and plans:
@@ -353,8 +362,9 @@ class _Nodes:
         part.sizes = self.sizes[taps]
         part.starts = np.cumsum(part.sizes) - part.sizes
         plan = self.plan
-        part.plan = QuadraturePlan(plan.locations[part.index], plan.weights[part.index],
-                                   plan.truncation_horizon, plan.tail_mass_bound)
+        part.plan = plan = QuadraturePlan(plan.locations[part.index], plan.weights[part.index],
+                                          plan.truncation_horizon, plan.tail_mass_bound)
+        part.sum_plan = None if plan._unit and len(plan) == part.sizes.size else plan
         part.sources, part.delays, part.lags = self.sources[part.index], None, self.lags[part.index]
         return part
 
@@ -370,7 +380,7 @@ class _TapTable(_Nodes):
     that share one share its nodes.  Taps are in build order, that of the
     first pair to read each.  As ``_Nodes`` the table holds every tap's
     quadrature nodes, each reading block j of the state.  Under a
-    constant A, ``coef`` holds each pair's a_ij as a read-only column;
+    constant A, ``coef`` holds each pair's a_ij over n columns, read-only;
     under a coupling table it is None and ``rhs`` reads A(t).  ``chain(h)``
     gives the nodes the integrator reads at step h.  As the pairs ``rhs``
     sums, the table has no ``prefix``.
@@ -407,7 +417,7 @@ class _TapTable(_Nodes):
         self.pair_tap = np.array(pair_tap, dtype=np.intp)
         self.coef = None
         if model.coupling.knots.times.size == 1:
-            self.coef = model.coupling.knots.values[0].take(self.pairs)[:, None]
+            self.coef = np.repeat(model.coupling.knots.values[0].take(self.pairs)[:, None], n, 1)
             self.coef.flags.writeable = False
         self._chain = (model.output._linear, m, n, list(zip(sources, kernels, plans)),
                        delays, table.times)
@@ -459,24 +469,27 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
 
     ``past(t)`` is the stacked state vector at t, and
     ``past.lagged(t, taps)`` the lookup of the model's tap table: the rows
-    to hand to g, the ``QuadraturePlan`` of their weights, the first row
-    of each tap, and the pairs that read those taps.  A past that reads
-    the table itself serves row q as x_{sources[q]}(t - lag_q), a
-    quadrature node, with the table's plan and starts and the table as its
-    pairs.  The integrator's past serves the nodes of ``taps.chain(h)``,
-    which g must not write into, and once a block of steps runs it serves
-    only the taps the block does not sum, with pairs that hold the rest of
-    each row and the block's ``prefix``: per cell, the a_ij-weighted sum of
-    the row's leading pairs, in the order below.  Each call makes one
-    ``lagged`` lookup, one g call on its rows, one segment sum through the
-    plan and one in-order ``np.bincount`` of a_ij times each pair's
-    integral into row i, skipped when every cell has one pair in order,
-    adds the prefix, and calls f once on the (m, n) block.  Under a
-    constant A the a_ij are the tap table's ``coef``, read once at
-    construction.  Under a coupling table A(t) is read at each call, and g
-    is evaluated for every pair nonzero at some knot; one zero at t adds an
-    exact zero.  Returns a new flat vector, tested for finiteness with one
-    count; raises ``NonFiniteDerivative`` naming the first node whose
+    to hand to g, the ``QuadraturePlan`` of their weights or None, the
+    first row of each tap, and the pairs that read those taps.  A past
+    that reads the table itself serves row q as x_{sources[q]}(t - lag_q),
+    a quadrature node, with the table's plan and starts and the table as
+    its pairs.  The integrator's past serves the nodes of
+    ``taps.chain(h)``, which g must not write into, with their
+    ``sum_plan``, and once a block of steps runs it serves only the taps
+    the block does not sum, with pairs that hold the rest of each row and
+    the block's ``prefix``: per cell, the a_ij-weighted sum of the row's
+    leading pairs, in the order below.  Each call makes one ``lagged``
+    lookup, one g call on its rows, one segment sum through the plan, and
+    one in-order ``np.bincount`` of a_ij times each pair's integral into
+    row i, skipped when every cell has one pair in order, adds the prefix,
+    and calls f once on the (m, n) block.  The segment sum is skipped when
+    the plan is None, as each tap is then one node of weight 1.0 and g's
+    rows are the taps' integrals.  Under a constant A the a_ij are the tap
+    table's (pairs, n) ``coef``, read once at construction.  Under a
+    coupling table A(t) is read at each call, and g is evaluated for every
+    pair nonzero at some knot; one zero at t adds an exact zero.  Returns
+    a new flat vector, whose finiteness mask is compared with the model's
+    as bytes; raises ``NonFiniteDerivative`` naming the first node whose
     derivative is not finite.
     """
     shape, size, taps = model._shape, model.dim, model.taps
@@ -489,7 +502,9 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
         rows, plan, starts, pairs = past.lagged(t, taps)
         coupled = pairs.prefix
         if rows is not None:
-            conv = plan.apply(model.output.eval_rows(t, rows), starts)
+            conv = model.output.eval_rows(t, rows)
+            if plan is not None:
+                conv = plan.apply(conv, starts)
             coef = pairs.coef
             if coef is None:
                 coef = model.coupling.matrix(t).take(pairs.pairs)[:, None]
@@ -506,7 +521,7 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
             coupled = terms if coupled is None else coupled + terms
     out = model.node.eval(t, X).ravel() + coupled
     finite = np.isfinite(out)
-    if np.count_nonzero(finite) != size:
+    if finite.tobytes() != model._finite:
         raise NonFiniteDerivative(t, int(np.argmin(finite.reshape(shape).all(axis=1))))
     return out
 

@@ -171,14 +171,15 @@ class _LookupPlan:
 
 class _StagePairs:
     """The pairs a stage still sums once a block runs, as ``rhs`` reads
-    them: ``coef``; ``pair_tap`` into the stage's taps, None when it is 0,
-    1, 2, ...; ``cells``, None when it is 0, 1, ..., dim - 1, so that the
-    gather or the scatter is the identity; and ``prefix``, the block's
-    sums at the stage's step and offset, set at each stage."""
+    them: ``coef``, read-only (pairs, n); ``pair_tap`` into the stage's
+    taps, None when it is 0, 1, 2, ...; ``cells``, None when it is 0, 1,
+    ..., dim - 1, so that the gather or the scatter is the identity; and
+    ``prefix``, the block's sums at the stage's step and offset."""
 
     def __init__(self, pair_tap: np.ndarray, coef: np.ndarray, cells: np.ndarray, dim: int):
         identity = np.array_equal(cells, np.arange(dim))
         self.pair_tap = None if np.array_equal(pair_tap, np.arange(pair_tap.size)) else pair_tap
+        coef.flags.writeable = False
         self.coef, self.cells, self.prefix = coef, None if identity else cells, None
 
 
@@ -197,10 +198,10 @@ class _Block:
     row's run pairs, added pair by pair in order from 0.0 as ``rhs`` adds
     them, into ``sums`` (step, offset, cell): one gather of the samples,
     one blend, one g call with t a column of the rows' stage times, one
-    segment sum and one ``np.bincount``.  L is the number of steps before
-    some lookup of the block would read a sample not yet recorded, at most
-    ``_BLOCK_STEPS``, the steps left, and the steps that keep the g call
-    near ``_BLOCK_ROWS`` rows.  A stage then reads its step and
+    segment sum, none with no ``sum_plan``, and one ``np.bincount``.  L is
+    the number of steps before some lookup of the block would read a
+    sample not yet recorded, at most ``_BLOCK_STEPS``, the steps left, and
+    the steps that keep the g call near ``_BLOCK_ROWS`` rows.  A stage then reads its step and
     offset's row of ``sums`` as the prefix of ``pairs``, the other pairs,
     whose taps ``stage`` holds.
 
@@ -225,7 +226,7 @@ class _Block:
             parts.append((nodes.select(tapped), (np.cumsum(tapped) - 1).take(taps.pair_tap[sel])))
         (self.nodes, self.pair_tap), (self.stage, stage_tap) = parts
         cells = taps.cells.reshape(-1, n)
-        self.coef = taps.coef[block]
+        self.coef = taps.coef[block, :1]
         self.pairs = _StagePairs(stage_tap, taps.coef[~block], cells[~block].ravel(), dim)
         # per stage offset: its column of ``sums`` and the plan of the other
         # pairs' lookups, None when there is no other pair
@@ -273,8 +274,9 @@ class _Block:
         rows = terms[0] + terms[1]
         t = (((k + self.steps[:size]) * self.h)[:, None] + self.times).take(
             self.time_of_row[:, :size].reshape(-1, 1))
-        values = self.output.eval_rows(t, rows.reshape(-1, n)).reshape(len(nodes.index), -1, n)
-        conv = nodes.plan.apply(values, nodes.starts)
+        conv = self.output.eval_rows(t, rows.reshape(-1, n)).reshape(len(nodes.index), -1, n)
+        if nodes.sum_plan is not None:
+            conv = nodes.sum_plan.apply(conv, nodes.starts)
         terms = self.coef * conv.reshape(len(conv), -1).take(self.pair_tap, axis=0)
         self.sums = np.bincount(self.bins[:, :size * C * n].ravel(), terms.ravel(),
                                 size * C * self.dim).reshape(size, C, self.dim)
@@ -329,7 +331,7 @@ class _StagePast:
       rest blend two samples.
 
     ``lagged`` returns the rows, gathered class by class and handed over
-    as a new array in node order, the nodes' ``plan`` and ``starts``, and
+    as a new array in node order, the nodes' ``sum_plan`` and ``starts``, and
     the tap table as the pairs that read them.  The split, offsets and
     weights are resolved once into a ``_LookupPlan`` per stage offset, in a
     cache keyed on the lags array: one array for a model's life under
@@ -351,6 +353,7 @@ class _StagePast:
         self.traj, self.h, self.initial, self.nodes = traj, h, initial, nodes
         self.extrapolations = 0
         self.dim, self.record_dim = traj.dim, traj._record.shape[1]
+        self.whole = self.record_dim == self.dim  # no auxiliary column
         self._lags, self._plans, self.block = None, {}, None
         if nodes.delays is None and model.taps.coef is not None and model.taps.pairs.size:
             self._lags = nodes.lags
@@ -361,7 +364,7 @@ class _StagePast:
     def __call__(self, t: float) -> np.ndarray:
         if t != self.t_stage:
             raise AssertionError("stage past read away from the stage time")
-        return self.x_stage[:self.dim]
+        return self.x_stage if self.whole else self.x_stage[:self.dim]
 
     def lagged(self, t: float, taps):
         if t != self.t_stage:
@@ -386,7 +389,7 @@ class _StagePast:
                     lags, nodes.sources, self.c, self.h, self.traj.node_dim, self.record_dim)
         a, b, out = plan.at_stage_end, plan.sub_step_end, plan.buffer
         if a == len(out):
-            return self.x_stage.take(plan.at_cols), nodes.plan, nodes.starts, pairs
+            return self.x_stage.take(plan.at_cols), nodes.sum_plan, nodes.starts, pairs
         # a second stage at this step and offset keeps all but the at-stage rows
         # (for runs with no block: delay or coupling tables, long custom tails, lone rows)
         if plan.buffer_step != k:
@@ -411,7 +414,7 @@ class _StagePast:
         if a:
             out[:a] = self.x_stage.take(plan.at_cols)
         self.extrapolations += b - a
-        return out.take(plan.position, axis=0), nodes.plan, nodes.starts, pairs
+        return out.take(plan.position, axis=0), nodes.sum_plan, nodes.starts, pairs
 
 
 def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorConfig) -> Trajectory:
@@ -427,8 +430,9 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     traj._reserve(config.steps + 1, hidden=cols.size)
     extended = initial.auxiliary(cols, rates)
     traj._record[0] = extended([0.0])[0]
-    # z' = r (x - z) for a filter, G' = x for a running integral
-    gain, keep = np.where(rates > 0.0, rates, 1.0), (rates > 0.0).astype(float)
+    # z' = r (x - z) for a filter, G' = x for a running integral; keep is
+    # None with filters alone, as 1.0 z is z bit for bit
+    gain, keep = np.where(rates > 0.0, rates, 1.0), None if rates.all() else (rates > 0.0) * 1.0
     stages, divisor = _TABLEAUS[config.method]
     h = config.h
     record, times, states = traj._record, traj._times, traj._states
@@ -455,7 +459,8 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
                     slope = rhs(model, past.t_stage, past)
                     if cols.size:
                         ext[:dim] = slope
-                        np.multiply(gain, y.take(cols) - keep * y[dim:], out=aux)
+                        z = y[dim:]
+                        np.multiply(gain, y.take(cols) - (z if keep is None else keep * z), out=aux)
                         slope = ext
                     # each slope joins the sum as it returns, in stage order:
                     # ((k1 + 2 k2) + 2 k3) + k4 for RK4; another order changes bits

@@ -487,6 +487,23 @@ def test_rhs_reports_non_finite_with_node_index():
     assert exc.value.node == 2
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("node_index", [0, 1, 2])
+def test_rhs_names_the_one_node_whose_derivative_is_not_finite(node_index, bad):
+    # f writes the value into one component of one node; the coupling is
+    # finite, so that node alone is not finite after it is added
+    def field(t, u):
+        out = -u
+        out[node_index, 1] = bad
+        return out
+
+    model = make_example(1, node=NodeDynamics(dim=2, fn=field),
+                         A=named_topology("ring", 3), Gamma=np.eye(2))
+    with pytest.raises(NonFiniteDerivative, match=f"node index {node_index},") as exc:
+        rhs(model, 0.25, Past(lambda s: np.arange(6.0), 2))
+    assert exc.value.node == node_index and exc.value.t == 0.25
+
+
 def test_rhs_leaves_the_stage_vector_unchanged():
     # f returns its input, the stage block itself; the coupling is added to
     # a new array, so the caller's vector keeps its values
@@ -509,6 +526,25 @@ def test_callables_of_the_wrong_shape_are_rejected():
     output = OutputFunction(dim=2, fn=lambda t, u: u.sum(axis=-1), kappa=2.0)
     with pytest.raises(ValueError, match=r"output g returned shape \(3,\), expected \(3, 2\)"):
         output.eval_rows(0.0, np.zeros((3, 2)))
+
+
+def test_callables_returning_other_types_come_back_as_float64_of_the_input_shape():
+    # a nested list from f and an int array from g are converted, not
+    # rejected, and keep the values they hold
+    node = NodeDynamics(dim=2, fn=lambda t, u: [[1, 2], [3, 4], [5, 6]])
+    got = node.eval(0.0, np.zeros((3, 2)))
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (3, 2)
+    np.testing.assert_array_equal(got, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    output = OutputFunction(dim=2, fn=lambda t, u: np.array([[7, -8]]), kappa=1.0)
+    got = output.eval_rows(0.0, np.ones((1, 2)))
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    np.testing.assert_array_equal(got, [[7.0, -8.0]])
+    # a u that is not an array is checked against np.shape(u)
+    node = NodeDynamics(dim=2, fn=lambda t, u: np.asarray(u, dtype=float) * 2.0)
+    np.testing.assert_array_equal(node.eval(0.0, [[1.0, 2.0]]), [[2.0, 4.0]])
+    node = NodeDynamics(dim=2, fn=lambda t, u: np.zeros(2))
+    with pytest.raises(ValueError, match=r"node field f returned shape \(2,\), expected \(1, 2\)"):
+        node.eval(0.0, [[1.0, 2.0]])
 
 
 def test_factory_validation_errors():

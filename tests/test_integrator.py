@@ -1,6 +1,7 @@
 """Fixed-step integration: reductions with known solutions, order, blow-up."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from delaynet.history import HistoryFunction, PiecewiseLinear, Trajectory
 from delaynet.integrator import BlowUpError, IntegratorConfig, integrate
 from delaynet.kernels import (
     ExponentialDensity,
+    QuadraturePlan,
     build_quadrature,
     dirac,
     exponential,
@@ -699,6 +701,40 @@ def test_distributed_delay_hands_g_the_same_few_rows_then_blocks_of_them(monkeyp
     # the two filters ride in the record, out of the states
     assert traj.states.shape == (scenario.config.steps + 1, 4)
     assert traj._record.shape == (scenario.config.steps + 1, 8)
+
+
+def test_coupling_operands_are_resolved_when_the_model_is_built(monkeypatch):
+    # a_ij comes pre-shaped as (pairs, n), and a node set whose taps are
+    # each one node of weight 1.0 is summed by no QuadraturePlan.apply call,
+    # at a stage or in a block: chua-synchronization blocks from step 5
+    calls = []
+    apply = QuadraturePlan.apply
+    monkeypatch.setattr(QuadraturePlan, "apply",
+                        lambda self, *args: calls.append(len(self)) or apply(self, *args))
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+
+    def run(model, history, config, steps):
+        calls.clear()
+        integrate(model, history, replace(config, horizon=steps * config.h))
+        return len(calls)
+
+    for stem in ("chua_synchronization", "linear_network"):
+        scenario = load_scenario(scenarios / f"{stem}.json")
+        taps, n = scenario.model.taps, scenario.model.n
+        A = scenario.model.coupling.matrix(0.0)
+        assert taps.coef.shape == (taps.pairs.size, n) and taps.coef.flags.c_contiguous
+        assert not taps.coef.flags.writeable
+        assert taps.coef.tobytes() == np.repeat(A.take(taps.pairs), n).tobytes()
+        assert run(scenario.model, scenario.history, scenario.config, 12) == 0
+    # distributed-delay weighs its nodes 0.5: one call per stage until its
+    # block starts at step 100
+    scenario = load_scenario(scenarios / "distributed_delay.json")
+    assert run(scenario.model, scenario.history, scenario.config, 25) == 4 * 25
+    # the same Dirac mass at weight 0.5 keeps the call, at 1.0 it has none
+    for weight, want in ((0.5, 4 * 5), (1.0, 0)):
+        model = scalar_delay_model(tau=0.5, kernel=dirac(0.0, weight))
+        config = IntegratorConfig(h=0.1, horizon=0.5)
+        assert run(model, HistoryFunction.constant([1.0]), config, 5) == want
 
 
 def test_distributed_delay_filter_agrees_with_a_fine_trapezoid():

@@ -44,8 +44,12 @@ def test_ab_inprocess_compares_a_checkout_with_itself(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["scenario", "A", "median", "s", "A", "us/rhs", "B", "median", "s",
-                                "B", "us/rhs", "B/A", "B", "faster"]
+                                "B", "us/rhs", "B/A", "Q1", "Q3", "B", "faster"]
     assert lines[1].split()[0] == "linear_network" and lines[1].endswith("/2")
+    # the quartiles of the paired ratios bracket their median
+    for row in lines[1:3]:
+        ratio, q1, q3 = (float(v) for v in row.split()[5:8])
+        assert q1 <= ratio <= q3
     assert lines[2].split()[0] == "total"
     # 2% of linear-network's 5,000 steps, 4 right-hand sides each; the
     # median is printed to 0.1 ms, 0.25 us per right-hand side

@@ -29,7 +29,8 @@ that goes first alternating by round, and compares the two trajectories.
 Per scenario and in total it prints the median time of each side, each next
 to the microseconds per right-hand side it makes (the median over the
 right-hand sides of a run: steps times stages), the median of the paired
-ratios B/A and the number of rounds B was faster; then, per scenario, the
+ratios B/A with their quartiles, Q1 and Q3 (numpy's linear interpolation),
+and the number of rounds B was faster; then, per scenario, the
 largest absolute state difference over all rounds.  It exits 1
 when any scenario's trajectories are not bitwise equal, after timing every
 round: times, states, the count of sub-step lookups, and any auxiliary
@@ -201,13 +202,14 @@ def main(argv=None) -> int:
     rows.append(("total", [sum(t) for t in zip(*(times[s][0] for s in stems))],
                  [sum(t) for t in zip(*(times[s][1] for s in stems))], sum(calls.values())))
     print(f"{'scenario':<22}{'A median s':>12}{'A us/rhs':>10}{'B median s':>12}{'B us/rhs':>10}"
-          f"{'B/A':>8}  B faster")
+          f"{'B/A':>8}{'Q1':>7}{'Q3':>7}  B faster")
     for name, ta, tb, n in rows:
-        ratio = statistics.median(b / a for a, b in zip(ta, tb))
+        ratios = [b / a for a, b in zip(ta, tb)]
+        q1, q3 = np.percentile(ratios, [25, 75])
         wins = sum(b < a for a, b in zip(ta, tb))
         ma, mb = statistics.median(ta), statistics.median(tb)
         print(f"{name:<22}{ma:>12.4f}{1e6 * ma / n:>10.2f}{mb:>12.4f}{1e6 * mb / n:>10.2f}"
-              f"{ratio:>8.3f}  {wins}/{len(ta)}")
+              f"{statistics.median(ratios):>8.3f}{q1:>7.3f}{q3:>7.3f}  {wins}/{len(ta)}")
     print(f"{'scenario':<22}{'max |B-A|':>12}  bitwise")
     for stem in stems:
         print(f"{stem:<22}{gaps[stem]:>12.3g}  {'yes' if equal[stem] else 'no'}")
