@@ -95,13 +95,7 @@ class NodeDynamics:
     def eval(self, t, u: np.ndarray) -> np.ndarray:
         """f(t, .) on a (..., dim) block of node states; ``t`` is a float or
         a column of per-row times."""
-        out = self.fn(t, u)
-        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-            out = np.asarray(out, dtype=float)
-        shape = u.shape if isinstance(u, np.ndarray) else np.shape(u)
-        if out.shape != shape:
-            raise ValueError(f"node field f returned shape {out.shape}, expected {shape}")
-        return out
+        return _apply_batch(self.fn, t, u, "node field f")
 
 
 @dataclass(frozen=True)
@@ -130,17 +124,21 @@ class OutputFunction:
     def eval_rows(self, t, rows: np.ndarray) -> np.ndarray:
         """g(t, .) on a (..., dim) block, every row in one call; ``t`` is a
         float or a column of per-row times."""
-        out = self.fn(t, rows)
-        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-            out = np.asarray(out, dtype=float)
-        shape = rows.shape if isinstance(rows, np.ndarray) else np.shape(rows)
-        if out.shape != shape:
-            raise ValueError(f"output g returned shape {out.shape}, expected {shape}")
-        return out
+        return _apply_batch(self.fn, t, rows, "output g")
 
     def _as_linear(self) -> "OutputFunction":
         object.__setattr__(self, "_linear", True)
         return self
+
+
+def _apply_batch(fn, t, u: np.ndarray, what: str) -> np.ndarray:
+    out = fn(t, u)
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+        out = np.asarray(out, dtype=float)
+    shape = u.shape if isinstance(u, np.ndarray) else np.shape(u)
+    if out.shape != shape:
+        raise ValueError(f"{what} returned shape {out.shape}, expected {shape}")
+    return out
 
 
 class CouplingSchedule:
@@ -324,10 +322,9 @@ class _Nodes:
     """Lookup nodes, tap by tap: node q reads block ``sources[q]`` of a state
     vector at lag tau + ``plan.locations[q]``, tau its tap's delay, weighing
     ``plan.weights[q]``; ``starts`` holds each tap's first node, and
-    ``sum_plan`` is ``plan``, or None when each tap is one node of weight 1.0
-    and so its own integral.  Under constant delays the lags are one
-    read-only array, ``lags``; under a delay table ``lags_at`` interpolates
-    each tap's ``delays``."""
+    ``sum_plan`` is ``plan``, None when ``plan.is_identity``.  Under
+    constant delays the lags are one read-only array, ``lags``; under a
+    delay table ``lags_at`` interpolates each tap's ``delays``."""
 
     def __init__(self, plans, sources, delays: np.ndarray, times: np.ndarray):
         self.sizes = np.array([len(p) for p in plans], dtype=np.intp)
@@ -337,8 +334,7 @@ class _Nodes:
             weights=np.concatenate([p.weights for p in plans] or [np.zeros(0)]),
             truncation_horizon=max((p.truncation_horizon for p in plans), default=0.0),
             tail_mass_bound=max((p.tail_mass_bound for p in plans), default=0.0))
-        # as in ``QuadraturePlan.apply``: 1.0 x is x, and one node its own sum
-        self.sum_plan = None if self.plan._unit and len(self.plan) == self.sizes.size else self.plan
+        self._resolve_sum()
         self.sources = np.array(sources, dtype=np.intp)
         self.sources.flags.writeable = False
         if times.size > 1 and plans:
@@ -362,11 +358,14 @@ class _Nodes:
         part.sizes = self.sizes[taps]
         part.starts = np.cumsum(part.sizes) - part.sizes
         plan = self.plan
-        part.plan = plan = QuadraturePlan(plan.locations[part.index], plan.weights[part.index],
-                                          plan.truncation_horizon, plan.tail_mass_bound)
-        part.sum_plan = None if plan._unit and len(plan) == part.sizes.size else plan
+        part.plan = QuadraturePlan(plan.locations[part.index], plan.weights[part.index],
+                                   plan.truncation_horizon, plan.tail_mass_bound)
+        part._resolve_sum()
         part.sources, part.delays, part.lags = self.sources[part.index], None, self.lags[part.index]
         return part
+
+    def _resolve_sum(self):
+        self.sum_plan = None if self.plan.is_identity(self.sizes.size) else self.plan
 
 
 class _TapTable(_Nodes):
@@ -469,28 +468,25 @@ def rhs(model: NetworkModel, t: float, past) -> np.ndarray:
 
     ``past(t)`` is the stacked state vector at t, and
     ``past.lagged(t, taps)`` the lookup of the model's tap table: the rows
-    to hand to g, the ``QuadraturePlan`` of their weights or None, the
-    first row of each tap, and the pairs that read those taps.  A past
-    that reads the table itself serves row q as x_{sources[q]}(t - lag_q),
-    a quadrature node, with the table's plan and starts and the table as
-    its pairs.  The integrator's past serves the nodes of
-    ``taps.chain(h)``, which g must not write into, with their
-    ``sum_plan``, and once a block of steps runs it serves only the taps
-    the block does not sum, with pairs that hold the rest of each row and
-    the block's ``prefix``: per cell, the a_ij-weighted sum of the row's
-    leading pairs, in the order below.  Each call makes one ``lagged``
-    lookup, one g call on its rows, one segment sum through the plan, and
-    one in-order ``np.bincount`` of a_ij times each pair's integral into
-    row i, skipped when every cell has one pair in order, adds the prefix,
-    and calls f once on the (m, n) block.  The segment sum is skipped when
-    the plan is None, as each tap is then one node of weight 1.0 and g's
-    rows are the taps' integrals.  Under a constant A the a_ij are the tap
-    table's (pairs, n) ``coef``, read once at construction.  Under a
-    coupling table A(t) is read at each call, and g is evaluated for every
-    pair nonzero at some knot; one zero at t adds an exact zero.  Returns
-    a new flat vector, whose finiteness mask is compared with the model's
-    as bytes; raises ``NonFiniteDerivative`` naming the first node whose
-    derivative is not finite.
+    to hand to g, the ``QuadraturePlan`` of their weights or None, the first
+    row of each tap, and the pairs that read those taps.  A past that reads
+    the table itself serves row q as x_{sources[q]}(t - lag_q), a quadrature
+    node, with the table's plan and starts and the table as its pairs.  The
+    integrator's past serves the nodes of ``taps.chain(h)``, which g must
+    not write into, with their ``sum_plan``, and once a block of steps runs
+    only the taps the block does not sum, with pairs that hold the rest of
+    each row and the block's ``prefix``: per cell, the a_ij-weighted sum of
+    the row's leading pairs, in the order below.  Each call makes one
+    ``lagged`` lookup, one g call on its rows, one segment sum through the
+    plan, none when it is None and g's rows are the integrals, and one
+    in-order ``np.bincount`` of a_ij times each pair's integral into row i,
+    skipped when every cell has one pair in order, adds the prefix, and
+    calls f once on the (m, n) block.  Under a constant A the a_ij are the
+    tap table's (pairs, n) ``coef``; under a coupling table A(t) is read at
+    each call, and g is evaluated for every pair nonzero at some knot; one
+    zero at t adds an exact zero.  Returns a new flat vector; raises
+    ``NonFiniteDerivative`` naming the first node whose derivative is not
+    finite.
     """
     shape, size, taps = model._shape, model.dim, model.taps
     x_now = _floats(past(t)).ravel()

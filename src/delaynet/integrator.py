@@ -201,9 +201,9 @@ class _Block:
     segment sum, none with no ``sum_plan``, and one ``np.bincount``.  L is
     the number of steps before some lookup of the block would read a
     sample not yet recorded, at most ``_BLOCK_STEPS``, the steps left, and
-    the steps that keep the g call near ``_BLOCK_ROWS`` rows.  A stage then reads its step and
-    offset's row of ``sums`` as the prefix of ``pairs``, the other pairs,
-    whose taps ``stage`` holds.
+    the steps that keep the g call near ``_BLOCK_ROWS`` rows.  A stage
+    then reads its step and offset's row of ``sums`` as the prefix of
+    ``pairs``, the other pairs, whose taps ``stage`` holds.
 
     The block's lookups are the stage's own blends: a plan that blends
     weighs all its nodes (1 - theta, theta), and one that does not reads
@@ -430,9 +430,8 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
     traj._reserve(config.steps + 1, hidden=cols.size)
     extended = initial.auxiliary(cols, rates)
     traj._record[0] = extended([0.0])[0]
-    # z' = r (x - z) for a filter, G' = x for a running integral; keep is
-    # None with filters alone, as 1.0 z is z bit for bit
-    gain, keep = np.where(rates > 0.0, rates, 1.0), None if rates.all() else (rates > 0.0) * 1.0
+    # z' = r (x - z) for a filter, G' = x for a running integral
+    gain, keep = np.where(rates > 0.0, rates, 1.0), (rates > 0.0).astype(float)
     stages, divisor = _TABLEAUS[config.method]
     h = config.h
     record, times, states = traj._record, traj._times, traj._states
@@ -459,8 +458,7 @@ def integrate(model: NetworkModel, initial: HistoryFunction, config: IntegratorC
                     slope = rhs(model, past.t_stage, past)
                     if cols.size:
                         ext[:dim] = slope
-                        z = y[dim:]
-                        np.multiply(gain, y.take(cols) - (z if keep is None else keep * z), out=aux)
+                        np.multiply(gain, y.take(cols) - keep * y[dim:], out=aux)
                         slope = ext
                     # each slope joins the sum as it returns, in stage order:
                     # ((k1 + 2 k2) + 2 k3) + k4 for RK4; another order changes bits

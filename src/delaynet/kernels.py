@@ -204,6 +204,10 @@ class QuadraturePlan:
     def __len__(self) -> int:
         return self.locations.size
 
+    def is_identity(self, segments: int) -> bool:
+        """Whether ``apply`` returns its values: weights 1.0, ``segments`` of one node."""
+        return self._unit and segments == len(self)
+
     def apply(self, values: np.ndarray, starts=None) -> np.ndarray:
         """Weighted sums of per-node values; ``values`` has nodes on axis 0.
 
@@ -218,6 +222,8 @@ class QuadraturePlan:
         values = _floats(values)
         if len(values) != self.weights.size:
             raise ValueError(f"{len(values)} node values for a plan of {len(self)} nodes")
+        if starts is not None and self.is_identity(len(starts)):
+            return values
         if self._unit:
             terms = values
         elif values.ndim == 2:

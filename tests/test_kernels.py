@@ -213,6 +213,17 @@ def test_unit_weight_plans_apply_as_the_product_bitwise():
         plan.apply(np.zeros((5, 3)), np.arange(4))
 
 
+def test_a_plan_is_the_identity_only_with_unit_weights_and_one_node_segments():
+    # the rule by which a node set drops its segment sum: ``apply`` then
+    # hands back the values it was given
+    unit = QuadraturePlan(np.arange(4.0), np.ones(4), 3.0, 0.0)
+    half = QuadraturePlan(np.arange(4.0), [1.0, 0.5, 1.0, 1.0], 3.0, 0.0)
+    values = np.arange(12.0).reshape(4, 3)
+    assert unit.is_identity(4) and unit.apply(values, np.arange(4)) is values
+    assert not unit.is_identity(2) and not half.is_identity(4)
+    assert half.apply(values, np.arange(4)).tobytes() == (half._column * values).tobytes()
+
+
 def test_plan_apply_refuses_values_for_another_node_count():
     # one row would broadcast against every weight
     plan = QuadraturePlan(np.arange(3.0), [1.0, 2.0, 3.0], 2.0, 0.0)
