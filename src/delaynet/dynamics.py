@@ -68,6 +68,19 @@ class NonFiniteDerivative(ValueError):
         self.node = node
 
 
+def _apply_batch(self, t, u: np.ndarray) -> np.ndarray:
+    """``NodeDynamics.eval`` and ``OutputFunction.eval_rows``: ``fn(t, .)`` on a
+    (..., dim) block in one call, as float64 of its shape; ``t`` is a float
+    or a column of per-row times."""
+    out = self.fn(t, u)
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+        out = np.asarray(out, dtype=float)
+    shape = u.shape if isinstance(u, np.ndarray) else np.shape(u)
+    if out.shape != shape:
+        raise ValueError(f"{self._what} returned shape {out.shape}, expected {shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class NodeDynamics:
     """Isolated node vector field f(t, u) with an optional Lipschitz hint.
@@ -92,10 +105,8 @@ class NodeDynamics:
         if self.lipschitz_hint is not None and not self.lipschitz_hint >= 0:
             raise ValueError("lipschitz_hint must be nonnegative")
 
-    def eval(self, t, u: np.ndarray) -> np.ndarray:
-        """f(t, .) on a (..., dim) block of node states; ``t`` is a float or
-        a column of per-row times."""
-        return _apply_batch(self.fn, t, u, "node field f")
+    _what = "node field f"
+    eval = _apply_batch
 
 
 @dataclass(frozen=True)
@@ -121,24 +132,12 @@ class OutputFunction:
         if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
 
-    def eval_rows(self, t, rows: np.ndarray) -> np.ndarray:
-        """g(t, .) on a (..., dim) block, every row in one call; ``t`` is a
-        float or a column of per-row times."""
-        return _apply_batch(self.fn, t, rows, "output g")
+    _what = "output g"
+    eval_rows = _apply_batch
 
     def _as_linear(self) -> "OutputFunction":
         object.__setattr__(self, "_linear", True)
         return self
-
-
-def _apply_batch(fn, t, u: np.ndarray, what: str) -> np.ndarray:
-    out = fn(t, u)
-    if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-        out = np.asarray(out, dtype=float)
-    shape = u.shape if isinstance(u, np.ndarray) else np.shape(u)
-    if out.shape != shape:
-        raise ValueError(f"{what} returned shape {out.shape}, expected {shape}")
-    return out
 
 
 class CouplingSchedule:

@@ -31,12 +31,12 @@ steps (Bellen & Zennaro, Numerical Methods for Delay Differential
 Equations, 2003, ch. 3): a lookup whose lag is at least the largest stage
 offset times h reads, over the next steps, only samples already recorded.
 Once none of them reads before t = 0, each row's leading run of pairs made
-of such lookups is summed in blocks (``_Block``).  Per block of up to
-``_BLOCK_STEPS`` steps: one gather and one blend of the samples, one g
-call, one segment sum and one ``np.bincount``, for every step and stage
-offset of the block.  Per (step, offset): one row of those sums.  Per
-stage: the lookups, g call, segment sum and scatter of the other pairs
-only, and one addition.  The result is that of summing every pair at every
+of such lookups is summed in blocks (``_Block``), each of the steps the
+lookups allow and ``_BLOCK_BUDGET`` keeps in cache.  Per block: one gather
+and one blend of the samples, one g call, one segment sum and one
+``np.bincount``, for every step and stage offset of the block.  Per (step,
+offset): one row of those sums.  Per stage: the lookups, g call, segment
+sum and scatter of the other pairs only, and one addition.  The result is that of summing every pair at every
 stage, bit for bit.  g may thus be called on committed rows up to a block
 before the stage that uses them, and a g that raises does so at the
 block's first step; ``NonFiniteDerivative`` still names the stage whose
@@ -66,11 +66,11 @@ __all__ = ["IntegratorConfig", "integrate", "BlowUpError", "BLOWUP_THRESHOLD"]
 
 BLOWUP_THRESHOLD = 1e12
 
-# the most steps one block of committed pairs spans (``_Block``); 16 to 32
-# keep nearly all of its gain, and below 1 no block is made.  A block of
-# many quadrature nodes spans fewer steps, so that its g call gets about
-# ``_BLOCK_ROWS`` rows at most: batching them over steps gains little
-_BLOCK_STEPS, _BLOCK_ROWS = 32, 4096
+# the most elements of a block's largest operand (``_Block``), 2 MiB of
+# float64: one core's L2 on a 2-core x86 box, past which the block's cost per
+# term nearly doubles (all-to-all m = 100 at 4 steps or more).  Below 1 no
+# block is made
+_BLOCK_BUDGET = 1 << 18
 
 # explicit methods, one (c, a, b) row per stage: the stage runs at t + c*h
 # from the state x + (a*h) * (previous stage's k), and the step is
@@ -199,11 +199,12 @@ class _Block:
     them, into ``sums`` (step, offset, cell): one gather of the samples,
     one blend, one g call with t a column of the rows' stage times, one
     segment sum, none with no ``sum_plan``, and one ``np.bincount``.  L is
-    the number of steps before some lookup of the block would read a
-    sample not yet recorded, at most ``_BLOCK_STEPS``, the steps left, and
-    the steps that keep the g call near ``_BLOCK_ROWS`` rows.  A stage
-    then reads its step and offset's row of ``sums`` as the prefix of
-    ``pairs``, the other pairs, whose taps ``stage`` holds.
+    the least of the steps before some lookup would read a sample not yet
+    recorded, the steps left, and the most steps, one at least, whose
+    largest operand keeps within ``_BLOCK_BUDGET`` elements: per step
+    2·nodes·C·n blend terms, pairs·C·n products and bins, or C·m·n sums.
+    A stage then reads its step and offset's row of ``sums`` as the prefix
+    of ``pairs``, the other pairs, whose taps ``stage`` holds.
 
     The block's lookups are the stage's own blends: a plan that blends
     weighs all its nodes (1 - theta, theta), and one that does not reads
@@ -247,8 +248,8 @@ class _Block:
                 # the second sample is the next one except at offset 0
                 offsets.append(plan.offsets[q] + (plan.offsets[q] < 0))
         offsets = np.concatenate(offsets)
-        L = self.length = min(_BLOCK_STEPS, 1 - int(offsets.max()),
-                              max(1, _BLOCK_ROWS // (self.nodes.index.size * C)))
+        per_step = C * max(2 * self.nodes.index.size * n, self.pair_tap.size * n, dim)
+        L = self.length = min(1 - int(offsets.max()), max(1, _BLOCK_BUDGET // per_step))
         # rows are read from row k - back, so that every index is nonnegative
         self.back = -int(offsets.min())
         # (blend, node, step, offset, component), then (pair, step, offset, component)
@@ -287,10 +288,10 @@ def _block(model: NetworkModel, nodes, plans, h: float, dim: int, record: np.nda
     """The block of a run under a constant A and constant delays, given
     its lookup plans at every stage offset and its record; None when no
     row takes one, when it would hand g one row where the stage handed it
-    several, when the run ends before it starts, or with ``_BLOCK_STEPS``
+    several, when the run ends before it starts, or with ``_BLOCK_BUDGET``
     below 1."""
     taps, n = model.taps, model.n
-    if _BLOCK_STEPS < 1 or max(plan.steady for plan in plans.values()) >= len(record) - 1:
+    if _BLOCK_BUDGET < 1 or max(plan.steady for plan in plans.values()) >= len(record) - 1:
         return None
     committed = np.ones(nodes.lags.size, dtype=bool)
     for plan in plans.values():

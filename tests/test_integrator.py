@@ -221,6 +221,21 @@ def test_blow_up_detected_with_partial_trajectory():
     assert np.all(np.isfinite(err.trajectory.states))
 
 
+def test_auxiliary_columns_stay_out_of_the_blow_up_guard():
+    # the uniform density spans 50 steps, so the coupling reads it through a
+    # running integral of the state, a hidden column of the record; the state
+    # decays slowly from 5e11, while its integral passes 1e12 by t = 2 and
+    # the run still reaches its horizon
+    model = scalar_delay_model(a=-1e-3, tau=0.0, kernel=uniform(0.0, 0.5))
+    assert model.taps.chain(0.01)[2].tolist() == [0.0]
+    traj = integrate(model, HistoryFunction.constant([5e11]),
+                     IntegratorConfig(method="rk4", h=0.01, horizon=3.0))
+    assert traj.last_time == 3.0 and len(traj) == 301
+    assert np.abs(traj.states).max() <= 5e11
+    hidden = traj._record[:, traj.dim:]
+    assert hidden.shape == (301, 1) and 1.49e12 < hidden[-1, 0] < 1.51e12
+
+
 def burst_model(burst):
     """Single uncoupled node whose field is 0 before t = 0.0085 and
     ``burst(u)`` from then on: with h = 0.002 the first four steps stay
@@ -681,13 +696,13 @@ def test_distributed_delay_hands_g_the_same_few_rows_then_blocks_of_them(monkeyp
     # model reads each exponential density through one filtered state, so
     # g sees 6 rows at every stage: per ring pair the atom at 0 and the
     # filter, per self pair its atom.  Every lag is 0.1, 100 steps, so from
-    # step 100 on every pair is a block pair: g sees those 6 rows at 32
-    # steps and 3 stage offsets at once, the last block the 12 steps left,
-    # and no stage calls g.  Each stage offset builds its lookup plan once
+    # step 100 on every pair is a block pair: g sees those 6 rows at 100
+    # steps, the lookahead, and 3 stage offsets at once, and no stage calls
+    # g.  Each stage offset builds its lookup plan once
     scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                              / "distributed_delay.json")
     assert int(scenario.model.taps.sizes.sum()) == 4474
-    assert integrator._BLOCK_STEPS == 32 and scenario.config.steps == 2000
+    assert scenario.config.steps == 2000
     rows, plans = [], []
     eval_rows, build = OutputFunction.eval_rows, integrator._LookupPlan.__init__
     monkeypatch.setattr(OutputFunction, "eval_rows",
@@ -696,7 +711,7 @@ def test_distributed_delay_hands_g_the_same_few_rows_then_blocks_of_them(monkeyp
     monkeypatch.setattr(integrator._LookupPlan, "__init__",
                         lambda self, *args: plans.append(args[2]) or build(self, *args))
     traj = integrate(scenario.model, scenario.history, scenario.config)
-    assert rows == [((), 6)] * (4 * 100) + [((576, 1), 576)] * 59 + [((216, 1), 216)]
+    assert rows == [((), 6)] * (4 * 100) + [((1800, 1), 1800)] * 19
     assert plans == [0.0, 0.5, 1.0]
     # the two filters ride in the record, out of the states
     assert traj.states.shape == (scenario.config.steps + 1, 4)
@@ -819,7 +834,7 @@ def block_cases():
     for name, model, initial, h, steps in chain_cases():
         yield f"chain-{name}", model, initial, "rk4", h, steps
     # just past the first block: lags of 5 steps make blocks of 5 from step
-    # 5, lags of 100 steps blocks of 32 from step 100
+    # 5, lags of 100 steps one block of the 40 steps left from step 100
     for stem, steps in (("chua_synchronization", 12), ("distributed_delay", 140)):
         scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                                  / f"{stem}.json")
@@ -877,7 +892,7 @@ def test_blocks_of_steps_change_no_bit(monkeypatch, name, model, initial, method
     # rarely reaches the states of a short run
     config = IntegratorConfig(method=method, h=h, horizon=steps * h)
     runs = []
-    for cap in (0, integrator._BLOCK_STEPS):
+    for budget in (0, integrator._BLOCK_BUDGET):
         slopes, columns = [], []
         eval_rows, stage_rhs = OutputFunction.eval_rows, integrator.rhs
         # only a block hands g a column of stage times
@@ -885,7 +900,7 @@ def test_blocks_of_steps_change_no_bit(monkeypatch, name, model, initial, method
                             seen.append(np.ndim(t) == 2) or eval_rows(self, t, u))
         monkeypatch.setattr(integrator, "rhs", lambda *args, seen=slopes:
                             seen.append(stage_rhs(*args).copy()) or seen[-1])
-        monkeypatch.setattr(integrator, "_BLOCK_STEPS", cap)
+        monkeypatch.setattr(integrator, "_BLOCK_BUDGET", budget)
         traj = integrate(model, initial, config)
         monkeypatch.undo()
         runs.append((traj, np.array(slopes), any(columns)))
@@ -897,6 +912,38 @@ def test_blocks_of_steps_change_no_bit(monkeypatch, name, model, initial, method
     assert blocked_slopes.tobytes() == plain_slopes.tobytes()
     assert blocked._record.tobytes() == plain._record.tobytes()
     assert blocked.stage_extrapolation_count == plain.stage_extrapolation_count
+
+
+def test_each_block_spans_its_lookahead_within_one_working_set_budget(monkeypatch):
+    # a block spans the steps before one of its lookups would read a sample
+    # not yet recorded, unless its largest operand would then hold more than
+    # the budget: all-to-all m = 100 multiplies 9,900 pairs by C·n = 9 terms
+    # per step, so 2 steps of its 5-step lookahead fit in 2**18 elements
+    made = []
+    make = integrator._Block.make
+
+    def spy(self, record, k):
+        make(self, record, k)
+        made.append((self.length, max(a.size for a in vars(self).values()
+                                      if isinstance(a, np.ndarray))))
+
+    monkeypatch.setattr(integrator._Block, "make", spy)
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    sync, spread = (load_scenario(scenarios / f"{stem}.json")
+                    for stem in ("chua_synchronization", "distributed_delay"))
+    rng = np.random.default_rng(30)
+    cases = [(sync.model, sync.history, sync.config.h, 12, 5),
+             (spread.model, spread.history, spread.config.h, 140, 100)]
+    for topology, m, c in (("ring", 30, 10.0), ("all-to-all", 100, 1.0)):
+        model = make_example(3, node=chua_node(), Gamma=np.eye(3), tau=0.01,
+                             topology=topology, c=c, m=m)
+        history = HistoryFunction.constant(0.1 * rng.standard_normal(3 * m))
+        cases.append((model, history, 2e-3, 10, 5 if m == 30 else 2))
+    for model, history, h, steps, length in cases:
+        made.clear()
+        integrate(model, history, IntegratorConfig(method="rk4", h=h, horizon=steps * h))
+        assert made and {L for L, _ in made} == {length}
+        assert max(size for _, size in made) <= integrator._BLOCK_BUDGET
 
 
 def convolution(plan, traj, t, tau):

@@ -138,6 +138,40 @@ def test_ab_inprocess_keeps_timing_when_the_sides_differ(tmp_path, capsys):
         assert lines[-1] == "bitwise equal: no"
 
 
+def _run_count(*args: str) -> int:
+    spec = importlib.util.spec_from_file_location("count_ops", ROOT / "tools" / "count_ops.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    try:
+        return tool.main(list(args))
+    finally:
+        for key in [k for k in sys.modules if k.split(".")[0] == "delaynet_counted"]:
+            del sys.modules[key]
+
+
+def test_count_ops_counts_the_same_twice_and_its_functions_sum_to_the_total(capsys):
+    # 3 steps of two bundled scenarios; no count is held to a figure, as
+    # the counts move with the code and with the Python and numpy versions
+    outputs = []
+    for _ in range(2):
+        assert _run_count("--steps", "3", "--scenario", "chua_synchronization",
+                          "--scenario", "distributed_delay") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    heads = [i for i, line in enumerate(lines) if line.endswith("right-hand sides")]
+    assert [lines[i] for i in heads] == [f"{stem}: 3 steps, 12 right-hand sides"
+                                         for stem in ("chua_synchronization", "distributed_delay")]
+    for start, end in zip(heads, heads[1:] + [len(lines)]):
+        assert lines[start + 1].split() == ["opcodes", "C", "calls", "opcodes/rhs", "C",
+                                            "calls/rhs", "function"]
+        total, *rows = (line.split() for line in lines[start + 2:end])
+        assert total[4] == "total" and "dynamics.rhs" in {row[4] for row in rows}
+        for col in (0, 1):
+            assert int(total[col]) == sum(int(row[col]) for row in rows) > 0
+        assert float(total[2]) == pytest.approx(int(total[0]) / 12, abs=0.05)
+
+
 def test_every_input_the_benchmark_writes_validates(monkeypatch, tmp_path, capsys):
     # a schema change that rejects a generated document fails the benchmark
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
